@@ -6,7 +6,7 @@
     plrefine robinhood <config.json> [--out DIR]
 
 Successful commands exit 0; any failure prints one JSON line
-{"error": "..."} to stderr and exits 1.
+{"error": "...", "type": "<exception class>"} to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # single-line machine-readable failure
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 1
 
 

@@ -63,6 +63,8 @@ class EmbeddingSet:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty (n, d) matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite (found NaN or inf)")
         norms = np.linalg.norm(feats, axis=1)
         if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
             raise ValueError(
@@ -117,6 +119,8 @@ class ClassSpace:
         protos = np.asarray(self.base_prototypes, dtype=np.float64)
         if protos.ndim != 2 or protos.shape[0] != len(names) or len(names) == 0:
             raise ValueError("base_prototypes must be (C, d) with one row per class name")
+        if not np.all(np.isfinite(protos)):
+            raise ValueError("base_prototypes must be finite (found NaN or inf)")
         norms = np.linalg.norm(protos, axis=1)
         if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
             raise ValueError("base_prototypes rows must be unit-normalized within 1e-5")
@@ -262,7 +266,10 @@ def paradigm_weights(paradigm: str, n_labeled: int, n_pseudo: int) -> tuple:
 
 @dataclass(frozen=True)
 class Task:
-    """A train/test pair over one class space; the unit the strategies run on."""
+    """A train/test pair over one class space; the unit the strategies run on.
+
+    Every label is a class index below C or the UNLABELED sentinel.
+    """
 
     train: EmbeddingSet
     test: EmbeddingSet
@@ -271,3 +278,7 @@ class Task:
     def __post_init__(self) -> None:
         if self.train.d != self.space.d or self.test.d != self.space.d:
             raise ValueError("train/test feature dimension must match the class space")
+        for split, data in (("train", self.train), ("test", self.test)):
+            top = int(data.labels.max())
+            if top >= self.space.C:
+                raise ValueError(f"{split} label {top} out of range for C={self.space.C} classes")

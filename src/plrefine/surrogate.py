@@ -13,6 +13,10 @@ zero-shot classifier exactly, and the two routes never touch each other's
 side (textual context cannot move image features, visual context cannot
 move prototypes).
 
+The offset is linear in the anchor, so each route folds ctx into one (d, d)
+effective map E[j, k] = sum_m mix[j, m*d + k] * ctx[m, k] and shifts by
+anchors @ E.T: O(n*d^2 + M*d^2) per call, with no (n, M*d) temporary.
+
 Gradients are derived by hand so they can be cross-checked against finite
 differences; everything is float64.
 """
@@ -24,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, unit_normalize
+from .core import ClassSpace
 
 MODALITIES = ("textual", "visual", "multimodal")
 
@@ -186,19 +190,28 @@ def reinit_ctx(model: PromptModel, seed: int, scale: float = DEFAULT_CTX_SCALE, 
     return replace(model, **updates)
 
 
-def _tiled(anchors: np.ndarray, M: int) -> np.ndarray:
-    """(m, M*d) matrix whose row i is the anchor row repeated M times.
+def _shift_normalize(mix: np.ndarray, ctx: np.ndarray, anchors: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit rows of anchors + anchors @ E.T (E the route's effective map), and their norms."""
+    d = mix.shape[0]
+    E = np.einsum("jmk,mk->jk", mix.reshape(d, -1, d), ctx)
+    A = anchors + anchors @ E.T
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    if np.any(norms < 1e-12):
+        raise ValueError(f"degenerate embedding: {what} collapsed to zero norm")
+    return A / norms, norms
 
-    Row i equals the row-major flattening of a (M, d) block holding M copies
-    of anchor i, so ctx.ravel() * _tiled(anchors, M) is the flattened
-    elementwise product of ctx with that anchor.
+
+def _shift_normalize_vjp(
+    mix: np.ndarray, anchors: np.ndarray, unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray
+) -> np.ndarray:
+    """ctx gradient (M, d) of _shift_normalize, given dL/d(unit rows).
+
+    Back through u = a/|a| (Jacobian (I - u u^T)/|a|) to dA, then
+    dE = dA^T anchors and dctx[m, k] = sum_j mix[j, m*d + k] * dE[j, k].
     """
-    return np.tile(anchors, (1, M))
-
-
-def _mixed_offsets(mix: np.ndarray, ctx: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """(m, d) offsets: ctx modulated by each anchor row, through the frozen map."""
-    return (ctx.ravel()[None, :] * _tiled(anchors, ctx.shape[0])) @ mix.T
+    dA = (d_unit - np.sum(d_unit * unit, axis=1, keepdims=True) * unit) / norms
+    d = mix.shape[0]
+    return np.einsum("jmk,jk->mk", mix.reshape(d, -1, d), dA.T @ anchors)
 
 
 def class_prototypes(model: PromptModel, space: ClassSpace) -> np.ndarray:
@@ -212,8 +225,7 @@ def class_prototypes(model: PromptModel, space: ClassSpace) -> np.ndarray:
     """
     if model.text_ctx is None or not model.text_ctx.any():
         return np.array(space.base_prototypes, dtype=np.float64)
-    B = space.base_prototypes
-    return unit_normalize(B + _mixed_offsets(model.text_mix, model.text_ctx, B))
+    return _shift_normalize(model.text_mix, model.text_ctx, space.base_prototypes, "prototype")[0]
 
 
 def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
@@ -230,7 +242,7 @@ def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
     if model.vis_ctx is None or not model.vis_ctx.any():
         out = np.array(z)
     else:
-        out = unit_normalize(z + _mixed_offsets(model.vis_mix, model.vis_ctx, z))
+        out = _shift_normalize(model.vis_mix, model.vis_ctx, z, "feature")[0]
     return out[0] if squeeze else out
 
 
@@ -271,11 +283,10 @@ def batch_loss_and_grad(
     max-shifted, and a non-finite loss raises rather than propagating.
 
     Backward pass, for reference: with P the softmax and Y one-hot,
-    G = (P - Y)/n is dL/dS; the chain back through the temperature, the dot
-    products, and each row normalization u = a/|a| (Jacobian
-    (I - u u^T)/|a|) lands on the per-anchor offsets T (ctx ⊙ r) with r the
-    tiled anchor, so each anchor contributes r ⊙ (T^T dA) to the flattened
-    ctx gradient.
+    G = (P - Y)/n is dL/dS, so dL/dZp = tau G Wp and dL/dWp = tau G^T Zp;
+    each route then runs back through its row normalization to the shifted
+    rows' gradient dA, through the shift to dE = dA^T anchors, and through
+    the effective map to dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
     """
     subset = [int(c) for c in class_subset]
     if not subset:
@@ -298,22 +309,14 @@ def batch_loss_and_grad(
     if model.vis_ctx is None:
         Zp = Z
     else:
-        Az = Z + _mixed_offsets(model.vis_mix, model.vis_ctx, Z)
-        nz = np.linalg.norm(Az, axis=1, keepdims=True)
-        if np.any(nz < 1e-12):
-            raise ValueError("degenerate embedding: feature collapsed to zero norm")
-        Zp = Az / nz
+        Zp, nz = _shift_normalize(model.vis_mix, model.vis_ctx, Z, "feature")
 
     # Forward: prototype side.
     B = space.base_prototypes[subset]
     if model.text_ctx is None:
         Wp = B
     else:
-        Aw = B + _mixed_offsets(model.text_mix, model.text_ctx, B)
-        nw = np.linalg.norm(Aw, axis=1, keepdims=True)
-        if np.any(nw < 1e-12):
-            raise ValueError("degenerate embedding: prototype collapsed to zero norm")
-        Wp = Aw / nw
+        Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "prototype")
 
     S = tau * (Zp @ Wp.T)
     shift = S.max(axis=1, keepdims=True)
@@ -333,15 +336,9 @@ def batch_loss_and_grad(
     d_text_ctx = None
     d_vis_ctx = None
     if model.text_ctx is not None:
-        M = model.text_ctx.shape[0]
-        dWp = tau * (G.T @ Zp)
-        dAw = (dWp - np.sum(dWp * Wp, axis=1, keepdims=True) * Wp) / nw
-        d_text_ctx = ((dAw @ model.text_mix) * _tiled(B, M)).sum(axis=0).reshape(model.text_ctx.shape)
+        d_text_ctx = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
     if model.vis_ctx is not None:
-        M = model.vis_ctx.shape[0]
-        dZp = tau * (G @ Wp)
-        dAz = (dZp - np.sum(dZp * Zp, axis=1, keepdims=True) * Zp) / nz
-        d_vis_ctx = ((dAz @ model.vis_mix) * _tiled(Z, M)).sum(axis=0).reshape(model.vis_ctx.shape)
+        d_vis_ctx = _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))
 
     for g in (d_text_ctx, d_vis_ctx):
         if g is not None and not np.all(np.isfinite(g)):

@@ -188,8 +188,9 @@ class TestRobinhood:
 class TestFailurePaths:
     def test_missing_config_is_json_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
-        err_line = capsys.readouterr().err.strip()
-        assert "error" in json.loads(err_line)
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "error" in payload
+        assert payload["type"] == "FileNotFoundError"
 
     def test_invalid_config_is_json_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -197,6 +198,7 @@ class TestFailurePaths:
         assert main(["run", str(cfg_path)]) == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert "schema_version" in payload["error"]
+        assert payload["type"] == "ValueError"
 
     def test_inspect_rejects_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.ple"
@@ -204,6 +206,7 @@ class TestFailurePaths:
         assert main(["inspect", str(path)]) == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert "bad magic" in payload["error"]
+        assert payload["type"] == "ValueError"
 
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -94,6 +94,14 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError, match="unit-normalized"):
             EmbeddingSet(feats, np.zeros(4, dtype=np.int64), np.arange(4, dtype=np.uint64))
 
+    def test_rejects_non_finite_features(self):
+        rng = np.random.default_rng(5)
+        for bad in (np.nan, np.inf):
+            feats = _unit_rows(rng, 4, 3)
+            feats[2, 1] = bad
+            with pytest.raises(ValueError, match="features must be finite"):
+                EmbeddingSet(feats, np.zeros(4, dtype=np.int64), np.arange(4, dtype=np.uint64))
+
     def test_rejects_duplicate_ids(self):
         rng = np.random.default_rng(6)
         feats = _unit_rows(rng, 3, 3)
@@ -133,6 +141,13 @@ class TestClassSpace:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError, match="unit-normalized"):
             ClassSpace(("a", "b"), 1.1 * _unit_rows(rng, 2, 4))
+
+    def test_rejects_non_finite_prototypes(self):
+        rng = np.random.default_rng(11)
+        protos = _unit_rows(rng, 2, 4)
+        protos[1, 0] = np.nan
+        with pytest.raises(ValueError, match="base_prototypes must be finite"):
+            ClassSpace(("a", "b"), protos)
 
     def test_partition_must_cover_classes(self):
         rng = np.random.default_rng(12)
@@ -310,6 +325,17 @@ class TestTask:
         space = _class_space(rng, 3, 4)
         with pytest.raises(ValueError, match="dimension must match"):
             Task(train=train, test=test, space=space)
+
+    def test_labels_out_of_range(self):
+        rng = np.random.default_rng(18)
+        space = _class_space(rng, 3, 5)
+        good = _embedding_set(rng, 4, 5, 3)
+        feats = _unit_rows(rng, 4, 5)
+        bad = EmbeddingSet(feats, np.array([0, 7, 1, -1]), np.arange(4, dtype=np.uint64))
+        with pytest.raises(ValueError, match="train label 7 out of range for C=3"):
+            Task(train=bad, test=good, space=space)
+        with pytest.raises(ValueError, match="test label 7 out of range for C=3"):
+            Task(train=good, test=bad, space=space)
 
     def test_valid_task(self):
         rng = np.random.default_rng(19)

@@ -182,6 +182,19 @@ class TestNormDrift:
             read_ple(str(path))
 
 
+    def test_non_finite_feature_rejected(self, tmp_path):
+        """A NaN norm drift passes both drift thresholds; the container refuses it."""
+        rng = np.random.default_rng(7)
+        data, space = _sample(rng)
+        path = tmp_path / "nan.ple"
+        write_ple(str(path), data, space)
+        raw = bytearray(path.read_bytes())
+        raw[18:22] = np.array([np.nan], dtype="<f4").tobytes()  # first feature float
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="features must be finite"):
+            read_ple(str(path))
+
+
 class TestInspect:
     def test_summary_fields(self, tmp_path):
         rng = np.random.default_rng(7)

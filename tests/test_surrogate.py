@@ -6,6 +6,8 @@ a textual prompt can never move image features and a visual prompt can never
 move prototypes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -387,3 +389,67 @@ class TestBatchLossAndGrad:
         assert loss == bundle.loss
         assert np.array_equal(grads["text_ctx"], bundle.d_text_ctx)
         assert np.array_equal(grads["vis_ctx"], bundle.d_vis_ctx)
+
+
+def _tiled_reference(model, Z, y, space):
+    """Features, prototypes and ctx gradients through the tiled definition.
+
+    Each anchor row is repeated M times into an (n, M*d) matrix R, so the
+    offset is (ctx.ravel() * R) @ mix.T and its VJP is ((dA @ mix) * R)
+    summed over rows; the effective map must reproduce both.
+    """
+
+    def shift(mix, ctx, anchors):
+        R = np.tile(anchors, (1, ctx.shape[0]))
+        A = anchors + (ctx.ravel() * R) @ mix.T
+        norms = np.linalg.norm(A, axis=1, keepdims=True)
+        return A / norms, norms, R
+
+    def back(mix, ctx, unit, norms, R, d_unit):
+        dA = (d_unit - np.sum(d_unit * unit, axis=1, keepdims=True) * unit) / norms
+        return ((dA @ mix) * R).sum(axis=0).reshape(ctx.shape)
+
+    tau = model.temperature
+    Zp, nz, Rz = shift(model.vis_mix, model.vis_ctx, Z)
+    Wp, nw, Rw = shift(model.text_mix, model.text_ctx, space.base_prototypes)
+    S = tau * (Zp @ Wp.T)
+    P = np.exp(S - S.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    G = (P - np.eye(space.C)[y]) / Z.shape[0]
+    d_text = back(model.text_mix, model.text_ctx, Wp, nw, Rw, tau * (G.T @ Zp))
+    d_vis = back(model.vis_mix, model.vis_ctx, Zp, nz, Rz, tau * (G @ Wp))
+    return Zp, Wp, d_text, d_vis
+
+
+class TestEffectiveMap:
+    def test_matches_tiled_definition(self):
+        """Both routes, non-square shape (n=9, C=5, d=6, M=4), to 1e-12."""
+        rng = np.random.default_rng(23)
+        space = _space(rng, 5, 6)
+        Z = _unit_rows(rng, 9, 6)
+        y = rng.integers(0, 5, size=9)
+        m = init_prompt("multimodal", 4, 6, seed=3, scale=0.4)
+        Zp, Wp, d_text, d_vis = _tiled_reference(m, Z, y, space)
+        bundle = batch_loss_and_grad(m, Z, y, space, range(5))
+        np.testing.assert_allclose(image_features(m, Z), Zp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(class_prototypes(m, space), Wp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bundle.d_text_ctx, d_text, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bundle.d_vis_ctx, d_vis, rtol=0, atol=1e-12)
+
+    def test_peak_memory_below_one_tiled_temporary(self):
+        """The tiled form peaked at about two (n, M*d) arrays; the map stays under half of one."""
+        n, d, M, C = 2048, 64, 16, 10
+        rng = np.random.default_rng(29)
+        space = _space(rng, C, d)
+        Z = _unit_rows(rng, n, d)
+        y = rng.integers(0, C, size=n)
+        m = init_prompt("multimodal", M, d, seed=4)
+        tiled_bytes = n * M * d * 8
+        for call in (lambda: image_features(m, Z), lambda: batch_loss_and_grad(m, Z, y, space, range(C))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < tiled_bytes / 2
