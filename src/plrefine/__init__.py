@@ -24,7 +24,6 @@ from .pseudolabels import (
     topk_per_class,
 )
 from .surrogate import (
-    GradientBundle,
     PromptModel,
     batch_loss_and_grad,
     class_prototypes,
@@ -34,15 +33,12 @@ from .surrogate import (
     reinit_ctx,
 )
 from .probe import LinearProbe, init_linear_probe
-from .training import TrainSchedule, lr_at, train, unified_loss
+from .training import TrainSchedule, lr_at, train
 from .strategies import (
     IterationRecord,
     RunResult,
     StrategyConfig,
     grip_k,
-    run_fpl,
-    run_grip,
-    run_ifpl,
     run_strategy,
     wire_paradigm,
 )
@@ -69,7 +65,6 @@ __all__ = [
     "EmbeddingSet",
     "EvalReport",
     "ExperimentConfig",
-    "GradientBundle",
     "IterationRecord",
     "LabeledSubset",
     "LinearProbe",
@@ -106,9 +101,6 @@ __all__ = [
     "reinit_ctx",
     "robin_hood",
     "run_comparison_scenario",
-    "run_fpl",
-    "run_grip",
-    "run_ifpl",
     "run_strategy",
     "run_sweep",
     "sample_shots",
@@ -118,7 +110,6 @@ __all__ = [
     "threshold_pseudolabels",
     "topk_per_class",
     "train",
-    "unified_loss",
     "unit_normalize",
     "wire_paradigm",
     "write_ple",

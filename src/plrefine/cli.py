@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config, parse_synthetic_spec
+from .config import load_config, parse_seed_list, parse_synthetic_spec
 from .fileio import inspect_ple, write_ple
 from .sweep import run_comparison_scenario, run_sweep
 from .synth import synth_generate
@@ -32,8 +32,7 @@ def _test_path_for(path: str) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed_override:
-        seeds = tuple(int(s) for s in args.seed_override.split(","))
-        cfg = dataclasses.replace(cfg, seeds=seeds)
+        cfg = dataclasses.replace(cfg, seeds=parse_seed_list(args.seed_override.split(",")))
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if "FPL" in cfg.strategies and "I" in raw and cfg.I != 1:

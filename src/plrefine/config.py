@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import PARADIGMS
-from .strategies import DEFAULT_PEAK_LR, STRATEGIES
+from .strategies import STRATEGIES, default_schedule
 from .surrogate import MODALITIES
 from .synth import SyntheticSpec
 from .training import TrainSchedule
@@ -70,9 +70,7 @@ class ExperimentConfig:
 
     def schedule(self) -> TrainSchedule:
         """Schedule with the modality-appropriate peak lr unless overridden."""
-        kwargs = {"peak_lr": DEFAULT_PEAK_LR[self.modality]}
-        kwargs.update(self.schedule_overrides)
-        return TrainSchedule(**kwargs)
+        return default_schedule(self.modality, **self.schedule_overrides)
 
     def echo(self) -> dict:
         """Canonical dict form, embedded into result.json for provenance."""
@@ -123,7 +121,8 @@ def _as_str_list(value, what: str, allowed: tuple) -> tuple:
     return tuple(out)
 
 
-def _as_seed_list(value) -> tuple:
+def parse_seed_list(value) -> tuple:
+    """Seeds as a tuple of distinct non-negative ints (one int is a list of one)."""
     items = [value] if isinstance(value, int) else list(value)
     seeds = []
     for s in items:
@@ -186,7 +185,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         strategies=_as_str_list(raw.get("strategies", "GRIP"), "strategy", STRATEGIES),
         paradigms=_as_str_list(raw.get("paradigms", "UL"), "paradigm", PARADIGMS),
-        seeds=_as_seed_list(raw.get("seeds", [0])),
+        seeds=parse_seed_list(raw.get("seeds", [0])),
         synthetic=synthetic,
         train_path=train_path,
         test_path=test_path,
@@ -206,6 +205,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
     if cfg.K < 1 or cfg.I < 1:
         raise ValueError("K and I must be at least 1")
+    if cfg.prompt_len is not None and cfg.prompt_len < 1:
+        raise ValueError(f"prompt_len must be at least 1, got {cfg.prompt_len}")
+    if not cfg.temperature > 0:
+        raise ValueError(f"temperature must be positive, got {cfg.temperature}")
+    if not cfg.init_scale >= 0:
+        raise ValueError(f"init_scale must be non-negative, got {cfg.init_scale}")
     if not 0.0 <= cfg.threshold_tau < 1.0:
         raise ValueError("threshold_tau must lie in [0, 1)")
     cfg.schedule()  # validate schedule overrides eagerly

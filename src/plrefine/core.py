@@ -10,7 +10,7 @@ shared across worker processes without copies or locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,10 +40,40 @@ def unit_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x / norms
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
+def frozen_array(arr, dtype=None) -> np.ndarray:
+    """Read-only C-contiguous ``arr`` (cast to ``dtype`` when given).
+
+    An array that is already contiguous and of that dtype is frozen in
+    place, not copied.
+    """
+    out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
     out.setflags(write=False)
     return out
+
+
+def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray) -> tuple:
+    """Mean softmax cross-entropy of logits S (n, C) and its gradient dL/dS.
+
+    Labels must lie in [0, C). The log-sum-exp is max-shifted and grouped as
+    (shift - label logit) + log-sum, so uniform logits give exactly ln(C); a
+    non-finite loss raises rather than propagating.
+    """
+    n, C = S.shape
+    if n == 0:
+        raise ValueError("empty batch")
+    outside = (labels < 0) | (labels >= C)
+    if outside.any():
+        raise ValueError(f"label {int(labels[outside][0])} outside [0, {C})")
+    rows = np.arange(n)
+    shift = S.max(axis=1, keepdims=True)
+    rel = np.log(np.sum(np.exp(S - shift), axis=1))
+    loss = float(np.mean((shift[:, 0] - S[rows, labels]) + rel))
+    if not np.isfinite(loss):
+        raise FloatingPointError("numerical overflow in cross-entropy loss")
+    G = np.exp(S - (shift[:, 0] + rel)[:, None])
+    G[rows, labels] -= 1.0
+    G /= n
+    return loss, G
 
 
 @dataclass(frozen=True)
@@ -80,9 +110,9 @@ class EmbeddingSet:
             raise ValueError("labels must be class indices or the sentinel -1")
         if np.unique(ids).size != n:
             raise ValueError("ids must be unique")
-        object.__setattr__(self, "features", _frozen(feats))
-        object.__setattr__(self, "labels", _frozen(labels))
-        object.__setattr__(self, "ids", _frozen(ids))
+        object.__setattr__(self, "features", frozen_array(feats))
+        object.__setattr__(self, "labels", frozen_array(labels))
+        object.__setattr__(self, "ids", frozen_array(ids))
 
     @property
     def n(self) -> int:
@@ -135,7 +165,7 @@ class ClassSpace:
                 )
             part = (seen, unseen)
         object.__setattr__(self, "class_names", names)
-        object.__setattr__(self, "base_prototypes", _frozen(protos))
+        object.__setattr__(self, "base_prototypes", frozen_array(protos))
         object.__setattr__(self, "partition", part)
 
     @property
@@ -163,8 +193,8 @@ class LabeledSubset:
             raise ValueError("rows must be unique")
         if np.any(labels < 0):
             raise ValueError("labeled subset may not contain the unlabeled sentinel")
-        object.__setattr__(self, "rows", _frozen(rows))
-        object.__setattr__(self, "labels", _frozen(labels))
+        object.__setattr__(self, "rows", frozen_array(rows))
+        object.__setattr__(self, "labels", frozen_array(labels))
 
     @property
     def n(self) -> int:

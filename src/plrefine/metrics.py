@@ -127,7 +127,7 @@ def _report_from_scores(
         seen_acc = float(correct[seen_mask].mean())
         unseen_acc = float(correct[unseen_mask].mean())
         harm = harmonic_mean(seen_acc, unseen_acc)
-        balance = (unseen_acc - seen_acc) / seen_acc if seen_acc > 0 else None
+        balance = class_balance(seen_acc, unseen_acc) if seen_acc > 0 else None
 
     return EvalReport(
         overall=overall,

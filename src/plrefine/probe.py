@@ -8,11 +8,11 @@ offset, so it can carve the feature space freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ClassSpace
+from .core import ClassSpace, frozen_array, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,9 @@ class LinearProbe:
     W: np.ndarray
 
     def __post_init__(self) -> None:
-        W = np.ascontiguousarray(np.asarray(self.W, dtype=np.float64))
+        W = frozen_array(self.W, np.float64)
         if W.ndim != 2:
             raise ValueError("W must be a (C, d) matrix")
-        W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
     def learnable(self) -> Dict[str, np.ndarray]:
@@ -35,35 +34,12 @@ class LinearProbe:
         return LinearProbe(params["W"])
 
     def loss_and_grad(
-        self,
-        feats: np.ndarray,
-        labels: np.ndarray,
-        space: ClassSpace,
-        class_subset: Sequence[int],
+        self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace
     ) -> Tuple[float, Dict[str, np.ndarray]]:
-        subset = [int(c) for c in class_subset]
-        if not subset:
-            raise ValueError("empty class subset")
+        """Mean softmax cross-entropy over all C classes and its W gradient."""
         Z = np.asarray(feats, dtype=np.float64)
-        y_cls = np.asarray(labels, dtype=np.int64)
-        pos = {c: j for j, c in enumerate(subset)}
-        try:
-            y = np.array([pos[int(c)] for c in y_cls], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0]} not in class subset") from None
-        n = Z.shape[0]
-        S = Z @ self.W[subset].T
-        shift = S.max(axis=1, keepdims=True)
-        lse = shift[:, 0] + np.log(np.sum(np.exp(S - shift), axis=1))
-        loss = float(np.mean(lse - S[np.arange(n), y]))
-        if not np.isfinite(loss):
-            raise FloatingPointError("numerical overflow in cross-entropy loss")
-        G = np.exp(S - lse[:, None])
-        G[np.arange(n), y] -= 1.0
-        G /= n
-        dW = np.zeros_like(self.W)
-        dW[subset] = G.T @ Z
-        return loss, {"W": dW}
+        loss, G = softmax_cross_entropy(Z @ self.W.T, np.asarray(labels, dtype=np.int64))
+        return loss, {"W": G.T @ Z}
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:
         return np.asarray(feats, dtype=np.float64) @ self.W.T

@@ -14,6 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .core import frozen_array
+
 SCORE_TOLERANCE = 1e-6
 
 
@@ -49,9 +51,7 @@ class PseudolabelSet:
                     f"class {int(counts.argmax())} holds {int(counts.max())} entries, cap is {self.k_used}"
                 )
         for name, arr in (("example_ids", ids), ("classes", classes), ("scores", scores)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(arr))
 
     @property
     def m(self) -> int:

@@ -1,11 +1,11 @@
 """Training strategies: one-shot and iterative pseudolabel refinement.
 
-All three strategies share one engine. Each iteration scores the unlabeled
-pool (iteration 1 with the zero-ctx base prototypes, later ones with the
-previously trained model), takes the top K per class, recomputes the paradigm
-weights from the actual pool sizes, reinitializes the prompt from
+All three strategies share one engine, run_strategy. Each iteration scores
+the unlabeled pool (iteration 1 with the zero-ctx base prototypes, later ones
+with the previously trained model), takes the top K per class, recomputes the
+paradigm weights from the actual pool sizes, reinitializes the prompt from
 seed XOR iteration, and trains. They differ only in the iteration count and
-the K rule:
+the K rule, which STRATEGY_PLANS holds:
 
   FPL   one iteration, K capped by the pool (effective_k)
   IFPL  I iterations, same fixed K every time
@@ -17,8 +17,8 @@ run with I=1 are bit-identical under the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,12 +28,12 @@ from .core import (
     ParadigmConfig,
     Task,
     UNLABELED,
+    frozen_array,
     paradigm_weights,
     sample_shots,
 )
 from .metrics import EvalReport, evaluate
 from .pseudolabels import (
-    PseudolabelSet,
     drop_duplicate_assignments,
     effective_k,
     pseudolabel_accuracy,
@@ -51,8 +51,6 @@ from .surrogate import (
     reinit_ctx,
 )
 from .training import TrainSchedule, train
-
-STRATEGIES = ("FPL", "IFPL", "GRIP")
 
 DEFAULT_PROMPT_LEN = {"textual": 16, "visual": 16, "multimodal": 8}
 
@@ -88,7 +86,7 @@ class StrategyConfig:
     init_spread: str = "std"
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in STRATEGY_PLANS:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}; expected one of {MODALITIES}")
@@ -105,6 +103,22 @@ class StrategyConfig:
     def resolved_schedule(self) -> TrainSchedule:
         return self.schedule if self.schedule is not None else default_schedule(self.modality)
 
+    def base_prompt(self, d: int) -> PromptModel:
+        """The run's initial prompt: ctx drawn from the seed, frozen mixers.
+
+        Build it once per run; later prompts only redraw ctx from it
+        (reinit_ctx), which keeps the mixers without drawing them again.
+        """
+        return init_prompt(
+            self.modality,
+            self.resolved_prompt_len(),
+            d,
+            self.seed,
+            scale=self.init_scale,
+            spread=self.init_spread,
+            temperature=self.temperature,
+        )
+
 
 @dataclass(frozen=True)
 class ParadigmSplit:
@@ -116,9 +130,7 @@ class ParadigmSplit:
     pseudolabel_classes: tuple
 
     def __post_init__(self) -> None:
-        rows = np.ascontiguousarray(np.asarray(self.pool_rows, dtype=np.int64))
-        rows.setflags(write=False)
-        object.__setattr__(self, "pool_rows", rows)
+        object.__setattr__(self, "pool_rows", frozen_array(self.pool_rows, np.int64))
         object.__setattr__(
             self, "pseudolabel_classes", tuple(int(c) for c in self.pseudolabel_classes)
         )
@@ -174,6 +186,16 @@ def grip_k(i: int, I: int, n_unlabeled: int, C: int) -> int:
     return max(1, (i * n_unlabeled) // (I * C))
 
 
+# Per strategy: whether it refines for config.I iterations (else exactly one),
+# and its per-class quota k(config, i, n_pool, C_assign).
+STRATEGY_PLANS = {
+    "FPL": (False, lambda cfg, i, n, C: effective_k(cfg.K, n, C)),
+    "IFPL": (True, lambda cfg, i, n, C: effective_k(cfg.K, n, C)),
+    "GRIP": (True, lambda cfg, i, n, C: grip_k(i, cfg.I, n, C)),
+}
+STRATEGIES = tuple(STRATEGY_PLANS)
+
+
 def wire_paradigm(
     cfg: ParadigmConfig, data: EmbeddingSet, space, seed: int
 ) -> ParadigmSplit:
@@ -227,8 +249,16 @@ def _pool_scores(model: Optional[PromptModel], pool_feats: np.ndarray, space) ->
     return similarity_matrix(image_features(model, pool_feats), class_prototypes(model, space))
 
 
-def _run(config: StrategyConfig, task: Task, iterations: int, k_rule: Callable[[int, int, int], int]) -> RunResult:
-    """Shared strategy engine; k_rule(i, n_pool, C_assign) sets the quota."""
+def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
+    """Run config.strategy with the iteration count and quota rule of its plan.
+
+    FPL makes a single pseudolabeling pass with the base prototypes and a
+    single training; IFPL refines for I iterations at the same quota; GRIP
+    grows the quota each iteration until the last one pseudolabels (nearly)
+    the entire pool.
+    """
+    iterate, k_rule = STRATEGY_PLANS[config.strategy]
+    iterations = config.I if iterate else 1
     data, test, space = task.train, task.test, task.space
     split = wire_paradigm(config.paradigm, data, space, config.seed)
     if split.pool_rows.size == 0:
@@ -243,25 +273,15 @@ def _run(config: StrategyConfig, task: Task, iterations: int, k_rule: Callable[[
 
     classes = split.pseudolabel_classes
     transductive = config.paradigm.paradigm == "TRZSL"
-    all_classes = tuple(range(space.C))
     schedule = config.resolved_schedule()
-
-    base = init_prompt(
-        config.modality,
-        config.resolved_prompt_len(),
-        space.d,
-        config.seed,
-        scale=config.init_scale,
-        spread=config.init_spread,
-        temperature=config.temperature,
-    )
+    base = config.base_prompt(space.d)
 
     records = []
     model: Optional[PromptModel] = None
     report: Optional[EvalReport] = None
     for i in range(1, iterations + 1):
         S = _pool_scores(model, pool_feats, space)
-        k = k_rule(i, int(split.pool_rows.size), len(classes))
+        k = k_rule(config, i, int(split.pool_rows.size), len(classes))
         pl = topk_per_class(S, k, classes, pool_ids)
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
@@ -270,18 +290,7 @@ def _run(config: StrategyConfig, task: Task, iterations: int, k_rule: Callable[[
         else:
             weights = paradigm_weights(config.paradigm.paradigm, split.labeled.n, pl.m)
         fresh = reinit_ctx(base, config.seed ^ i, scale=config.init_scale, spread=config.init_spread)
-        model, _ = train(
-            fresh,
-            data,
-            space,
-            split.labeled,
-            pl,
-            weights,
-            schedule,
-            all_classes,
-            all_classes,
-            seed=config.seed ^ i,
-        )
+        model, _ = train(fresh, data, space, split.labeled, pl, weights, schedule, seed=config.seed ^ i)
         report = evaluate(model, test, space, partition_aware=transductive)
         pl_acc = pseudolabel_accuracy(pl, truth) if truth is not None else None
         records.append(
@@ -304,33 +313,3 @@ def _run(config: StrategyConfig, task: Task, iterations: int, k_rule: Callable[[
         final_model=model,
     )
 
-
-def run_fpl(config: StrategyConfig, task: Task) -> RunResult:
-    """Single pseudolabeling pass with the base prototypes, single training."""
-    def k_rule(i: int, n: int, C: int) -> int:
-        return effective_k(config.K, n, C)
-
-    return _run(config, task, iterations=1, k_rule=k_rule)
-
-
-def run_ifpl(config: StrategyConfig, task: Task) -> RunResult:
-    """I refinement iterations with the same per-class quota every time."""
-    def k_rule(i: int, n: int, C: int) -> int:
-        return effective_k(config.K, n, C)
-
-    return _run(config, task, iterations=config.I, k_rule=k_rule)
-
-
-def run_grip(config: StrategyConfig, task: Task) -> RunResult:
-    """I refinement iterations with a linearly growing quota; the final
-    iteration pseudolabels (nearly) the entire pool."""
-    def k_rule(i: int, n: int, C: int) -> int:
-        return grip_k(i, config.I, n, C)
-
-    return _run(config, task, iterations=config.I, k_rule=k_rule)
-
-
-def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
-    """Dispatch on config.strategy."""
-    runner = {"FPL": run_fpl, "IFPL": run_ifpl, "GRIP": run_grip}[config.strategy]
-    return runner(config, task)

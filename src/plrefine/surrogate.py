@@ -24,24 +24,16 @@ differences; everything is float64.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassSpace
+from .core import ClassSpace, frozen_array, softmax_cross_entropy
 
 MODALITIES = ("textual", "visual", "multimodal")
 
 DEFAULT_TEMPERATURE = 100.0
 DEFAULT_CTX_SCALE = 0.02
-
-
-def _frozen(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if arr is None:
-        return None
-    out = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,8 @@ class PromptModel:
         if has_vis != (self.vis_ctx is not None) or has_vis != (self.vis_mix is not None):
             raise ValueError("visual side must be present exactly for visual/multimodal models")
         for name in ("text_ctx", "vis_ctx", "text_mix", "vis_mix"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, frozen_array(getattr(self, name), np.float64))
         if self.text_ctx is not None:
             m, d = self.text_ctx.shape
             if self.text_mix.shape != (d, m * d):
@@ -97,37 +90,20 @@ class PromptModel:
         return replace(self, **params)
 
     def loss_and_grad(
-        self,
-        feats: np.ndarray,
-        labels: np.ndarray,
-        space: ClassSpace,
-        class_subset: Sequence[int],
+        self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace
     ) -> Tuple[float, Dict[str, np.ndarray]]:
-        bundle = batch_loss_and_grad(self, feats, labels, space, class_subset)
-        grads = {}
-        if bundle.d_text_ctx is not None:
-            grads["text_ctx"] = bundle.d_text_ctx
-        if bundle.d_vis_ctx is not None:
-            grads["vis_ctx"] = bundle.d_vis_ctx
-        return bundle.loss, grads
+        return batch_loss_and_grad(self, feats, labels, space)
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:
         """Temperature-scaled cosine scores against all C classes."""
-        return logits(self, feats, space, range(space.C))
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    """Loss value plus gradients for whichever ctx blocks the model has."""
-
-    loss: float
-    d_text_ctx: Optional[np.ndarray] = None
-    d_vis_ctx: Optional[np.ndarray] = None
+        return logits(self, feats, space)
 
 
 def _ctx_sigma(scale: float, spread: str) -> float:
     # "std" reads the configured scale as the standard deviation (default);
     # "variance" takes it literally as the variance.
+    if scale < 0:
+        raise ValueError(f"ctx init scale must be non-negative, got {scale}")
     if spread == "std":
         return float(scale)
     if spread == "variance":
@@ -246,26 +222,15 @@ def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def logits(
-    model: PromptModel,
-    z: np.ndarray,
-    space: ClassSpace,
-    class_subset: Sequence[int],
-) -> np.ndarray:
-    """Temperature-scaled cosine logits over ``class_subset``.
+def logits(model: PromptModel, z: np.ndarray, space: ClassSpace) -> np.ndarray:
+    """Temperature-scaled cosine logits over all C classes.
 
-    Returns (n, |subset|) for a feature matrix, (|subset|,) for one vector.
+    Returns (n, C) for a feature matrix, (C,) for one vector.
     """
-    subset = [int(c) for c in class_subset]
-    if not subset:
-        raise ValueError("empty class subset")
-    if min(subset) < 0 or max(subset) >= space.C:
-        raise ValueError("class subset indices out of range")
     z = np.asarray(z, dtype=np.float64)
     squeeze = z.ndim == 1
     zp = image_features(model, z if not squeeze else z[None, :])
-    W = class_prototypes(model, space)[subset]
-    S = model.temperature * (zp @ W.T)
+    S = model.temperature * (zp @ class_prototypes(model, space).T)
     return S[0] if squeeze else S
 
 
@@ -274,13 +239,13 @@ def batch_loss_and_grad(
     feats: np.ndarray,
     labels: np.ndarray,
     space: ClassSpace,
-    class_subset: Sequence[int],
-) -> GradientBundle:
-    """Mean softmax cross-entropy over the batch plus analytic ctx gradients.
+) -> Tuple[float, Dict[str, np.ndarray]]:
+    """Mean softmax cross-entropy over all C classes plus analytic ctx gradients.
 
-    The softmax runs over ``class_subset`` (callers normally pass the full
-    class set); labels must be members of the subset. The log-sum-exp is
-    max-shifted, and a non-finite loss raises rather than propagating.
+    Returns (loss, grads) with one gradient per learnable ctx block, keyed
+    like PromptModel.learnable(). Labels must lie in [0, C); the loss is
+    core.softmax_cross_entropy, and a non-finite loss or gradient raises
+    rather than propagating.
 
     Backward pass, for reference: with P the softmax and Y one-hot,
     G = (P - Y)/n is dL/dS, so dL/dZp = tau G Wp and dL/dWp = tau G^T Zp;
@@ -288,21 +253,10 @@ def batch_loss_and_grad(
     rows' gradient dA, through the shift to dE = dA^T anchors, and through
     the effective map to dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
     """
-    subset = [int(c) for c in class_subset]
-    if not subset:
-        raise ValueError("empty class subset")
     Z = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if Z.ndim != 2 or labels.shape != (Z.shape[0],):
         raise ValueError("feats must be (n, d) with one label per row")
-    if Z.shape[0] == 0:
-        raise ValueError("empty batch")
-    pos = {c: j for j, c in enumerate(subset)}
-    try:
-        y = np.array([pos[int(c)] for c in labels], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]} not in class subset") from None
-    n = Z.shape[0]
     tau = model.temperature
 
     # Forward: image side.
@@ -312,35 +266,19 @@ def batch_loss_and_grad(
         Zp, nz = _shift_normalize(model.vis_mix, model.vis_ctx, Z, "feature")
 
     # Forward: prototype side.
-    B = space.base_prototypes[subset]
+    B = space.base_prototypes
     if model.text_ctx is None:
         Wp = B
     else:
         Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "prototype")
 
-    S = tau * (Zp @ Wp.T)
-    shift = S.max(axis=1, keepdims=True)
-    rel = np.log(np.sum(np.exp(S - shift), axis=1))
-    # Grouped as (shift - label logit) + rel so the uniform case, where the
-    # label logit equals the max, cancels exactly to ln(C).
-    loss = float(np.mean((shift[:, 0] - S[np.arange(n), y]) + rel))
-    lse = shift[:, 0] + rel
-    if not np.isfinite(loss):
-        raise FloatingPointError("numerical overflow in cross-entropy loss")
+    loss, G = softmax_cross_entropy(tau * (Zp @ Wp.T), labels)
 
-    P = np.exp(S - lse[:, None])
-    G = P
-    G[np.arange(n), y] -= 1.0
-    G /= n
-
-    d_text_ctx = None
-    d_vis_ctx = None
+    grads = {}
     if model.text_ctx is not None:
-        d_text_ctx = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
+        grads["text_ctx"] = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
     if model.vis_ctx is not None:
-        d_vis_ctx = _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))
-
-    for g in (d_text_ctx, d_vis_ctx):
-        if g is not None and not np.all(np.isfinite(g)):
-            raise FloatingPointError("numerical overflow in gradient computation")
-    return GradientBundle(loss=loss, d_text_ctx=d_text_ctx, d_vis_ctx=d_vis_ctx)
+        grads["vis_ctx"] = _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))
+    if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        raise FloatingPointError("numerical overflow in gradient computation")
+    return loss, grads

@@ -30,8 +30,8 @@ from .metrics import (
 )
 from .probe import init_linear_probe
 from .pseudolabels import effective_k, pseudolabel_accuracy, topk_per_class
-from .strategies import DEFAULT_PROMPT_LEN, StrategyConfig, run_strategy, wire_paradigm
-from .surrogate import init_prompt, reinit_ctx
+from .strategies import StrategyConfig, run_strategy, wire_paradigm
+from .surrogate import reinit_ctx
 from .synth import synth_generate
 from .training import train
 
@@ -176,26 +176,14 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
     return payload
 
 
-def _train_head(head, task: Task, split, pl, seed: int, cfg: ExperimentConfig):
+def _train_head(head, task: Task, split, pl, seed: int, schedule):
     """Fit one comparison head on labeled shots plus a pseudolabel set."""
-    all_classes = tuple(range(task.space.C))
     if pl.m == 0:
         # Nothing crossed the threshold; fall back to pure supervised shots.
         weights = (1.0, 0.0)
     else:
         weights = paradigm_weights("SSL", split.labeled.n, pl.m)
-    fitted, _ = train(
-        head,
-        task.train,
-        task.space,
-        split.labeled,
-        pl,
-        weights,
-        cfg.schedule(),
-        all_classes,
-        all_classes,
-        seed=seed,
-    )
+    fitted, _ = train(head, task.train, task.space, split.labeled, pl, weights, schedule, seed=seed)
     return fitted
 
 
@@ -209,7 +197,9 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     """
     task = load_task(cfg)
     seed = cfg.seeds[0]
-    split = wire_paradigm(ParadigmConfig("SSL", shots_per_class=cfg.shots_per_class), task.train, task.space, seed)
+    # One pseudolabeling pass and one training per head, as in an FPL run.
+    run_cfg = strategy_config(cfg, "FPL", "SSL", seed)
+    split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
     pool_feats = task.train.features[split.pool_rows]
     pool_ids = task.train.ids[split.pool_rows]
     S = pool_feats @ task.space.base_prototypes.T
@@ -224,24 +214,16 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
 
     truth = {int(i): int(c) for i, c in zip(task.train.ids, task.train.labels)}
     baseline = zero_shot_report(task.test, task.space)
+    base = run_cfg.base_prompt(task.space.d)
     comparisons: dict = {}
     for head_name in ("prompt", "linear_probe"):
         comparisons[head_name] = {}
         for mode, pl in pseudolabel_sets.items():
             if head_name == "prompt":
-                base = init_prompt(
-                    cfg.modality,
-                    cfg.prompt_len or DEFAULT_PROMPT_LEN[cfg.modality],
-                    task.space.d,
-                    seed,
-                    scale=cfg.init_scale,
-                    spread=cfg.init_spread,
-                    temperature=cfg.temperature,
-                )
                 head = reinit_ctx(base, seed ^ 1, scale=cfg.init_scale, spread=cfg.init_spread)
             else:
                 head = init_linear_probe(task.space.C, task.space.d)
-            fitted = _train_head(head, task, split, pl, seed ^ 1, cfg)
+            fitted = _train_head(head, task, split, pl, seed ^ 1, run_cfg.resolved_schedule())
             report = evaluate(fitted, task.test, task.space)
             comparisons[head_name][mode] = {
                 "n_pseudolabels": pl.m,

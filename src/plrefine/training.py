@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,13 +59,6 @@ def lr_at(schedule: TrainSchedule, epoch: int) -> float:
     return schedule.peak_lr * 0.5 * (1.0 + math.cos(math.pi * t / span))
 
 
-def unified_loss(gamma: float, lam: float, labeled_loss: float, pseudo_loss: float) -> float:
-    """Weighted sum gamma * labeled + lambda * pseudo."""
-    if gamma < 0 or lam < 0:
-        raise ValueError("loss weights must be non-negative")
-    return gamma * labeled_loss + lam * pseudo_loss
-
-
 def _batch_rows(perm: np.ndarray, step: int, batch_size: int, is_major: bool) -> np.ndarray:
     """Rows of one pool for one step.
 
@@ -89,17 +82,17 @@ def train(
     pseudo: Optional[PseudolabelSet],
     weights: Tuple[float, float],
     schedule: TrainSchedule,
-    class_subset_labeled: Sequence[int],
-    class_subset_pseudo: Sequence[int],
     seed: int,
 ):
     """Run the schedule over the two pools and return (model, epoch_losses).
 
-    model must expose learnable() / with_learnable() / loss_and_grad(), which
-    both PromptModel and LinearProbe do. Updates are SGD with momentum in the
-    velocity form v = momentum * v + g; p -= lr * v. A pool with zero weight
-    or no rows contributes nothing; with zero epochs the model comes back
-    bit-identical and the loss trace is empty.
+    Each step minimizes gamma * CE(labeled batch) + lambda * CE(pseudolabeled
+    batch), both over all C classes. model must expose learnable() /
+    with_learnable() / loss_and_grad(), which both PromptModel and
+    LinearProbe do. Updates are SGD with momentum in the velocity form
+    v = momentum * v + g; p -= lr * v. A pool with zero weight or no rows
+    contributes nothing; with zero epochs the model comes back bit-identical
+    and the loss trace is empty.
     """
     gamma, lam = float(weights[0]), float(weights[1])
     if gamma < 0 or lam < 0:
@@ -107,43 +100,39 @@ def train(
     if seed < 0:
         raise ValueError("seed must be non-negative")
 
-    # Materialize (features, labels, weight, subset) per active pool. Pool
-    # order is fixed (labeled first) so the RNG stream is reproducible.
+    # Materialize (features, labels, weight) per active pool. Pool order is
+    # fixed (labeled first) so the RNG stream is reproducible.
     pools = []
     if labeled is not None and labeled.n > 0 and gamma > 0:
-        pools.append(
-            (data.features[labeled.rows], labeled.labels, gamma, tuple(class_subset_labeled))
-        )
+        pools.append((data.features[labeled.rows], labeled.labels, gamma))
     if pseudo is not None and pseudo.m > 0 and lam > 0:
         rows = data.rows_for_ids(pseudo.example_ids)
-        pools.append(
-            (data.features[rows], pseudo.classes, lam, tuple(class_subset_pseudo))
-        )
+        pools.append((data.features[rows], pseudo.classes, lam))
     if not pools:
         raise ValueError("nothing to train on: both pools are empty or zero-weighted")
     if schedule.epochs == 0:
         return model, []
 
-    n_major = max(feats.shape[0] for feats, _, _, _ in pools)
+    n_major = max(feats.shape[0] for feats, _, _ in pools)
     steps = math.ceil(n_major / schedule.batch_size)
     velocity = {name: np.zeros_like(arr) for name, arr in model.learnable().items()}
     epoch_losses: List[float] = []
 
     for epoch in range(schedule.epochs):
         rng = np.random.default_rng([seed, epoch])
-        perms = [rng.permutation(feats.shape[0]) for feats, _, _, _ in pools]
+        perms = [rng.permutation(feats.shape[0]) for feats, _, _ in pools]
         lr = lr_at(schedule, epoch)
         step_losses = []
         for step in range(steps):
             params = model.learnable()
             total = 0.0
             grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            for (feats, labels, weight, subset), perm in zip(pools, perms):
+            for (feats, labels, weight), perm in zip(pools, perms):
                 rows = _batch_rows(perm, step, schedule.batch_size, feats.shape[0] == n_major)
                 if rows.size == 0:
                     continue
                 try:
-                    loss, g = model.loss_and_grad(feats[rows], labels[rows], space, subset)
+                    loss, g = model.loss_and_grad(feats[rows], labels[rows], space)
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"{exc} (epoch {epoch}, step {step})") from None
                 total += weight * loss

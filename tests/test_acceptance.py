@@ -27,9 +27,7 @@ from plrefine.strategies import (
     StrategyConfig,
     default_schedule,
     grip_k,
-    run_fpl,
-    run_grip,
-    run_ifpl,
+    run_strategy,
 )
 from plrefine.surrogate import (
     MODALITIES,
@@ -91,8 +89,8 @@ def _pinned_runs(calibration):
     )
     _PINNED_CACHE["task"] = task
     _PINNED_CACHE["zero_shot"] = zero_shot_report(task.test, task.space)
-    _PINNED_CACHE["fpl"] = run_fpl(cfg, task)
-    _PINNED_CACHE["grip"] = run_grip(replace(cfg, strategy="GRIP"), task)
+    _PINNED_CACHE["fpl"] = run_strategy(cfg, task)
+    _PINNED_CACHE["grip"] = run_strategy(replace(cfg, strategy="GRIP"), task)
     _PINNED_CACHE["elapsed"] = time.perf_counter() - start
     return _PINNED_CACHE
 
@@ -189,8 +187,7 @@ def test_criterion_06_gradient_correctness():
         y = rng.integers(0, C, size=n)
         model = init_prompt(modality, 2, d, seed=case, scale=0.05,
                             temperature=float(rng.uniform(5.0, 40.0)))
-        bundle = batch_loss_and_grad(model, Z, y, space, range(C))
-        analytic = {"text_ctx": bundle.d_text_ctx, "vis_ctx": bundle.d_vis_ctx}
+        _, analytic = batch_loss_and_grad(model, Z, y, space)
         for name, param in model.learnable().items():
             numeric = np.zeros_like(param)
             for idx in np.ndindex(param.shape):
@@ -198,8 +195,8 @@ def test_criterion_06_gradient_correctness():
                 up[idx] += h
                 down = param.copy()
                 down[idx] -= h
-                lu = batch_loss_and_grad(model.with_learnable({name: up}), Z, y, space, range(C)).loss
-                ld = batch_loss_and_grad(model.with_learnable({name: down}), Z, y, space, range(C)).loss
+                lu, _ = batch_loss_and_grad(model.with_learnable({name: up}), Z, y, space)
+                ld, _ = batch_loss_and_grad(model.with_learnable({name: down}), Z, y, space)
                 numeric[idx] = (lu - ld) / (2 * h)
             rel = np.max(np.abs(analytic[name] - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
             worst = max(worst, rel)
@@ -261,8 +258,8 @@ def test_criterion_09_reinitialization_equivalence(calibration):
         temperature=10.0,
         schedule=TrainSchedule(epochs=8, warmup_epochs=2, batch_size=32),
     )
-    fpl = run_fpl(cfg, task)
-    ifpl = run_ifpl(replace(cfg, strategy="IFPL", I=1), task)
+    fpl = run_strategy(cfg, task)
+    ifpl = run_strategy(replace(cfg, strategy="IFPL", I=1), task)
     bit_identical = (
         np.array_equal(fpl.final_model.text_ctx, ifpl.final_model.text_ctx)
         and fpl.final_report == ifpl.final_report
@@ -280,7 +277,7 @@ def test_criterion_09_reinitialization_equivalence(calibration):
     # Same property observed through the engine: with zero training epochs the
     # final model is exactly the last iteration's fresh start.
     frozen_cfg = replace(cfg, strategy="IFPL", I=3, schedule=TrainSchedule(epochs=0))
-    frozen = run_ifpl(frozen_cfg, task)
+    frozen = run_strategy(frozen_cfg, task)
     fresh_last = init_prompt("textual", 16, task.space.d, seed=11 ^ 3, temperature=10.0)
     starts_fresh &= np.array_equal(frozen.final_model.text_ctx, fresh_last.text_ctx)
 

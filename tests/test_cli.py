@@ -200,6 +200,16 @@ class TestFailurePaths:
         assert "schema_version" in payload["error"]
         assert payload["type"] == "ValueError"
 
+    @pytest.mark.parametrize("override,message", [("1,1", "distinct"), ("0,-2", "non-negative")])
+    def test_seed_override_is_validated(self, tmp_path, capsys, override, message):
+        """A bad --seed-override fails like a bad seeds list, before any run."""
+        cfg_path = _write_config(tmp_path)
+        assert main(["run", str(cfg_path), "--seed-override", override]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert message in payload["error"]
+        assert payload["type"] == "ValueError"
+        assert not (tmp_path / "runs").exists()
+
     def test_inspect_rejects_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.ple"
         path.write_bytes(b"garbage")

@@ -112,6 +112,21 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="K and I"):
             parse_config(_minimal(K=0))
 
+    @pytest.mark.parametrize("prompt_len", [0, -3])
+    def test_prompt_len_positive(self, prompt_len):
+        with pytest.raises(ValueError, match="prompt_len must be at least 1"):
+            parse_config(_minimal(prompt_len=prompt_len))
+
+    @pytest.mark.parametrize("temperature", [0.0, -5.0])
+    def test_temperature_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            parse_config(_minimal(temperature=temperature))
+
+    def test_init_scale_non_negative(self):
+        with pytest.raises(ValueError, match="init_scale must be non-negative"):
+            parse_config(_minimal(init_scale=-0.02, init_spread="variance"))
+        assert parse_config(_minimal(init_scale=0.0)).init_scale == 0.0
+
     def test_bad_modality_and_spread(self):
         with pytest.raises(ValueError, match="unknown modality"):
             parse_config(_minimal(modality="sonic"))

@@ -20,9 +20,6 @@ from plrefine.strategies import (
     StrategyConfig,
     default_schedule,
     grip_k,
-    run_fpl,
-    run_grip,
-    run_ifpl,
     run_strategy,
     wire_paradigm,
 )
@@ -161,16 +158,16 @@ def loop_task():
 class TestRefinementLoops:
     def test_fpl_is_first_ifpl_iteration(self, loop_task):
         """Same seed, I=1: both runs are bit-identical end to end."""
-        fpl = run_fpl(_fast("FPL", "UL", seed=4), loop_task)
-        ifpl = run_ifpl(_fast("IFPL", "UL", seed=4, I=1), loop_task)
+        fpl = run_strategy(_fast("FPL", "UL", seed=4), loop_task)
+        ifpl = run_strategy(_fast("IFPL", "UL", seed=4, I=1), loop_task)
         assert np.array_equal(fpl.final_model.text_ctx, ifpl.final_model.text_ctx)
         assert fpl.final_report == ifpl.final_report
         assert len(fpl.records) == len(ifpl.records) == 1
         assert fpl.records[0].to_dict() == ifpl.records[0].to_dict()
 
     def test_fpl_ignores_configured_iterations(self, loop_task):
-        a = run_fpl(_fast("FPL", "UL", I=1), loop_task)
-        b = run_fpl(_fast("FPL", "UL", I=9), loop_task)
+        a = run_strategy(_fast("FPL", "UL", I=1), loop_task)
+        b = run_strategy(_fast("FPL", "UL", I=9), loop_task)
         assert np.array_equal(a.final_model.text_ctx, b.final_model.text_ctx)
 
     def test_iteration_starts_are_fresh_seeded_prompts(self, loop_task):
@@ -178,7 +175,7 @@ class TestRefinementLoops:
         exactly the reseeded prompts: iteration i starts at seed XOR i."""
         cfg = _fast("IFPL", "UL", seed=5, I=3,
                     schedule=TrainSchedule(epochs=0))
-        result = run_ifpl(cfg, loop_task)
+        result = run_strategy(cfg, loop_task)
         fresh = init_prompt("textual", cfg.resolved_prompt_len(),
                             loop_task.space.d, seed=5 ^ 3,
                             temperature=cfg.temperature)
@@ -189,7 +186,7 @@ class TestRefinementLoops:
 
     def test_record_schema_and_quota_growth(self, loop_task):
         cfg = _fast("GRIP", "UL", seed=0, I=3)
-        result = run_grip(cfg, loop_task)
+        result = run_strategy(cfg, loop_task)
         n = loop_task.train.n
         C = loop_task.space.C
         assert [r.iteration for r in result.records] == [1, 2, 3]
@@ -205,7 +202,7 @@ class TestRefinementLoops:
 
     def test_ifpl_uses_fixed_quota(self, loop_task):
         cfg = _fast("IFPL", "UL", K=7, I=3)
-        result = run_ifpl(cfg, loop_task)
+        result = run_strategy(cfg, loop_task)
         expected = effective_k(7, loop_task.train.n, loop_task.space.C)
         assert all(r.k_used == expected for r in result.records)
 
@@ -215,13 +212,13 @@ class TestRefinementLoops:
         S = loop_task.train.features @ loop_task.space.base_prototypes.T
         k = effective_k(16, loop_task.train.n, loop_task.space.C)
         direct = topk_per_class(S, k, range(loop_task.space.C), loop_task.train.ids)
-        fpl = run_fpl(_fast("FPL", "UL", seed=2), loop_task)
+        fpl = run_strategy(_fast("FPL", "UL", seed=2), loop_task)
         assert fpl.records[0].n_pseudo == direct.m
         assert fpl.records[0].k_used == direct.k_used
 
     def test_trzsl_run_reports_partition_metrics(self, loop_task):
         cfg = _fast("FPL", "TRZSL", seed=0)
-        result = run_fpl(cfg, loop_task)
+        result = run_strategy(cfg, loop_task)
         rec = result.records[0]
         assert rec.seen_accuracy is not None
         assert rec.unseen_accuracy is not None
@@ -231,36 +228,42 @@ class TestRefinementLoops:
         assert rec.n_pseudo == rec.k_used * len(unseen)
 
     def test_ssl_weights_follow_pool_sizes(self, loop_task):
-        result = run_fpl(_fast("FPL", "SSL", seed=0), loop_task)
+        result = run_strategy(_fast("FPL", "SSL", seed=0), loop_task)
         assert result.records[0].n_pseudo > 0
 
     def test_sl_paradigm_rejected_by_loops(self, loop_task):
         with pytest.raises(ValueError, match="FPL requires unlabeled data"):
-            run_fpl(_fast("FPL", "SL"), loop_task)
+            run_strategy(_fast("FPL", "SL"), loop_task)
 
     def test_dedup_prevents_repeated_ids(self, loop_task):
         cfg = _fast("FPL", "UL", dedup_pseudolabels=True, K=40)
-        result = run_fpl(cfg, loop_task)
+        result = run_strategy(cfg, loop_task)
         assert result.records[0].n_pseudo <= effective_k(40, loop_task.train.n, 6) * 6
 
     def test_explicit_weight_override_changes_run(self, loop_task):
         base = _fast("FPL", ParadigmConfig("UL"), seed=1)
         heavy = _fast("FPL", ParadigmConfig("UL", gamma=0.0, lam=7.0), seed=1)
-        a = run_fpl(base, loop_task)
-        b = run_fpl(heavy, loop_task)
+        a = run_strategy(base, loop_task)
+        b = run_strategy(heavy, loop_task)
         assert not np.array_equal(a.final_model.text_ctx, b.final_model.text_ctx)
 
     def test_run_strategy_dispatch(self, loop_task):
-        for strategy, runner in (("FPL", run_fpl), ("IFPL", run_ifpl), ("GRIP", run_grip)):
-            cfg = _fast(strategy, "UL", seed=3)
-            via_dispatch = run_strategy(cfg, loop_task)
-            direct = runner(cfg, loop_task)
-            assert np.array_equal(via_dispatch.final_model.text_ctx, direct.final_model.text_ctx)
+        """Each strategy runs its plan: FPL one iteration, IFPL and GRIP I,
+        with the fixed quota for FPL/IFPL and the growing one for GRIP."""
+        n, C = loop_task.train.n, loop_task.space.C
+        for strategy in ("FPL", "IFPL", "GRIP"):
+            result = run_strategy(_fast(strategy, "UL", seed=3, I=3), loop_task)
+            assert result.strategy == strategy
+            iterations = 1 if strategy == "FPL" else 3
+            assert [r.iteration for r in result.records] == list(range(1, iterations + 1))
+            for r in result.records:
+                expected = grip_k(r.iteration, 3, n, C) if strategy == "GRIP" else effective_k(16, n, C)
+                assert r.k_used == expected
 
     def test_runs_are_deterministic(self, loop_task):
         cfg = _fast("GRIP", "UL", seed=9, I=2)
-        a = run_grip(cfg, loop_task)
-        b = run_grip(cfg, loop_task)
+        a = run_strategy(cfg, loop_task)
+        b = run_strategy(cfg, loop_task)
         assert np.array_equal(a.final_model.text_ctx, b.final_model.text_ctx)
         assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
 
@@ -290,14 +293,14 @@ class TestCalibratedImprovement:
         from plrefine.metrics import zero_shot_report
         task, cfg = pinned
         zs = zero_shot_report(task.test, task.space)
-        result = run_fpl(cfg, task)
+        result = run_strategy(cfg, task)
         assert result.final_report.overall > zs.overall
         assert abs(zs.overall - calibration["values"]["zero_shot"]) < 1e-9
 
     def test_grip_at_least_fpl(self, pinned):
         task, cfg = pinned
-        fpl = run_fpl(cfg, task)
-        grip = run_grip(replace(cfg, strategy="GRIP"), task)
+        fpl = run_strategy(cfg, task)
+        grip = run_strategy(replace(cfg, strategy="GRIP"), task)
         assert grip.final_report.overall >= fpl.final_report.overall
         # Pseudolabel quality improves as the quota grows and the model
         # refines; the last GRIP iteration should not be worse than the first.

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from plrefine.core import ClassSpace
+from plrefine.probe import LinearProbe
 from plrefine.surrogate import (
     DEFAULT_CTX_SCALE,
     DEFAULT_TEMPERATURE,
@@ -35,7 +36,7 @@ def _space(rng, C, d):
     return ClassSpace(tuple(f"c{j}" for j in range(C)), _unit_rows(rng, C, d))
 
 
-def _fd_grad(model, name, feats, labels, space, subset, h=1e-4):
+def _fd_grad(model, name, feats, labels, space, h=1e-4):
     """Central finite differences of the batch loss in every ctx entry."""
     base = model.learnable()[name]
     grad = np.zeros_like(base)
@@ -44,12 +45,8 @@ def _fd_grad(model, name, feats, labels, space, subset, h=1e-4):
         up_arr[idx] += h
         down_arr = base.copy()
         down_arr[idx] -= h
-        up = batch_loss_and_grad(
-            model.with_learnable({name: up_arr}), feats, labels, space, subset
-        ).loss
-        down = batch_loss_and_grad(
-            model.with_learnable({name: down_arr}), feats, labels, space, subset
-        ).loss
+        up, _ = batch_loss_and_grad(model.with_learnable({name: up_arr}), feats, labels, space)
+        down, _ = batch_loss_and_grad(model.with_learnable({name: down_arr}), feats, labels, space)
         grad[idx] = (up - down) / (2 * h)
     return grad
 
@@ -95,6 +92,14 @@ class TestInitPrompt:
         assert np.isclose(b.text_ctx.std(), 0.2, rtol=0.1)
         with pytest.raises(ValueError, match="spread"):
             init_prompt("textual", 4, 8, seed=0, spread="stdev")
+
+    @pytest.mark.parametrize("spread", ["std", "variance"])
+    def test_negative_scale_rejected(self, spread):
+        """A negative scale is an error in both conventions, never a NaN ctx."""
+        with pytest.raises(ValueError, match="scale must be non-negative"):
+            init_prompt("textual", 4, 8, seed=0, scale=-0.01, spread=spread)
+        with pytest.raises(ValueError, match="scale must be non-negative"):
+            reinit_ctx(init_prompt("textual", 4, 8, seed=0), 1, scale=-0.01, spread=spread)
 
     def test_deterministic(self):
         a = init_prompt("multimodal", 4, 8, seed=9)
@@ -204,20 +209,11 @@ class TestLogits:
         space = _space(rng, 5, 9)
         Z = _unit_rows(rng, 4, 9)
         m = init_prompt("textual", 3, 9, seed=0)
-        S = logits(m, Z, space, range(5))
+        S = logits(m, Z, space)
         assert S.shape == (4, 5)
-        one = logits(m, Z[0], space, range(5))
+        one = logits(m, Z[0], space)
         assert one.shape == (5,)
         assert np.allclose(one, S[0])
-
-    def test_subset_selection(self):
-        rng = np.random.default_rng(9)
-        space = _space(rng, 5, 9)
-        Z = _unit_rows(rng, 4, 9)
-        m = init_prompt("textual", 3, 9, seed=0)
-        full = logits(m, Z, space, range(5))
-        sub = logits(m, Z, space, (3, 1))
-        assert np.allclose(sub, full[:, [3, 1]])
 
     def test_zero_shot_values(self):
         """With ctx = 0 the logits are exactly temperature * cosine."""
@@ -226,24 +222,14 @@ class TestLogits:
         Z = _unit_rows(rng, 4, 9)
         m = init_prompt("textual", 3, 9, seed=0, temperature=30.0)
         m = m.with_learnable({"text_ctx": np.zeros_like(m.text_ctx)})
-        assert np.allclose(logits(m, Z, space, range(5)), 30.0 * (Z @ space.base_prototypes.T))
+        assert np.allclose(logits(m, Z, space), 30.0 * (Z @ space.base_prototypes.T))
 
     def test_scores_equals_full_subset(self):
         rng = np.random.default_rng(11)
         space = _space(rng, 5, 9)
         Z = _unit_rows(rng, 4, 9)
         m = init_prompt("multimodal", 3, 9, seed=0)
-        assert np.array_equal(m.scores(Z, space), logits(m, Z, space, range(5)))
-
-    def test_subset_validation(self):
-        rng = np.random.default_rng(12)
-        space = _space(rng, 5, 9)
-        Z = _unit_rows(rng, 2, 9)
-        m = init_prompt("textual", 3, 9, seed=0)
-        with pytest.raises(ValueError, match="empty class subset"):
-            logits(m, Z, space, ())
-        with pytest.raises(ValueError, match="out of range"):
-            logits(m, Z, space, (0, 5))
+        assert np.array_equal(m.scores(Z, space), logits(m, Z, space))
 
     def test_feature_on_prototype_maxes_its_class(self):
         """A feature sitting on prototype 3 scores temperature * 1 there."""
@@ -252,7 +238,7 @@ class TestLogits:
         space = ClassSpace(tuple(f"c{j}" for j in range(5)), protos)
         m = init_prompt("textual", 3, d, seed=0, temperature=100.0)
         m = m.with_learnable({"text_ctx": np.zeros_like(m.text_ctx)})
-        S = logits(m, protos[3], space, range(5))
+        S = logits(m, protos[3], space)
         assert S[3] == 100.0
         assert int(np.argmax(S)) == 3
         assert np.array_equal(S[[0, 1, 2, 4]], np.zeros(4))
@@ -269,8 +255,8 @@ class TestLogits:
                 text_ctx=base.text_ctx,
                 text_mix=base.text_mix,
             )
-            a = logits(base, Z, space, range(6))
-            b = logits(other, Z, space, range(6))
+            a = logits(base, Z, space)
+            b = logits(other, Z, space)
             assert np.array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
 
 
@@ -285,10 +271,10 @@ class TestBatchLossAndGrad:
         y = np.array([0, 2, 5, 3])
         m = init_prompt("textual", 3, d, seed=0)
         m = m.with_learnable({"text_ctx": np.zeros_like(m.text_ctx)})
-        one = batch_loss_and_grad(m, Z[:1], y[:1], space, range(C))
-        assert one.loss == float(np.log(float(C)))
-        batch = batch_loss_and_grad(m, Z, y, space, range(C))
-        assert np.isclose(batch.loss, np.log(float(C)), atol=1e-12)
+        one_loss, _ = batch_loss_and_grad(m, Z[:1], y[:1], space)
+        assert one_loss == float(np.log(float(C)))
+        batch_loss, _ = batch_loss_and_grad(m, Z, y, space)
+        assert np.isclose(batch_loss, np.log(float(C)), atol=1e-12)
 
     def test_single_example_margin_formula(self):
         """One example: loss = log(1 + sum exp(-margins)) with margins taken
@@ -297,12 +283,12 @@ class TestBatchLossAndGrad:
         space = _space(rng, 5, 8)
         Z = _unit_rows(rng, 1, 8)
         m = init_prompt("textual", 3, 8, seed=6, temperature=20.0)
-        S = logits(m, Z, space, range(5))[0]
+        S = logits(m, Z, space)[0]
         label = 2
         margins = S[label] - np.delete(S, label)
         expected = np.log1p(np.sum(np.exp(-margins)))
-        bundle = batch_loss_and_grad(m, Z, np.array([label]), space, range(5))
-        assert np.isclose(bundle.loss, expected, rtol=1e-12)
+        loss, _ = batch_loss_and_grad(m, Z, np.array([label]), space)
+        assert np.isclose(loss, expected, rtol=1e-12)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(20)
@@ -311,7 +297,7 @@ class TestBatchLossAndGrad:
             Z = _unit_rows(rng, 6, 8)
             y = rng.integers(0, 5, size=6)
             m = init_prompt("multimodal", 2, 8, seed=trial, scale=0.2)
-            assert batch_loss_and_grad(m, Z, y, space, range(5)).loss >= 0.0
+            assert batch_loss_and_grad(m, Z, y, space)[0] >= 0.0
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError, match="temperature must be positive"):
@@ -323,12 +309,12 @@ class TestBatchLossAndGrad:
         Z = _unit_rows(rng, 9, 8)
         y = rng.integers(0, 4, size=9)
         m = init_prompt("textual", 3, 8, seed=3)
-        S = logits(m, Z, space, range(4))
+        S = logits(m, Z, space)
         P = np.exp(S - S.max(axis=1, keepdims=True))
         P /= P.sum(axis=1, keepdims=True)
         manual = -np.mean(np.log(P[np.arange(9), y]))
-        bundle = batch_loss_and_grad(m, Z, y, space, range(4))
-        assert np.isclose(bundle.loss, manual, rtol=1e-12)
+        loss, _ = batch_loss_and_grad(m, Z, y, space)
+        assert np.isclose(loss, manual, rtol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         """Max relative error below 1e-4 for every modality, several seeds."""
@@ -341,54 +327,48 @@ class TestBatchLossAndGrad:
             Z = _unit_rows(rng, n, d)
             y = rng.integers(0, C, size=n)
             m = init_prompt(modality, 3, d, seed=trial, scale=0.05, temperature=12.0)
-            bundle = batch_loss_and_grad(m, Z, y, space, range(C))
-            for name, analytic in (
-                ("text_ctx", bundle.d_text_ctx),
-                ("vis_ctx", bundle.d_vis_ctx),
-            ):
+            _, grads = batch_loss_and_grad(m, Z, y, space)
+            for name in ("text_ctx", "vis_ctx"):
+                analytic = grads.get(name)
                 if name not in m.learnable():
                     assert analytic is None
                     continue
-                numeric = _fd_grad(m, name, Z, y, space, range(C))
+                numeric = _fd_grad(m, name, Z, y, space)
                 assert _max_rel_err(analytic, numeric) < 1e-4
 
-    def test_gradients_on_class_subset(self):
-        rng = np.random.default_rng(16)
-        space = _space(rng, 6, 8)
-        Z = _unit_rows(rng, 5, 8)
-        subset = (4, 1, 2)
-        y = np.array([4, 1, 2, 2, 1])
-        m = init_prompt("textual", 3, 8, seed=5, temperature=8.0)
-        bundle = batch_loss_and_grad(m, Z, y, space, subset)
-        numeric = _fd_grad(m, "text_ctx", Z, y, space, subset)
-        assert _max_rel_err(bundle.d_text_ctx, numeric) < 1e-4
-
-    def test_label_outside_subset(self):
+    @pytest.mark.parametrize("head", ["prompt", "linear_probe"])
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_label_out_of_range(self, head, bad):
+        """Labels below 0 or at C are rejected, not wrapped to another column."""
         rng = np.random.default_rng(17)
         space = _space(rng, 5, 8)
         Z = _unit_rows(rng, 3, 8)
-        m = init_prompt("textual", 3, 8, seed=0)
-        with pytest.raises(ValueError, match="label 4 not in class subset"):
-            batch_loss_and_grad(m, Z, np.array([0, 1, 4]), space, (0, 1, 2))
+        labels = np.array([0, 1, bad])
+        with pytest.raises(ValueError, match=rf"label {bad} outside \[0, 5\)"):
+            if head == "prompt":
+                batch_loss_and_grad(init_prompt("textual", 3, 8, seed=0), Z, labels, space)
+            else:
+                LinearProbe(np.ones((5, 8))).loss_and_grad(Z, labels, space)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(18)
         space = _space(rng, 4, 8)
         m = init_prompt("textual", 3, 8, seed=0)
         with pytest.raises(ValueError, match="empty batch"):
-            batch_loss_and_grad(m, np.zeros((0, 8)), np.zeros(0, dtype=int), space, range(4))
+            batch_loss_and_grad(m, np.zeros((0, 8)), np.zeros(0, dtype=int), space)
 
     def test_loss_and_grad_method_mirrors_bundle(self):
+        """The method returns exactly what the module function returns."""
         rng = np.random.default_rng(19)
         space = _space(rng, 4, 8)
         Z = _unit_rows(rng, 6, 8)
         y = rng.integers(0, 4, size=6)
         m = init_prompt("multimodal", 3, 8, seed=1)
-        bundle = batch_loss_and_grad(m, Z, y, space, range(4))
-        loss, grads = m.loss_and_grad(Z, y, space, range(4))
-        assert loss == bundle.loss
-        assert np.array_equal(grads["text_ctx"], bundle.d_text_ctx)
-        assert np.array_equal(grads["vis_ctx"], bundle.d_vis_ctx)
+        expected_loss, expected = batch_loss_and_grad(m, Z, y, space)
+        loss, grads = m.loss_and_grad(Z, y, space)
+        assert loss == expected_loss
+        assert np.array_equal(grads["text_ctx"], expected["text_ctx"])
+        assert np.array_equal(grads["vis_ctx"], expected["vis_ctx"])
 
 
 def _tiled_reference(model, Z, y, space):
@@ -430,11 +410,11 @@ class TestEffectiveMap:
         y = rng.integers(0, 5, size=9)
         m = init_prompt("multimodal", 4, 6, seed=3, scale=0.4)
         Zp, Wp, d_text, d_vis = _tiled_reference(m, Z, y, space)
-        bundle = batch_loss_and_grad(m, Z, y, space, range(5))
+        _, grads = batch_loss_and_grad(m, Z, y, space)
         np.testing.assert_allclose(image_features(m, Z), Zp, rtol=0, atol=1e-12)
         np.testing.assert_allclose(class_prototypes(m, space), Wp, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bundle.d_text_ctx, d_text, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bundle.d_vis_ctx, d_vis, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["text_ctx"], d_text, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["vis_ctx"], d_vis, rtol=0, atol=1e-12)
 
     def test_peak_memory_below_one_tiled_temporary(self):
         """The tiled form peaked at about two (n, M*d) arrays; the map stays under half of one."""
@@ -445,7 +425,7 @@ class TestEffectiveMap:
         y = rng.integers(0, C, size=n)
         m = init_prompt("multimodal", M, d, seed=4)
         tiled_bytes = n * M * d * 8
-        for call in (lambda: image_features(m, Z), lambda: batch_loss_and_grad(m, Z, y, space, range(C))):
+        for call in (lambda: image_features(m, Z), lambda: batch_loss_and_grad(m, Z, y, space)):
             tracemalloc.start()
             try:
                 call()

@@ -1,5 +1,5 @@
-"""Optimizer tests: schedule arithmetic, the unified two-term loss, and the
-SGD loop's determinism and descent behavior."""
+"""Optimizer tests: schedule arithmetic, and the SGD loop's two-pool loss,
+determinism and descent behavior."""
 
 import math
 
@@ -9,7 +9,7 @@ import pytest
 from plrefine.core import ClassSpace, EmbeddingSet, LabeledSubset, ParadigmConfig
 from plrefine.pseudolabels import topk_per_class
 from plrefine.surrogate import init_prompt
-from plrefine.training import TrainSchedule, lr_at, train, unified_loss
+from plrefine.training import TrainSchedule, lr_at, train
 
 
 def _unit_rows(rng, n, d):
@@ -89,15 +89,6 @@ class TestLrAt:
         assert 0.0 < mid < 0.8
 
 
-class TestUnifiedLoss:
-    def test_weighted_sum(self):
-        assert unified_loss(2.0, 0.5, 1.25, 4.0) == 2.0 * 1.25 + 0.5 * 4.0
-
-    def test_paradigm_degenerate_weights(self):
-        assert unified_loss(0.0, 1.0, 99.0, 3.0) == 3.0
-        assert unified_loss(1.0, 0.0, 3.0, 99.0) == 3.0
-
-
 class TestTrain:
     def test_zero_epochs_returns_model_unchanged(self):
         rng = np.random.default_rng(0)
@@ -107,7 +98,7 @@ class TestTrain:
         model = init_prompt("textual", 2, 8, seed=0)
         out, losses = train(
             model, data, space, labeled, None, (1.0, 0.0),
-            TrainSchedule(epochs=0), range(3), range(3), seed=0,
+            TrainSchedule(epochs=0), seed=0,
         )
         assert out is model
         assert losses == []
@@ -121,8 +112,7 @@ class TestTrain:
         model = init_prompt("textual", 2, 8, seed=0, temperature=10.0)
         fitted, losses = train(
             model, data, space, labeled, None, (1.0, 0.0),
-            TrainSchedule(epochs=150, warmup_epochs=5, batch_size=16),
-            range(3), range(3), seed=0,
+            TrainSchedule(epochs=150, warmup_epochs=5, batch_size=16), seed=0,
         )
         pred = np.argmax(fitted.scores(data.features, space), axis=1)
         assert np.mean(pred == labels) == 1.0
@@ -141,16 +131,16 @@ class TestTrain:
             data = EmbeddingSet(feats, labels, np.arange(8, dtype=np.uint64))
             labeled = LabeledSubset(np.arange(8), labels)
             model = init_prompt("textual", 2, d, seed=trial, temperature=10.0)
-            before, _ = model.loss_and_grad(feats, labels, space, range(C))
+            before, _ = model.loss_and_grad(feats, labels, space)
             schedule = TrainSchedule(
                 epochs=1, warmup_epochs=0, warmup_lr=1e-3, peak_lr=1e-3,
                 batch_size=8, momentum=0.0,
             )
             stepped, _ = train(
                 model, data, space, labeled, None, (1.0, 0.0),
-                schedule, range(C), range(C), seed=trial,
+                schedule, seed=trial,
             )
-            after, _ = stepped.loss_and_grad(feats, labels, space, range(C))
+            after, _ = stepped.loss_and_grad(feats, labels, space)
             wins += after <= before
         assert wins >= 95
 
@@ -163,7 +153,7 @@ class TestTrain:
         def fit(seed):
             model = init_prompt("textual", 2, 8, seed=0)
             return train(model, data, space, labeled, None, (1.0, 0.0),
-                         schedule, range(3), range(3), seed=seed)
+                         schedule, seed=seed)
         a, la = fit(7)
         b, lb = fit(7)
         c, lc = fit(8)
@@ -183,7 +173,7 @@ class TestTrain:
         def fit(weights):
             model = init_prompt("textual", 2, 8, seed=0)
             out, _ = train(model, data, space, labeled, pl, weights,
-                           schedule, range(3), range(3), seed=0)
+                           schedule, seed=0)
             return out
         both = fit((1.0, 1.0))
         labeled_only = fit((1.0, 0.0))
@@ -197,7 +187,7 @@ class TestTrain:
         model = init_prompt("textual", 2, 8, seed=0)
         with pytest.raises(ValueError, match="nothing to train on"):
             train(model, data, space, labeled, None, (0.0, 1.0),
-                  TrainSchedule(epochs=1, warmup_epochs=0), range(3), range(3), seed=0)
+                  TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
 
     def test_negative_weights_rejected(self):
         rng = np.random.default_rng(6)
@@ -207,7 +197,7 @@ class TestTrain:
         model = init_prompt("textual", 2, 8, seed=0)
         with pytest.raises(ValueError, match="non-negative"):
             train(model, data, space, labeled, None, (-1.0, 0.0),
-                  TrainSchedule(epochs=1, warmup_epochs=0), range(3), range(3), seed=0)
+                  TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
 
     def test_batch_size_larger_than_pool(self):
         rng = np.random.default_rng(7)
@@ -217,6 +207,6 @@ class TestTrain:
         model = init_prompt("textual", 2, 8, seed=0)
         out, losses = train(model, data, space, labeled, None, (1.0, 0.0),
                             TrainSchedule(epochs=3, warmup_epochs=1, batch_size=64),
-                            range(3), range(3), seed=0)
+                            seed=0)
         assert len(losses) == 3
         assert np.all(np.isfinite(losses))
