@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config, parse_seed_list, parse_synthetic_spec
+from .config import load_config, parse_config, parse_seed_list, parse_synthetic_spec
 from .fileio import inspect_ple, write_ple
 from .sweep import run_comparison_scenario, run_sweep
 from .synth import synth_generate
@@ -30,11 +30,11 @@ def _test_path_for(path: str) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed_override:
-        cfg = dataclasses.replace(cfg, seeds=parse_seed_list(args.seed_override.split(",")))
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    cfg = parse_config(raw)
+    if args.seed_override:
+        cfg = dataclasses.replace(cfg, seeds=parse_seed_list(args.seed_override.split(",")))
     if "FPL" in cfg.strategies and "I" in raw and cfg.I != 1:
         print(
             f"warning: I={cfg.I} is ignored by FPL (it always runs a single iteration)",

@@ -121,12 +121,22 @@ def _as_str_list(value, what: str, allowed: tuple) -> tuple:
     return tuple(out)
 
 
+def _int_value(value, key: str) -> int:
+    """An integer from JSON as given: bools and floats are rejected, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def parse_seed_list(value) -> tuple:
-    """Seeds as a tuple of distinct non-negative ints (one int is a list of one)."""
+    """Seeds as a tuple of distinct non-negative ints (one int is a list of one).
+
+    Items are ints, or decimal strings as the command line passes them.
+    """
     items = [value] if isinstance(value, int) else list(value)
     seeds = []
     for s in items:
-        s = int(s)
+        s = int(s) if isinstance(s, str) else _int_value(s, "seeds")
         if s < 0:
             raise ValueError("seeds must be non-negative")
         seeds.append(s)
@@ -181,6 +191,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     init_spread = str(raw.get("init_spread", "std"))
     if init_spread not in ("std", "variance"):
         raise ValueError("init_spread must be 'std' or 'variance'")
+    dedup = raw.get("dedup_pseudolabels", False)
+    if not isinstance(dedup, bool):
+        raise ValueError(f"dedup_pseudolabels must be true or false, got {dedup!r}")
+    prompt_len = raw.get("prompt_len")
 
     cfg = ExperimentConfig(
         strategies=_as_str_list(raw.get("strategies", "GRIP"), "strategy", STRATEGIES),
@@ -190,18 +204,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
         train_path=train_path,
         test_path=test_path,
         output_dir=str(raw.get("output_dir", "runs")),
-        K=int(raw.get("K", 16)),
-        I=int(raw.get("I", 10)),
+        K=_int_value(raw.get("K", 16), "K"),
+        I=_int_value(raw.get("I", 10), "I"),
         modality=modality,
-        prompt_len=None if raw.get("prompt_len") is None else int(raw["prompt_len"]),
+        prompt_len=None if prompt_len is None else _int_value(prompt_len, "prompt_len"),
         temperature=float(raw.get("temperature", 100.0)),
-        shots_per_class=int(raw.get("shots_per_class", 2)),
+        shots_per_class=_int_value(raw.get("shots_per_class", 2), "shots_per_class"),
         schedule_overrides=schedule_overrides,
-        dedup_pseudolabels=bool(raw.get("dedup_pseudolabels", False)),
+        dedup_pseudolabels=dedup,
         init_scale=float(raw.get("init_scale", 0.02)),
         init_spread=init_spread,
         threshold_tau=float(raw.get("threshold_tau", 0.95)),
-        split_seed=int(raw.get("split_seed", 0)),
+        split_seed=_int_value(raw.get("split_seed", 0), "split_seed"),
     )
     if cfg.K < 1 or cfg.I < 1:
         raise ValueError("K and I must be at least 1")

@@ -123,12 +123,25 @@ class EmbeddingSet:
         return self.features.shape[1]
 
     def rows_for_ids(self, wanted: Sequence[int]) -> np.ndarray:
-        """Map example ids back to row positions; unknown ids raise KeyError."""
-        index = {int(i): r for r, i in enumerate(self.ids)}
-        try:
-            return np.array([index[int(i)] for i in wanted], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(f"unknown example id {exc.args[0]}") from None
+        """Map example ids back to row positions; unknown ids raise KeyError.
+
+        The first unknown id in ``wanted`` is the one named. Ids must be
+        integers: a float id raises TypeError instead of being truncated.
+        """
+        keys = np.asarray(wanted)
+        if keys.size and keys.dtype.kind not in "iu":
+            raise TypeError(f"example ids must be integers, got dtype {keys.dtype}")
+        # Negative keys wrap to large uint64 values here; `found` masks them.
+        ukeys = keys.astype(np.uint64)
+        order = np.argsort(self.ids)
+        sorted_ids = self.ids[order]
+        pos = np.minimum(np.searchsorted(sorted_ids, ukeys), self.n - 1)
+        found = sorted_ids[pos] == ukeys
+        if keys.dtype.kind == "i":
+            found &= keys >= 0
+        if not np.all(found):
+            raise KeyError(f"unknown example id {int(keys[np.argmin(found)])}")
+        return order[pos].astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

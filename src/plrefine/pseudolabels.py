@@ -18,13 +18,17 @@ from .core import frozen_array
 
 SCORE_TOLERANCE = 1e-6
 
+# Classes selected per pass of topk_per_class: each pass holds two (b, n)
+# arrays, the negated score block and argpartition's indices.
+CLASS_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class PseudolabelSet:
     """Pseudolabel assignments: parallel arrays of (example_id, class, score).
 
     k_used is the per-class cap actually applied; no class may hold more than
-    k_used entries. Scores are cosine-scale values in [-1, 1].
+    k_used entries. Scores are finite cosine-scale values in [-1, 1].
     """
 
     example_ids: np.ndarray
@@ -40,6 +44,8 @@ class PseudolabelSet:
             raise ValueError("example_ids, classes and scores must be 1-d and parallel")
         if np.any(classes < 0):
             raise ValueError("pseudolabel classes must be non-negative indices")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite (found NaN or inf)")
         if scores.size and np.max(np.abs(scores)) > 1.0 + SCORE_TOLERANCE:
             raise ValueError("scores must be cosine-scale values in [-1, 1]")
         if self.k_used < 0:
@@ -98,6 +104,13 @@ def topk_per_class(
     invariant to row permutations of S (as long as ids move with their rows).
     Entries are emitted class by class in subset order, each class sorted by
     descending score then ascending id.
+
+    Cost: O(n·C) partition work plus O(C·k log k) ordering, with no
+    full-matrix copy. Classes go through in blocks of ``CLASS_BLOCK``: each
+    block's columns are copied once, negated, into a (b, n) array whose rows
+    ``argpartition`` splits at the k-th place. Only a class whose k-th best
+    score ties with a row outside its k winners is sorted in full, so that
+    the tie goes to the lower id.
     """
     S = np.asarray(S, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.uint64)
@@ -114,23 +127,32 @@ def topk_per_class(
     if min(subset) < 0 or max(subset) >= S.shape[1]:
         raise ValueError("class_subset indices must fall within the score columns")
 
-    out_ids: list = []
-    out_classes: list = []
-    out_scores: list = []
-    for c in subset:
-        col = S[:, c]
-        # Primary key: score descending; secondary: id ascending (lexsort's
-        # last key is the primary one).
-        order = np.lexsort((ids, -col))[:k]
-        out_ids.extend(ids[order])
-        out_classes.extend([c] * k)
-        out_scores.extend(col[order])
-    return PseudolabelSet(
-        np.array(out_ids, dtype=np.uint64),
-        np.array(out_classes, dtype=np.int64),
-        np.array(out_scores, dtype=np.float64),
-        k_used=k,
-    )
+    cols = np.array(subset, dtype=np.int64)
+    rows = np.concatenate(
+        [
+            _topk_rows(S, cols[start : start + CLASS_BLOCK], k, ids)
+            for start in range(0, cols.size, CLASS_BLOCK)
+        ]
+    ).ravel()
+    classes = np.repeat(cols, k)
+    return PseudolabelSet(ids[rows], classes, S[rows, classes], k_used=k)
+
+
+def _topk_rows(S: np.ndarray, cols: np.ndarray, k: int, ids: np.ndarray) -> np.ndarray:
+    """(b, k) row indices of the k best rows of each column in ``cols``.
+
+    Each row of the result is ordered by score descending, then id ascending.
+    """
+    neg = np.negative(S[:, cols].T, order="C")  # (b, n): ascending = best first
+    top = np.argpartition(neg, k - 1, axis=1)[:, :k].copy()  # frees the (b, n) indices
+    boundary = np.take_along_axis(neg, top, axis=1).max(axis=1, keepdims=True)
+    # More than k rows at or above the k-th best score: the partition split a
+    # tie arbitrarily, so that class takes the full (score, id) sort instead.
+    for j in np.flatnonzero(np.count_nonzero(neg <= boundary, axis=1) > k):
+        top[j] = np.lexsort((ids, neg[j]))[:k]
+    top_neg = np.take_along_axis(neg, top, axis=1)
+    order = np.lexsort((ids[top], top_neg), axis=1)
+    return np.take_along_axis(top, order, axis=1)
 
 
 def drop_duplicate_assignments(pl: PseudolabelSet) -> PseudolabelSet:
@@ -139,13 +161,13 @@ def drop_duplicate_assignments(pl: PseudolabelSet) -> PseudolabelSet:
     Score ties go to the lower class index. k_used is unchanged (per-class
     counts can only shrink).
     """
-    best: dict = {}
-    for i in range(pl.m):
-        eid = int(pl.example_ids[i])
-        key = (-float(pl.scores[i]), int(pl.classes[i]))
-        if eid not in best or key < best[eid][0]:
-            best[eid] = (key, i)
-    keep = sorted(i for _, i in best.values())
+    # Stable sort by id, then score descending, then class: the first entry
+    # of each id group is the one kept (an exact repeat keeps the earlier).
+    order = np.lexsort((pl.classes, -pl.scores, pl.example_ids))
+    sorted_ids = pl.example_ids[order]
+    first = np.ones(pl.m, dtype=bool)
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    keep = np.sort(order[first])
     return PseudolabelSet(
         pl.example_ids[keep], pl.classes[keep], pl.scores[keep], k_used=pl.k_used
     )

@@ -280,9 +280,10 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     model: Optional[PromptModel] = None
     report: Optional[EvalReport] = None
     for i in range(1, iterations + 1):
-        S = _pool_scores(model, pool_feats, space)
         k = k_rule(config, i, int(split.pool_rows.size), len(classes))
-        pl = topk_per_class(S, k, classes, pool_ids)
+        # The (n, C) scores are not kept: they would stay alive next to the
+        # next round's while it is being scored.
+        pl = topk_per_class(_pool_scores(model, pool_feats, space), k, classes, pool_ids)
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
         if config.paradigm.gamma is not None and config.paradigm.lam is not None:

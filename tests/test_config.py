@@ -112,6 +112,32 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="K and I"):
             parse_config(_minimal(K=0))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("K", 2.9),
+            ("K", True),
+            ("I", True),
+            ("I", 3.0),
+            ("prompt_len", 2.5),
+            ("shots_per_class", "2"),
+            ("split_seed", False),
+        ],
+    )
+    def test_integer_keys_not_coerced(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            parse_config(_minimal(**{key: value}))
+
+    @pytest.mark.parametrize("seeds", [[True], [0, 1.5]])
+    def test_seeds_not_coerced(self, seeds):
+        with pytest.raises(ValueError, match="seeds must be an integer"):
+            parse_config(_minimal(seeds=seeds))
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_dedup_must_be_bool(self, value):
+        with pytest.raises(ValueError, match="dedup_pseudolabels must be true or false"):
+            parse_config(_minimal(dedup_pseudolabels=value))
+
     @pytest.mark.parametrize("prompt_len", [0, -3])
     def test_prompt_len_positive(self, prompt_len):
         with pytest.raises(ValueError, match="prompt_len must be at least 1"):

@@ -88,6 +88,30 @@ class TestEmbeddingSet:
         with pytest.raises(KeyError, match="unknown example id 99"):
             data.rows_for_ids([0, 99])
 
+    def test_rows_for_ids_matches_dict_lookup(self):
+        rng = np.random.default_rng(30)
+        data = EmbeddingSet(
+            _unit_rows(rng, 50, 4),
+            np.zeros(50, dtype=np.int64),
+            rng.permutation(200)[:50].astype(np.uint64),
+        )
+        index = {int(i): r for r, i in enumerate(data.ids)}
+        wanted = data.ids[rng.integers(0, 50, size=80)]
+        assert data.rows_for_ids(wanted).tolist() == [index[int(i)] for i in wanted]
+
+    @pytest.mark.parametrize("wanted, unknown", [([3, 98, -1], 98), ([-1, 98], -1)])
+    def test_first_unknown_id_named(self, wanted, unknown):
+        ids = np.array([3, 7, 2**64 - 1], dtype=np.uint64)
+        data = EmbeddingSet(np.eye(3), np.zeros(3, dtype=np.int64), ids)
+        with pytest.raises(KeyError, match=f"unknown example id {unknown}'$"):
+            data.rows_for_ids(wanted)
+
+    def test_float_ids_rejected(self):
+        ids = np.array([3, 7], dtype=np.uint64)
+        data = EmbeddingSet(np.eye(2), np.zeros(2, dtype=np.int64), ids)
+        with pytest.raises(TypeError, match="integers"):
+            data.rows_for_ids([7.5])
+
     def test_rejects_non_unit_rows(self):
         rng = np.random.default_rng(5)
         feats = 2.0 * _unit_rows(rng, 4, 3)

@@ -5,10 +5,13 @@ score descending, id ascending, take k) on seeded random instances, including
 deliberately quantized scores so ties actually occur.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from plrefine.pseudolabels import (
+    CLASS_BLOCK,
     PseudolabelSet,
     drop_duplicate_assignments,
     effective_k,
@@ -104,6 +107,59 @@ class TestTopkPerClass:
         with pytest.raises(ValueError, match="k=4 exceeds the 3 available unlabeled rows"):
             topk_per_class(S, 4, (0, 1), ids)
 
+    def _assert_matches_oracle(self, S, k, subset, ids):
+        pl = topk_per_class(S, k, subset, ids)
+        got = list(zip(pl.example_ids.tolist(), pl.classes.tolist(), pl.scores.tolist()))
+        assert got == _brute_force_topk(S, k, subset, ids)
+
+    def test_matches_brute_force_across_class_blocks(self):
+        # More classes than one block holds, taken in a scattered, unsorted
+        # order so the blocks are neither contiguous nor monotone.
+        rng = np.random.default_rng(6)
+        n, C = 40, 3 * CLASS_BLOCK + 5
+        S = rng.uniform(-1.0, 1.0, size=(n, C))
+        ids = rng.permutation(5 * n)[:n].astype(np.uint64)
+        subset = rng.permutation(C)[: 2 * CLASS_BLOCK + 7]
+        for k in (1, 3, 17, n):
+            self._assert_matches_oracle(S, k, subset, ids)
+
+    def test_ties_straddling_the_kth_place(self):
+        # Three score levels only: in most classes the k-th place sits inside a
+        # tie that continues past it, so the lower ids must win the boundary.
+        rng = np.random.default_rng(7)
+        n, C, k = 30, CLASS_BLOCK + 3, 5
+        S = np.round(rng.uniform(-1.0, 1.0, size=(n, C)), 0) * 0.5
+        ids = rng.permutation(4 * n)[:n].astype(np.uint64)
+        straddled = [
+            c for c in range(C)
+            if np.sort(-S[:, c])[k - 1] == np.sort(-S[:, c])[k]
+        ]
+        assert len(straddled) > C // 2
+        self._assert_matches_oracle(S, k, rng.permutation(C), ids)
+
+    def test_k_equals_pool_and_k_one(self):
+        rng = np.random.default_rng(8)
+        n, C = 12, CLASS_BLOCK + 1
+        S = np.round(rng.uniform(-1.0, 1.0, size=(n, C)), 1)
+        ids = rng.permutation(3 * n)[:n].astype(np.uint64)
+        for k in (1, n):
+            self._assert_matches_oracle(S, k, range(C), ids)
+
+    def test_allocates_well_under_one_copy_of_s(self):
+        # Selection works on one class block at a time; a full-matrix copy
+        # (a transpose or a negation of S) would exceed this bound.
+        rng = np.random.default_rng(9)
+        n, C = 20000, 300
+        S = rng.uniform(-1.0, 1.0, size=(n, C))
+        ids = np.arange(n, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            topk_per_class(S, 16, range(C), ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * S.nbytes
+
     def test_emission_order_per_class(self):
         rng = np.random.default_rng(4)
         S = rng.uniform(-1.0, 1.0, size=(20, 3))
@@ -128,6 +184,13 @@ class TestPseudolabelSet:
         classes = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError, match="cosine"):
             PseudolabelSet(ids, classes, np.array([1.5]), k_used=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        ids = np.array([1, 2], dtype=np.uint64)
+        classes = np.array([0, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="finite"):
+            PseudolabelSet(ids, classes, np.array([bad, 0.5]), k_used=1)
 
     def test_empty_set(self):
         pl = PseudolabelSet(
@@ -156,6 +219,33 @@ class TestDropDuplicates:
         scores = np.array([0.4, 0.4])
         out = drop_duplicate_assignments(PseudolabelSet(ids, classes, scores, k_used=1))
         assert out.classes.tolist() == [1]
+
+    def test_matches_loop_reference(self):
+        # The per-entry loop the vectorized version replaced: best
+        # (-score, class) key per id, the earlier entry winning exact repeats,
+        # kept entries in their original order.
+        def reference(pl):
+            best = {}
+            for i in range(pl.m):
+                key = (-float(pl.scores[i]), int(pl.classes[i]))
+                eid = int(pl.example_ids[i])
+                if eid not in best or key < best[eid][0]:
+                    best[eid] = (key, i)
+            return sorted(i for _, i in best.values())
+
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            m = int(rng.integers(0, 60))
+            ids = rng.integers(0, m // 2 + 1, size=m).astype(np.uint64)
+            classes = rng.integers(0, 5, size=m)
+            scores = np.round(rng.uniform(-1.0, 1.0, size=m), 1)
+            k = int(np.bincount(classes).max()) if m else 0
+            pl = PseudolabelSet(ids, classes, scores, k_used=k)
+            out = drop_duplicate_assignments(pl)
+            keep = reference(pl)
+            assert out.example_ids.tobytes() == pl.example_ids[keep].tobytes()
+            assert out.classes.tobytes() == pl.classes[keep].tobytes()
+            assert out.scores.tobytes() == pl.scores[keep].tobytes()
 
     def test_no_duplicates_is_identity(self):
         rng = np.random.default_rng(5)
