@@ -10,6 +10,7 @@ shared across worker processes without copies or locks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,28 +52,50 @@ def frozen_array(arr, dtype=None) -> np.ndarray:
     return out
 
 
-def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray) -> tuple:
-    """Mean softmax cross-entropy of logits S (n, C) and its gradient dL/dS.
+def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tuple:
+    """Weighted softmax cross-entropy of logits S (n, C) and its gradient dL/dS.
 
-    Labels must lie in [0, C). The log-sum-exp is max-shifted and grouped as
+    ``pools`` splits the rows into consecutive blocks, one (row count,
+    weight) pair per block; the loss is the sum over blocks of weight times
+    the block's mean cross-entropy, and each block's rows of dL/dS carry the
+    same scale. None is one block of weight 1 over all n rows. Labels must
+    lie in [0, C). The log-sum-exp is max-shifted and grouped as
     (shift - label logit) + log-sum, so uniform logits give exactly ln(C); a
     non-finite loss raises rather than propagating.
     """
     n, C = S.shape
     if n == 0:
         raise ValueError("empty batch")
+    if pools is None:
+        pools = ((n, 1.0),)
+    counts = [int(count) for count, _ in pools]
+    weights = [float(weight) for _, weight in pools]
+    if sum(counts) != n:
+        raise ValueError(f"pool blocks cover {sum(counts)} rows, the batch has {n}")
+    if min(counts) < 1:
+        raise ValueError(f"pool block {counts.index(min(counts))} has no rows")
+    for weight in weights:
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"pool weight {weight} must be finite and non-negative")
     outside = (labels < 0) | (labels >= C)
     if outside.any():
         raise ValueError(f"label {int(labels[outside][0])} outside [0, {C})")
     rows = np.arange(n)
     shift = S.max(axis=1, keepdims=True)
     rel = np.log(np.sum(np.exp(S - shift), axis=1))
-    loss = float(np.mean((shift[:, 0] - S[rows, labels]) + rel))
-    if not np.isfinite(loss):
-        raise FloatingPointError("numerical overflow in cross-entropy loss")
+    per_row = (shift[:, 0] - S[rows, labels]) + rel
     G = np.exp(S - (shift[:, 0] + rel)[:, None])
     G[rows, labels] -= 1.0
-    G /= n
+    loss, start = 0.0, 0
+    for count, weight in zip(counts, weights):
+        loss += weight * float(np.mean(per_row[start : start + count]))
+        block = G[start : start + count]
+        block /= count
+        if weight != 1.0:  # a unit weight needs no second pass over its rows
+            block *= weight
+        start += count
+    if not np.isfinite(loss):
+        raise FloatingPointError("numerical overflow in cross-entropy loss")
     return loss, G
 
 

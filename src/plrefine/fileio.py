@@ -101,6 +101,8 @@ def read_ple(path: str) -> Tuple[EmbeddingSet, ClassSpace]:
     prototypes = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(C, d)
     if offset != len(buf):
         raise ValueError("not a PLE1 file: trailing bytes after payload")
+    if labels.max() >= C:
+        raise ValueError(f"label {int(labels.max())} out of range for C={C} classes")
 
     features = _check_norms(features, "feature")
     prototypes = _check_norms(prototypes, "prototype")

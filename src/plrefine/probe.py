@@ -34,11 +34,12 @@ class LinearProbe:
         return LinearProbe(params["W"])
 
     def loss_and_grad(
-        self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace
+        self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace, pools=None
     ) -> Tuple[float, Dict[str, np.ndarray]]:
-        """Mean softmax cross-entropy over all C classes and its W gradient."""
+        """Softmax cross-entropy over all C classes, weighted per ``pools``
+        block as in core.softmax_cross_entropy, and its W gradient."""
         Z = np.asarray(feats, dtype=np.float64)
-        loss, G = softmax_cross_entropy(Z @ self.W.T, np.asarray(labels, dtype=np.int64))
+        loss, G = softmax_cross_entropy(Z @ self.W.T, np.asarray(labels, dtype=np.int64), pools)
         return loss, {"W": G.T @ Z}
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:

@@ -10,11 +10,11 @@ drop them with :func:`drop_duplicate_assignments`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import frozen_array
+from .core import UNLABELED, EmbeddingSet, frozen_array
 
 SCORE_TOLERANCE = 1e-6
 
@@ -173,18 +173,19 @@ def drop_duplicate_assignments(pl: PseudolabelSet) -> PseudolabelSet:
     )
 
 
-def pseudolabel_accuracy(pl: PseudolabelSet, truth: Mapping[int, int]) -> float:
+def pseudolabel_accuracy(pl: PseudolabelSet, truth: EmbeddingSet) -> float:
     """Fraction of entries whose assigned class matches the ground truth.
 
-    ``truth`` maps example id to true class; an id with no ground truth is an
-    error because silently skipping it would inflate the metric.
+    ``truth`` labels each example id with its true class. An id it does not
+    hold, or holds as UNLABELED, is an error naming the first such id,
+    because silently skipping it would inflate the metric.
     """
     if pl.m == 0:
         raise ValueError("cannot score an empty pseudolabel set")
-    correct = 0
-    for i in range(pl.m):
-        eid = int(pl.example_ids[i])
-        if eid not in truth:
-            raise KeyError(f"no ground-truth label for example id {eid}")
-        correct += int(truth[eid]) == int(pl.classes[i])
-    return correct / pl.m
+    order = np.argsort(truth.ids)
+    rows = order[np.minimum(np.searchsorted(truth.ids, pl.example_ids, sorter=order), truth.n - 1)]
+    true = truth.labels[rows]
+    known = (truth.ids[rows] == pl.example_ids) & (true != UNLABELED)
+    if not known.all():
+        raise KeyError(f"no ground-truth label for example id {int(pl.example_ids[np.argmin(known)])}")
+    return int(np.count_nonzero(true == pl.classes)) / pl.m

@@ -266,10 +266,8 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
 
     pool_feats = data.features[split.pool_rows]
     pool_ids = data.ids[split.pool_rows]
-    pool_labels = data.labels[split.pool_rows]
-    truth = None
-    if not np.any(pool_labels == UNLABELED):
-        truth = {int(i): int(c) for i, c in zip(pool_ids, pool_labels)}
+    # Pseudolabel accuracy is reported only when every pool row has its class.
+    truth = None if np.any(data.labels[split.pool_rows] == UNLABELED) else data
 
     classes = split.pseudolabel_classes
     transductive = config.paradigm.paradigm == "TRZSL"

@@ -90,9 +90,9 @@ class PromptModel:
         return replace(self, **params)
 
     def loss_and_grad(
-        self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace
+        self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace, pools=None
     ) -> Tuple[float, Dict[str, np.ndarray]]:
-        return batch_loss_and_grad(self, feats, labels, space)
+        return batch_loss_and_grad(self, feats, labels, space, pools)
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:
         """Temperature-scaled cosine scores against all C classes."""
@@ -239,19 +239,23 @@ def batch_loss_and_grad(
     feats: np.ndarray,
     labels: np.ndarray,
     space: ClassSpace,
+    pools=None,
 ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean softmax cross-entropy over all C classes plus analytic ctx gradients.
+    """Softmax cross-entropy over all C classes plus analytic ctx gradients.
 
     Returns (loss, grads) with one gradient per learnable ctx block, keyed
     like PromptModel.learnable(). Labels must lie in [0, C); the loss is
-    core.softmax_cross_entropy, and a non-finite loss or gradient raises
-    rather than propagating.
+    core.softmax_cross_entropy with its ``pools`` block list (consecutive
+    (row count, weight) blocks of feats; None is the plain mean), so several
+    weighted pools share one forward pass and one backward pass per route.
+    A non-finite loss or gradient raises rather than propagating.
 
     Backward pass, for reference: with P the softmax and Y one-hot,
-    G = (P - Y)/n is dL/dS, so dL/dZp = tau G Wp and dL/dWp = tau G^T Zp;
-    each route then runs back through its row normalization to the shifted
-    rows' gradient dA, through the shift to dE = dA^T anchors, and through
-    the effective map to dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
+    G = w (P - Y)/n_b on a block of n_b rows and weight w is dL/dS, so
+    dL/dZp = tau G Wp and dL/dWp = tau G^T Zp; each route then runs back
+    through its row normalization to the shifted rows' gradient dA, through
+    the shift to dE = dA^T anchors, and through the effective map to
+    dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
     """
     Z = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -272,7 +276,7 @@ def batch_loss_and_grad(
     else:
         Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "prototype")
 
-    loss, G = softmax_cross_entropy(tau * (Zp @ Wp.T), labels)
+    loss, G = softmax_cross_entropy(tau * (Zp @ Wp.T), labels, pools)
 
     grads = {}
     if model.text_ctx is not None:

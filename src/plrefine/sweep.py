@@ -14,12 +14,13 @@ import datetime
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import SCHEMA_VERSION, ExperimentConfig
-from .core import ClassSpace, ParadigmConfig, Task, make_trzsl_split, paradigm_weights
+from .core import UNLABELED, ClassSpace, ParadigmConfig, Task, make_trzsl_split, paradigm_weights
 from .fileio import read_ple
 from .metrics import (
     evaluate,
@@ -102,8 +103,24 @@ def _run_cell(args: Tuple[ExperimentConfig, str, str, int]) -> dict:
     }
 
 
+@contextmanager
+def _replacing(path: str, newline: Optional[str] = None):
+    """Text handle on a temporary file in path's directory that replaces
+    ``path`` when the block completes. If the block raises, ``path`` is left
+    as it was and the temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_trace_csv(path: str, records: List[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in records:
@@ -170,7 +187,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
         "runs": runs,
         "aggregates": _aggregate(runs),
     }
-    with open(os.path.join(out, "result.json"), "w", encoding="utf-8") as fh:
+    with _replacing(os.path.join(out, "result.json")) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return payload
@@ -212,7 +229,8 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
         "threshold": threshold_pseudolabels(probs, cfg.threshold_tau, pool_ids),
     }
 
-    truth = {int(i): int(c) for i, c in zip(task.train.ids, task.train.labels)}
+    # Pseudolabel accuracy is reported only when every pool row has its class.
+    scored = not np.any(task.train.labels[split.pool_rows] == UNLABELED)
     baseline = zero_shot_report(task.test, task.space)
     base = run_cfg.base_prompt(task.space.d)
     comparisons: dict = {}
@@ -227,7 +245,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
             report = evaluate(fitted, task.test, task.space)
             comparisons[head_name][mode] = {
                 "n_pseudolabels": pl.m,
-                "pseudolabel_accuracy": pseudolabel_accuracy(pl, truth) if pl.m else None,
+                "pseudolabel_accuracy": pseudolabel_accuracy(pl, task.train) if pl.m and scored else None,
                 "report": report.to_dict(),
                 "robin_hood": robin_hood(baseline, report).to_dict(),
             }
@@ -242,7 +260,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     }
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "robinhood.json"), "w", encoding="utf-8") as fh:
+    with _replacing(os.path.join(out, "robinhood.json")) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return payload

@@ -1,11 +1,13 @@
 """SGD training loop shared by the prompt surrogate and the linear probe.
 
 One schedule covers warmup plus cosine annealing; one loop handles any mix of
-a labeled pool and a pseudolabeled pool by drawing one mini-batch from each
-per step and combining the two cross-entropies with the paradigm weights.
-The loop is strictly deterministic: epoch shuffles come from an RNG seeded
-with (seed, epoch), pools are visited in a fixed order, and all math is
-float64 on a single thread.
+a labeled pool and a pseudolabeled pool. Each step draws one mini-batch from
+each pool and makes a single loss-and-gradient call over all of them, the
+batches stacked in pool order with one (row count, weight) block per pool, so
+the unified objective gamma * CE(labeled) + lambda * CE(pseudolabeled) is one
+forward and one backward pass. The loop is strictly deterministic: epoch
+shuffles come from an RNG seeded with (seed, epoch), pools are visited in a
+fixed order, and all math is float64 on a single thread.
 """
 
 from __future__ import annotations
@@ -87,12 +89,13 @@ def train(
     """Run the schedule over the two pools and return (model, epoch_losses).
 
     Each step minimizes gamma * CE(labeled batch) + lambda * CE(pseudolabeled
-    batch), both over all C classes. model must expose learnable() /
-    with_learnable() / loss_and_grad(), which both PromptModel and
-    LinearProbe do. Updates are SGD with momentum in the velocity form
-    v = momentum * v + g; p -= lr * v. A pool with zero weight or no rows
-    contributes nothing; with zero epochs the model comes back bit-identical
-    and the loss trace is empty.
+    batch), both over all C classes, with one model.loss_and_grad call on
+    the batches stacked in pool order and one (row count, weight) block per
+    pool. model must expose learnable() / with_learnable() / loss_and_grad(),
+    which both PromptModel and LinearProbe do. Updates are SGD with momentum
+    in the velocity form v = momentum * v + g; p -= lr * v. A pool with zero
+    weight or no rows contributes nothing; with zero epochs the model comes
+    back bit-identical and the loss trace is empty.
     """
     gamma, lam = float(weights[0]), float(weights[1])
     if gamma < 0 or lam < 0:
@@ -100,51 +103,49 @@ def train(
     if seed < 0:
         raise ValueError("seed must be non-negative")
 
-    # Materialize (features, labels, weight) per active pool. Pool order is
-    # fixed (labeled first) so the RNG stream is reproducible.
+    # (data rows, labels, weight) per active pool. Pool order is fixed
+    # (labeled first) so the RNG stream is reproducible.
     pools = []
     if labeled is not None and labeled.n > 0 and gamma > 0:
-        pools.append((data.features[labeled.rows], labeled.labels, gamma))
+        pools.append((labeled.rows, labeled.labels, gamma))
     if pseudo is not None and pseudo.m > 0 and lam > 0:
-        rows = data.rows_for_ids(pseudo.example_ids)
-        pools.append((data.features[rows], pseudo.classes, lam))
+        pools.append((data.rows_for_ids(pseudo.example_ids), pseudo.classes, lam))
     if not pools:
         raise ValueError("nothing to train on: both pools are empty or zero-weighted")
     if schedule.epochs == 0:
         return model, []
 
-    n_major = max(feats.shape[0] for feats, _, _ in pools)
+    # The pools' rows back to back; a pool's batch rows are shifted by its offset.
+    feats = data.features[np.concatenate([rows for rows, _, _ in pools])]
+    labels = np.concatenate([pool_labels for _, pool_labels, _ in pools])
+    sizes = [rows.size for rows, _, _ in pools]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n_major = max(sizes)
     steps = math.ceil(n_major / schedule.batch_size)
     velocity = {name: np.zeros_like(arr) for name, arr in model.learnable().items()}
     epoch_losses: List[float] = []
 
     for epoch in range(schedule.epochs):
         rng = np.random.default_rng([seed, epoch])
-        perms = [rng.permutation(feats.shape[0]) for feats, _, _ in pools]
+        perms = [rng.permutation(size) for size in sizes]
         lr = lr_at(schedule, epoch)
         step_losses = []
         for step in range(steps):
-            params = model.learnable()
-            total = 0.0
-            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            for (feats, labels, weight), perm in zip(pools, perms):
-                rows = _batch_rows(perm, step, schedule.batch_size, feats.shape[0] == n_major)
-                if rows.size == 0:
-                    continue
-                try:
-                    loss, g = model.loss_and_grad(feats[rows], labels[rows], space)
-                except FloatingPointError as exc:
-                    raise FloatingPointError(f"{exc} (epoch {epoch}, step {step})") from None
-                total += weight * loss
-                for name in g:
-                    grads[name] = grads[name] + weight * g[name]
-            if not np.isfinite(total):
-                raise FloatingPointError(f"non-finite loss at epoch {epoch}, step {step}")
+            picks = [
+                offset + _batch_rows(perm, step, schedule.batch_size, size == n_major)
+                for offset, size, perm in zip(offsets, sizes, perms)
+            ]
+            rows = np.concatenate(picks)
+            blocks = [(pick.size, weight) for pick, (_, _, weight) in zip(picks, pools)]
+            try:
+                loss, grads = model.loss_and_grad(feats[rows], labels[rows], space, blocks)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} (epoch {epoch}, step {step})") from None
             new_params = {}
-            for name in params:
+            for name, value in model.learnable().items():
                 velocity[name] = schedule.momentum * velocity[name] + grads[name]
-                new_params[name] = params[name] - lr * velocity[name]
+                new_params[name] = value - lr * velocity[name]
             model = model.with_learnable(new_params)
-            step_losses.append(total)
+            step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
     return model, epoch_losses

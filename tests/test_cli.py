@@ -8,6 +8,7 @@ comparison scenario.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,47 @@ class TestRun:
             payload = json.load(fh)
         trzsl = [r for r in payload["runs"] if r["paradigm"] == "TRZSL"]
         assert trzsl and trzsl[0]["final"]["harmonic"] is not None
+
+
+class TestAtomicOutputs:
+    """Outputs are written to a temporary file and renamed over the target,
+    so a failed write leaves the previous file and no temporary behind."""
+
+    def _files(self, out):
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def _fail(self, monkeypatch, target):
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(target, boom)
+
+    def test_failed_result_dump_keeps_previous_result(self, tmp_path, monkeypatch, capsys):
+        cfg_path = _write_config(tmp_path)
+        assert main(["run", str(cfg_path)]) == 0
+        out = tmp_path / "runs"
+        before = self._files(out)
+        self._fail(monkeypatch, "plrefine.sweep.json.dump")
+        assert main(["run", str(cfg_path)]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert self._files(out).keys() == before.keys()
+        assert (out / "result.json").read_bytes() == before[Path("result.json")]
+
+    def test_failed_trace_write_keeps_previous_trace(self, tmp_path, monkeypatch):
+        cfg_path = _write_config(tmp_path)
+        assert main(["run", str(cfg_path)]) == 0
+        out = tmp_path / "runs"
+        before = self._files(out)
+        self._fail(monkeypatch, "plrefine.sweep.csv.writer")
+        assert main(["run", str(cfg_path)]) == 1
+        assert self._files(out) == before
+
+    def test_failed_robinhood_dump_leaves_no_file(self, tmp_path, monkeypatch):
+        cfg_path = _write_config(tmp_path)
+        self._fail(monkeypatch, "plrefine.sweep.json.dump")
+        assert main(["robinhood", str(cfg_path)]) == 1
+        out = tmp_path / "runs"
+        assert not out.exists() or self._files(out) == {}
 
 
 class TestRobinhood:

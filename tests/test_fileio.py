@@ -147,6 +147,72 @@ class TestReadErrors:
         with pytest.raises(ValueError, match="empty dimensions"):
             read_ple(str(path))
 
+    def test_label_beyond_class_count(self, tmp_path):
+        """A label at or past C is refused at load time, not when a task is built."""
+        rng = np.random.default_rng(8)
+        data, space = _sample(rng, n=6, d=5, C=3)
+        path = tmp_path / "label.ple"
+        write_ple(str(path), data, space)
+        raw = bytearray(path.read_bytes())
+        at = 18 + 4 * data.n * data.d + 4 * 2  # third label
+        raw[at : at + 4] = struct.pack("<i", 3)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="label 3 out of range for C=3"):
+            read_ple(str(path))
+
+
+class TestFuzz:
+    """Seeded byte-level damage to a C=5, d=8 file. Truncated and random
+    input must raise ValueError (UnicodeDecodeError is one); a bit flip
+    either raises ValueError or, where the format cannot tell (a label moved
+    to another class, a low mantissa bit), loads a set a task accepts."""
+
+    CASES = 400
+
+    def _good(self, tmp_path):
+        rng = np.random.default_rng(11)
+        data, space = _sample(rng, n=12, d=8, C=5, names=("a", "bé", "c", "dd", "e"))
+        path = tmp_path / "good.ple"
+        write_ple(str(path), data, space)
+        return path.read_bytes(), tmp_path / "fuzz.ple"
+
+    def test_truncation_rejected(self, tmp_path):
+        good, path = self._good(tmp_path)
+        rng = np.random.default_rng(12)
+        for cut in rng.integers(0, len(good), size=self.CASES):
+            path.write_bytes(good[:cut])
+            with pytest.raises(ValueError):
+                read_ple(str(path))
+
+    def test_bit_flips_rejected_or_well_formed(self, tmp_path):
+        good, path = self._good(tmp_path)
+        rng = np.random.default_rng(13)
+        rejected = 0
+        for _ in range(self.CASES):
+            raw = bytearray(good)
+            for bit in rng.integers(0, 8 * len(raw), size=rng.integers(1, 4)):
+                raw[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(raw))
+            try:
+                data, space = read_ple(str(path))
+            except ValueError:
+                rejected += 1
+                continue
+            assert data.d == space.d
+            assert data.labels.min() >= UNLABELED and data.labels.max() < space.C
+        assert rejected > self.CASES // 10
+
+    def test_random_bytes_rejected(self, tmp_path):
+        _, path = self._good(tmp_path)
+        rng = np.random.default_rng(14)
+        for case in range(self.CASES):
+            body = rng.integers(0, 256, size=rng.integers(0, 300), dtype=np.uint8).tobytes()
+            if case % 2:
+                body = b"PLE1" + struct.pack("<H", 1) + body
+            path.write_bytes(body)
+            with pytest.raises(ValueError):
+                read_ple(str(path))
+
 
 class TestNormDrift:
     def _scaled_file(self, tmp_path, factor):

@@ -68,6 +68,57 @@ def test_gradient_matches_finite_differences():
     assert rel < 1e-4
 
 
+def test_two_blocks_equal_weighted_calls():
+    """One call over a labeled and a pseudolabeled batch, stacked, equals
+    gamma * call(labeled) + lambda * call(pseudolabeled)."""
+    rng = np.random.default_rng(3)
+    space = _space(rng, 4, 5)
+    ZL, ZP = _unit_rows(rng, 3, 5), _unit_rows(rng, 6, 5)
+    yL, yP = rng.integers(0, 4, size=3), rng.integers(0, 4, size=6)
+    probe = LinearProbe(rng.standard_normal((4, 5)))
+    loss_l, grads_l = probe.loss_and_grad(ZL, yL, space)
+    loss_p, grads_p = probe.loss_and_grad(ZP, yP, space)
+    loss, grads = probe.loss_and_grad(
+        np.vstack([ZL, ZP]), np.concatenate([yL, yP]), space, [(3, 4.0), (6, 0.25)]
+    )
+    assert abs(loss - (4.0 * loss_l + 0.25 * loss_p)) < 1e-12
+    np.testing.assert_allclose(grads["W"], 4.0 * grads_l["W"] + 0.25 * grads_p["W"], rtol=0, atol=1e-12)
+
+
+def test_one_unit_block_is_bitwise_default():
+    rng = np.random.default_rng(4)
+    space = _space(rng, 4, 5)
+    Z = _unit_rows(rng, 7, 5)
+    y = rng.integers(0, 4, size=7)
+    probe = LinearProbe(rng.standard_normal((4, 5)))
+    loss, grads = probe.loss_and_grad(Z, y, space)
+    loss_1, grads_1 = probe.loss_and_grad(Z, y, space, [(7, 1.0)])
+    assert loss_1 == loss
+    assert np.array_equal(grads_1["W"], grads["W"])
+
+
+def test_two_block_gradient_matches_finite_differences():
+    rng = np.random.default_rng(5)
+    space = _space(rng, 4, 5)
+    Z = _unit_rows(rng, 7, 5)
+    y = rng.integers(0, 4, size=7)
+    pools = [(2, 3.0), (5, 0.6)]
+    probe = LinearProbe(rng.standard_normal((4, 5)))
+    g = probe.loss_and_grad(Z, y, space, pools)[1]["W"]
+    h = 1e-4
+    numeric = np.zeros_like(g)
+    for idx in np.ndindex(g.shape):
+        up = probe.W.copy()
+        up[idx] += h
+        down = probe.W.copy()
+        down[idx] -= h
+        lu, _ = LinearProbe(up).loss_and_grad(Z, y, space, pools)
+        ld, _ = LinearProbe(down).loss_and_grad(Z, y, space, pools)
+        numeric[idx] = (lu - ld) / (2 * h)
+    rel = np.max(np.abs(g - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
+    assert rel < 1e-4
+
+
 def test_fits_separable_toy_task():
     """The probe trained on clean clusters classifies its training rows."""
     rng = np.random.default_rng(2)

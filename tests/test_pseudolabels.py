@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from plrefine.core import UNLABELED, EmbeddingSet
 from plrefine.pseudolabels import (
     CLASS_BLOCK,
     PseudolabelSet,
@@ -258,13 +259,19 @@ class TestDropDuplicates:
             assert np.array_equal(out.classes, pl.classes)
 
 
+def _truth(ids, labels):
+    """Ground truth as an EmbeddingSet holding ``ids`` with classes ``labels``."""
+    n = len(ids)
+    return EmbeddingSet(np.eye(n), np.asarray(labels, dtype=np.int64), np.asarray(ids, dtype=np.uint64))
+
+
 class TestPseudolabelAccuracy:
     def test_fraction_correct(self):
         ids = np.array([1, 2, 3, 4], dtype=np.uint64)
         classes = np.array([0, 0, 1, 1], dtype=np.int64)
         scores = np.zeros(4)
         pl = PseudolabelSet(ids, classes, scores, k_used=2)
-        truth = {1: 0, 2: 1, 3: 1, 4: 0}
+        truth = _truth([1, 2, 3, 4], [0, 1, 1, 0])
         assert pseudolabel_accuracy(pl, truth) == 0.5
 
     def test_empty_set_rejected(self):
@@ -275,7 +282,7 @@ class TestPseudolabelAccuracy:
             k_used=0,
         )
         with pytest.raises(ValueError, match="empty pseudolabel set"):
-            pseudolabel_accuracy(pl, {})
+            pseudolabel_accuracy(pl, _truth([7], [0]))
 
     def test_unknown_id_rejected(self):
         pl = PseudolabelSet(
@@ -285,4 +292,31 @@ class TestPseudolabelAccuracy:
             k_used=1,
         )
         with pytest.raises(KeyError, match="no ground-truth label for example id 8"):
-            pseudolabel_accuracy(pl, {7: 0})
+            pseudolabel_accuracy(pl, _truth([7], [0]))
+
+    def test_first_missing_id_named(self):
+        """Unknown ids and ids held as unlabeled both count as missing; the
+        first one in the pseudolabel order is named."""
+        truth = _truth([30, 10, 20, 40], [0, UNLABELED, 1, 2])
+        for ids, first in (([30, 99, 10], 99), ([20, 10, 99], 10), ([5, 40], 5)):
+            pl = PseudolabelSet(
+                np.array(ids, dtype=np.uint64),
+                np.arange(len(ids), dtype=np.int64),
+                np.zeros(len(ids)),
+                k_used=1,
+            )
+            with pytest.raises(KeyError, match=rf"no ground-truth label for example id {first}\b"):
+                pseudolabel_accuracy(pl, truth)
+
+    def test_matches_dict_reference(self):
+        """Same float as counting matches through an id -> class dict, on
+        shuffled ids and a set that repeats ids across classes."""
+        rng = np.random.default_rng(41)
+        n, C = 300, 7
+        ids = rng.permutation(10 * n)[:n].astype(np.uint64)
+        labels = rng.integers(0, C, size=n)
+        truth = EmbeddingSet(np.eye(n), labels, ids)
+        pl = topk_per_class(rng.uniform(-1.0, 1.0, size=(n, C)), 40, range(C), ids)
+        lookup = {int(i): int(c) for i, c in zip(ids, labels)}
+        correct = sum(lookup[int(i)] == int(c) for i, c in zip(pl.example_ids, pl.classes))
+        assert pseudolabel_accuracy(pl, truth) == correct / pl.m

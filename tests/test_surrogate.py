@@ -36,7 +36,7 @@ def _space(rng, C, d):
     return ClassSpace(tuple(f"c{j}" for j in range(C)), _unit_rows(rng, C, d))
 
 
-def _fd_grad(model, name, feats, labels, space, h=1e-4):
+def _fd_grad(model, name, feats, labels, space, h=1e-4, pools=None):
     """Central finite differences of the batch loss in every ctx entry."""
     base = model.learnable()[name]
     grad = np.zeros_like(base)
@@ -45,8 +45,8 @@ def _fd_grad(model, name, feats, labels, space, h=1e-4):
         up_arr[idx] += h
         down_arr = base.copy()
         down_arr[idx] -= h
-        up, _ = batch_loss_and_grad(model.with_learnable({name: up_arr}), feats, labels, space)
-        down, _ = batch_loss_and_grad(model.with_learnable({name: down_arr}), feats, labels, space)
+        up, _ = batch_loss_and_grad(model.with_learnable({name: up_arr}), feats, labels, space, pools)
+        down, _ = batch_loss_and_grad(model.with_learnable({name: down_arr}), feats, labels, space, pools)
         grad[idx] = (up - down) / (2 * h)
     return grad
 
@@ -369,6 +369,95 @@ class TestBatchLossAndGrad:
         assert loss == expected_loss
         assert np.array_equal(grads["text_ctx"], expected["text_ctx"])
         assert np.array_equal(grads["vis_ctx"], expected["vis_ctx"])
+
+
+def _two_pools(rng, C=5, d=8, n_l=4, n_p=7):
+    """A labeled and a pseudolabeled batch, stacked, with their block list."""
+    ZL, ZP = _unit_rows(rng, n_l, d), _unit_rows(rng, n_p, d)
+    yL, yP = rng.integers(0, C, size=n_l), rng.integers(0, C, size=n_p)
+    return (ZL, yL), (ZP, yP), np.vstack([ZL, ZP]), np.concatenate([yL, yP])
+
+
+def _head_call(head, rng, C, d):
+    """loss_and_grad of a prompt model of one modality, or of a random probe."""
+    if head == "probe":
+        return LinearProbe(rng.standard_normal((C, d))).loss_and_grad
+    m = init_prompt(head, 3, d, seed=2, scale=0.3, temperature=15.0)
+    return lambda Z, y, space, pools=None: batch_loss_and_grad(m, Z, y, space, pools)
+
+
+class TestPoolBlocks:
+    """One call over stacked pools equals the weighted sum of one call per
+    pool (the probe's counterparts are in test_probe.py)."""
+
+    @pytest.mark.parametrize("head", MODALITIES)
+    def test_two_blocks_equal_weighted_calls(self, head):
+        rng = np.random.default_rng(31)
+        space = _space(rng, 5, 8)
+        (ZL, yL), (ZP, yP), Z, y = _two_pools(rng)
+        call = _head_call(head, rng, 5, 8)
+        gamma, lam = 1.75, 0.5
+        loss_l, grads_l = call(ZL, yL, space)
+        loss_p, grads_p = call(ZP, yP, space)
+        loss, grads = call(Z, y, space, [(4, gamma), (7, lam)])
+        assert abs(loss - (gamma * loss_l + lam * loss_p)) < 1e-12
+        assert grads.keys() == grads_l.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, gamma * grads_l[name] + lam * grads_p[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("head", MODALITIES)
+    def test_one_unit_block_is_bitwise_default(self, head):
+        rng = np.random.default_rng(32)
+        space = _space(rng, 5, 8)
+        _, _, Z, y = _two_pools(rng)
+        call = _head_call(head, rng, 5, 8)
+        loss, grads = call(Z, y, space)
+        loss_1, grads_1 = call(Z, y, space, [(Z.shape[0], 1.0)])
+        assert loss_1 == loss
+        for name, g in grads.items():
+            assert np.array_equal(grads_1[name], g)
+
+    def test_zero_weight_block_drops_out(self):
+        rng = np.random.default_rng(33)
+        space = _space(rng, 5, 8)
+        (ZL, yL), _, Z, y = _two_pools(rng)
+        call = _head_call("multimodal", rng, 5, 8)
+        loss_l, grads_l = call(ZL, yL, space)
+        loss, grads = call(Z, y, space, [(4, 1.0), (7, 0.0)])
+        assert abs(loss - loss_l) < 1e-12
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, grads_l[name], rtol=0, atol=1e-12)
+
+    def test_two_block_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(34)
+        space = _space(rng, 4, 7)
+        _, _, Z, y = _two_pools(rng, C=4, d=7, n_l=3, n_p=5)
+        pools = [(3, 2.5), (5, 0.4)]
+        m = init_prompt("multimodal", 3, 7, seed=5, scale=0.05, temperature=12.0)
+        _, grads = batch_loss_and_grad(m, Z, y, space, pools)
+        for name in ("text_ctx", "vis_ctx"):
+            numeric = _fd_grad(m, name, Z, y, space, pools=pools)
+            assert _max_rel_err(grads[name], numeric) < 1e-4
+
+    @pytest.mark.parametrize("head", ["multimodal", "probe"])
+    @pytest.mark.parametrize(
+        "pools, message",
+        [
+            ([(4, 1.0), (4, 1.0)], r"pool blocks cover 8 rows, the batch has 11"),
+            ([(4, 1.0), (7, 1.0), (1, 1.0)], r"pool blocks cover 12 rows, the batch has 11"),
+            ([(0, 1.0), (11, 1.0)], r"pool block 0 has no rows"),
+            ([(4, -0.5), (7, 1.0)], r"pool weight -0.5 must be finite and non-negative"),
+            ([(4, 1.0), (7, float("nan"))], r"pool weight nan must be finite"),
+            ([(4, float("inf")), (7, 1.0)], r"pool weight inf must be finite"),
+        ],
+    )
+    def test_bad_block_list_rejected(self, head, pools, message):
+        rng = np.random.default_rng(35)
+        space = _space(rng, 5, 8)
+        _, _, Z, y = _two_pools(rng)
+        call = _head_call(head, rng, 5, 8)
+        with pytest.raises(ValueError, match=message):
+            call(Z, y, space, pools)
 
 
 def _tiled_reference(model, Z, y, space):

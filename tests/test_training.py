@@ -1,15 +1,15 @@
 """Optimizer tests: schedule arithmetic, and the SGD loop's two-pool loss,
-determinism and descent behavior."""
+one loss call per step, determinism and descent behavior."""
 
 import math
 
 import numpy as np
 import pytest
 
-from plrefine.core import ClassSpace, EmbeddingSet, LabeledSubset, ParadigmConfig
+from plrefine.core import ClassSpace, EmbeddingSet, LabeledSubset, ParadigmConfig, paradigm_weights
 from plrefine.pseudolabels import topk_per_class
-from plrefine.surrogate import init_prompt
-from plrefine.training import TrainSchedule, lr_at, train
+from plrefine.surrogate import PromptModel, init_prompt
+from plrefine.training import TrainSchedule, _batch_rows, lr_at, train
 
 
 def _unit_rows(rng, n, d):
@@ -210,3 +210,87 @@ class TestTrain:
                             seed=0)
         assert len(losses) == 3
         assert np.all(np.isfinite(losses))
+
+
+def _pools(rng, paradigm):
+    """A 30-row toy task, its 21 top-7 pseudolabels and, for SSL, 6 labeled rows."""
+    data, labels = _toy(rng, per=10)
+    space = _space(rng, 3, 8)
+    pl = topk_per_class(np.clip(data.features @ space.base_prototypes.T, -1.0, 1.0), 7, range(3), data.ids)
+    if paradigm == "UL":
+        return data, space, None, pl, (0.0, 1.0)
+    labeled = LabeledSubset(np.arange(0, 30, 5), labels[::5])
+    return data, space, labeled, pl, paradigm_weights("SSL", labeled.n, pl.m)
+
+
+def _per_pool_train(model, data, space, labeled, pseudo, weights, schedule, seed):
+    """The loop with one loss call per pool and step, summed by hand: the
+    reference the fused single call must reproduce."""
+    pools = []
+    if labeled is not None and weights[0] > 0:
+        pools.append((data.features[labeled.rows], labeled.labels, weights[0]))
+    if pseudo is not None and weights[1] > 0:
+        pools.append((data.features[data.rows_for_ids(pseudo.example_ids)], pseudo.classes, weights[1]))
+    n_major = max(feats.shape[0] for feats, _, _ in pools)
+    velocity = {name: np.zeros_like(arr) for name, arr in model.learnable().items()}
+    for epoch in range(schedule.epochs):
+        rng = np.random.default_rng([seed, epoch])
+        perms = [rng.permutation(feats.shape[0]) for feats, _, _ in pools]
+        lr = lr_at(schedule, epoch)
+        for step in range(math.ceil(n_major / schedule.batch_size)):
+            params = model.learnable()
+            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+            for (feats, labels, weight), perm in zip(pools, perms):
+                rows = _batch_rows(perm, step, schedule.batch_size, feats.shape[0] == n_major)
+                _, g = model.loss_and_grad(feats[rows], labels[rows], space)
+                for name in g:
+                    grads[name] = grads[name] + weight * g[name]
+            new_params = {}
+            for name in params:
+                velocity[name] = schedule.momentum * velocity[name] + grads[name]
+                new_params[name] = params[name] - lr * velocity[name]
+            model = model.with_learnable(new_params)
+    return model
+
+
+class TestOneCallPerStep:
+    @pytest.mark.parametrize("paradigm", ["SSL", "UL"])
+    def test_one_loss_call_per_optimizer_step(self, monkeypatch, paradigm):
+        """Batches of 8 over the 21-row pseudolabel pool give 3 steps per
+        epoch; SSL stacks the 6 labeled rows in front of each batch."""
+        data, space, labeled, pl, weights = _pools(np.random.default_rng(8), paradigm)
+        calls, steps = [], []
+        loss_and_grad, with_learnable = PromptModel.loss_and_grad, PromptModel.with_learnable
+
+        def counted_loss(self, feats, labels, space, pools=None):
+            calls.append([(int(n), float(w)) for n, w in pools])
+            assert feats.shape[0] == labels.shape[0] == sum(n for n, _ in pools)
+            return loss_and_grad(self, feats, labels, space, pools)
+
+        def counted_step(self, params):
+            steps.append(len(calls))
+            return with_learnable(self, params)
+
+        monkeypatch.setattr(PromptModel, "loss_and_grad", counted_loss)
+        monkeypatch.setattr(PromptModel, "with_learnable", counted_step)
+        schedule = TrainSchedule(epochs=3, warmup_epochs=1, batch_size=8)
+        train(init_prompt("multimodal", 2, 8, seed=0), data, space, labeled, pl, weights, schedule, seed=0)
+        assert steps == list(range(1, 10))
+        head = [(6, weights[0])] if paradigm == "SSL" else []
+        per_epoch = [head + [(8, 1.0)], head + [(8, 1.0)], head + [(5, 1.0)]]
+        assert calls == per_epoch * 3
+
+    @pytest.mark.parametrize("paradigm", ["SSL", "UL"])
+    def test_matches_one_call_per_pool(self, paradigm):
+        """The fused step reproduces the per-pool loop: bit for bit with one
+        pool, to float rounding with two."""
+        data, space, labeled, pl, weights = _pools(np.random.default_rng(9), paradigm)
+        schedule = TrainSchedule(epochs=4, warmup_epochs=1, batch_size=8)
+        model = init_prompt("multimodal", 2, 8, seed=1, scale=0.1)
+        fused, _ = train(model, data, space, labeled, pl, weights, schedule, seed=3)
+        reference = _per_pool_train(model, data, space, labeled, pl, weights, schedule, seed=3)
+        for name, value in reference.learnable().items():
+            if paradigm == "UL":
+                assert np.array_equal(fused.learnable()[name], value)
+            else:
+                np.testing.assert_allclose(fused.learnable()[name], value, rtol=1e-9, atol=1e-12)
