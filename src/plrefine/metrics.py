@@ -106,13 +106,9 @@ def _report_from_scores(
     preds = np.argmax(scores, axis=1)
     correct = preds == labels
 
-    per_class = []
-    support = []
-    for c in range(space.C):
-        mask = labels == c
-        cnt = int(mask.sum())
-        support.append(cnt)
-        per_class.append(float(correct[mask].mean()) if cnt else 0.0)
+    support = np.bincount(labels, minlength=space.C)
+    hits = np.bincount(labels, weights=correct, minlength=space.C)
+    per_class = np.divide(hits, support, out=np.zeros(space.C), where=support > 0)
     overall = float(correct.mean())
 
     seen_acc = unseen_acc = harm = balance = None
@@ -131,8 +127,8 @@ def _report_from_scores(
 
     return EvalReport(
         overall=overall,
-        per_class=tuple(per_class),
-        support=tuple(support),
+        per_class=tuple(per_class.tolist()),
+        support=tuple(support.tolist()),
         seen_accuracy=seen_acc,
         unseen_accuracy=unseen_acc,
         harmonic=harm,

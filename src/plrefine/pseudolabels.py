@@ -18,8 +18,9 @@ from .core import UNLABELED, EmbeddingSet, frozen_array
 
 SCORE_TOLERANCE = 1e-6
 
-# Classes selected per pass of topk_per_class: each pass holds two (b, n)
-# arrays, the negated score block and argpartition's indices.
+# Classes selected per pass of topk_per_class: each pass holds at most two
+# (b, n) arrays, argpartition's indices and, for a scattered block, the
+# gathered class rows.
 CLASS_BLOCK = 64
 
 
@@ -68,7 +69,10 @@ class PseudolabelSet:
 def similarity_matrix(images: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Cosine similarities between unit-norm images (n, d) and prototypes (C, d).
 
-    With unit inputs this is a plain matrix product; the result is (n, C).
+    With unit inputs this is a plain matrix product. The result is (n, C)
+    but laid out class-major: it is the transpose of the C-contiguous
+    (C, n) product, so each class's scores are one contiguous row of
+    ``S.T``, which is how :func:`topk_per_class` reads them.
     """
     images = np.asarray(images, dtype=np.float64)
     prototypes = np.asarray(prototypes, dtype=np.float64)
@@ -76,7 +80,7 @@ def similarity_matrix(images: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: images {images.shape} vs prototypes {prototypes.shape}"
         )
-    return images @ prototypes.T
+    return (prototypes @ images.T).T
 
 
 def effective_k(requested_k: int, n_unlabeled: int, C: int) -> int:
@@ -106,11 +110,20 @@ def topk_per_class(
     descending score then ascending id.
 
     Cost: O(n·C) partition work plus O(C·k log k) ordering, with no
-    full-matrix copy. Classes go through in blocks of ``CLASS_BLOCK``: each
-    block's columns are copied once, negated, into a (b, n) array whose rows
-    ``argpartition`` splits at the k-th place. Only a class whose k-th best
-    score ties with a row outside its k winners is sorted in full, so that
-    the tie goes to the lower id.
+    full-matrix copy. Selection reads ``S.T``, one row per class, in blocks
+    of ``CLASS_BLOCK`` classes: a block whose classes form one ascending run
+    (``range(C)``) is a view of those rows, any other block is gathered into
+    a (b, n) array. ``argpartition`` splits each row at the (n-k)-th place,
+    so the winners are the last k. Only a class whose k-th best score ties
+    with a row outside its k winners is sorted in full, so that the tie goes
+    to the lower id. S from :func:`similarity_matrix` is class-major and its
+    class rows are contiguous; a row-major S gives the same result, only
+    more slowly.
+
+    Scores must be finite. A NaN in a selected class sorts above every
+    number, so it lands among that class's winners and the returned
+    :class:`PseudolabelSet` rejects it with ``ValueError``; a NaN in a
+    class outside ``class_subset`` is never read.
     """
     S = np.asarray(S, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.uint64)
@@ -130,7 +143,7 @@ def topk_per_class(
     cols = np.array(subset, dtype=np.int64)
     rows = np.concatenate(
         [
-            _topk_rows(S, cols[start : start + CLASS_BLOCK], k, ids)
+            _topk_rows(S.T, cols[start : start + CLASS_BLOCK], k, ids)
             for start in range(0, cols.size, CLASS_BLOCK)
         ]
     ).ravel()
@@ -138,20 +151,24 @@ def topk_per_class(
     return PseudolabelSet(ids[rows], classes, S[rows, classes], k_used=k)
 
 
-def _topk_rows(S: np.ndarray, cols: np.ndarray, k: int, ids: np.ndarray) -> np.ndarray:
-    """(b, k) row indices of the k best rows of each column in ``cols``.
+def _topk_rows(ST: np.ndarray, cols: np.ndarray, k: int, ids: np.ndarray) -> np.ndarray:
+    """(b, k) indices of the k best entries of each class row ``ST[c]``, c in ``cols``.
 
     Each row of the result is ordered by score descending, then id ascending.
     """
-    neg = np.negative(S[:, cols].T, order="C")  # (b, n): ascending = best first
-    top = np.argpartition(neg, k - 1, axis=1)[:, :k].copy()  # frees the (b, n) indices
-    boundary = np.take_along_axis(neg, top, axis=1).max(axis=1, keepdims=True)
+    n = ST.shape[1]
+    if np.all(np.diff(cols) == 1):
+        blk = ST[cols[0] : cols[-1] + 1]  # one ascending run: a view, no copy
+    else:
+        blk = ST[cols]
+    top = np.argpartition(blk, n - k, axis=1)[:, n - k :].copy()  # frees the (b, n) indices
+    boundary = np.take_along_axis(blk, top, axis=1).min(axis=1, keepdims=True)
     # More than k rows at or above the k-th best score: the partition split a
     # tie arbitrarily, so that class takes the full (score, id) sort instead.
-    for j in np.flatnonzero(np.count_nonzero(neg <= boundary, axis=1) > k):
-        top[j] = np.lexsort((ids, neg[j]))[:k]
-    top_neg = np.take_along_axis(neg, top, axis=1)
-    order = np.lexsort((ids[top], top_neg), axis=1)
+    for j in np.flatnonzero(np.count_nonzero(blk >= boundary, axis=1) > k):
+        top[j] = np.lexsort((ids, -blk[j]))[:k]
+    top_s = np.take_along_axis(blk, top, axis=1)
+    order = np.lexsort((ids[top], -top_s), axis=1)
     return np.take_along_axis(top, order, axis=1)
 
 

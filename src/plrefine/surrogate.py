@@ -23,6 +23,7 @@ differences; everything is float64.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -87,7 +88,22 @@ class PromptModel:
         return out
 
     def with_learnable(self, params: Dict[str, np.ndarray]) -> "PromptModel":
-        return replace(self, **params)
+        """A copy holding new ctx blocks of the same shapes.
+
+        Training calls this once per step, so the copy shares the mixers and
+        settings validated at construction instead of re-running
+        ``__post_init__``; only the new blocks are checked and frozen.
+        """
+        current = self.learnable()
+        out = copy.copy(self)
+        for name, value in params.items():
+            if name not in current:
+                raise ValueError(f"{name!r} is not a learnable block of this {self.modality} model")
+            value = frozen_array(value, np.float64)
+            if value.shape != current[name].shape:
+                raise ValueError(f"{name} must keep shape {current[name].shape}, got {value.shape}")
+            object.__setattr__(out, name, value)
+        return out
 
     def loss_and_grad(
         self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace, pools=None

@@ -219,6 +219,8 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
     pool_feats = task.train.features[split.pool_rows]
     pool_ids = task.train.ids[split.pool_rows]
+    # Row-major on purpose: softmax_rows' row sums over this S feed the
+    # threshold pseudolabels pinned in robinhood.json.
     S = pool_feats @ task.space.base_prototypes.T
     probs = softmax_rows(cfg.temperature * S)
 

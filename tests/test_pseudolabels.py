@@ -47,6 +47,16 @@ class TestSimilarityMatrix:
         assert np.allclose(S, Z @ W.T)
         assert np.all(np.abs(S) <= 1.0 + 1e-9)
 
+    def test_class_major_layout(self):
+        """(n, C) values whose transpose is C-contiguous: one row per class."""
+        rng = np.random.default_rng(11)
+        Z = _unit_rows(rng, 50, 8)
+        W = _unit_rows(rng, 7, 8)
+        S = similarity_matrix(Z, W)
+        assert S.shape == (50, 7)
+        assert S.T.flags.c_contiguous
+        np.testing.assert_allclose(S, Z @ W.T, rtol=0, atol=1e-15)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="dimension"):
@@ -160,6 +170,67 @@ class TestTopkPerClass:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * S.nbytes
+
+    def test_class_major_allocates_well_under_one_copy_of_s(self):
+        # A contiguous class subset is read through views of S.T's rows; only
+        # argpartition's (b, n) indices are allocated per block.
+        rng = np.random.default_rng(9)
+        n, C = 20000, 300
+        S = np.ascontiguousarray(rng.uniform(-1.0, 1.0, size=(C, n))).T
+        ids = np.arange(n, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            topk_per_class(S, 16, range(C), ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * S.nbytes
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["random", "ties"])
+    @pytest.mark.parametrize("subset", ["range", "scattered"])
+    def test_row_and_class_major_layouts_agree(self, quantized, subset):
+        """Same PseudolabelSet from a row-major S and its class-major copy,
+        on the view path (range(C)) and the gather path (a scattered,
+        unsorted subset over several class blocks), for k from 1 to n."""
+        rng = np.random.default_rng(12)
+        n, C = 45, 3 * CLASS_BLOCK + 9
+        S = rng.uniform(-1.0, 1.0, size=(n, C))
+        if quantized:
+            S = np.round(S / 0.05) * 0.05
+        ids = rng.permutation(4 * n)[:n].astype(np.uint64)
+        classes = range(C) if subset == "range" else rng.permutation(C)[: 2 * CLASS_BLOCK + 11]
+        row_major = np.ascontiguousarray(S)
+        class_major = np.ascontiguousarray(S.T).T
+        for k in (1, 2, 7, n):
+            a = topk_per_class(row_major, k, classes, ids)
+            b = topk_per_class(class_major, k, classes, ids)
+            for name in ("example_ids", "classes", "scores"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.k_used == b.k_used == k
+
+    @pytest.mark.parametrize("layout", ["row-major", "class-major"])
+    def test_nan_in_selected_class_rejected(self, layout):
+        rng = np.random.default_rng(13)
+        S = rng.uniform(-1.0, 1.0, size=(30, 5))
+        S[4, 2] = np.nan
+        if layout == "class-major":
+            S = np.ascontiguousarray(S.T).T
+        with pytest.raises(ValueError, match="finite"):
+            topk_per_class(S, 3, (0, 2), np.arange(30, dtype=np.uint64))
+
+    @pytest.mark.parametrize("subset", [(2, 3), (3, 0, 2)], ids=["view", "gather"])
+    def test_nan_outside_subset_not_read(self, subset):
+        # NaN classes sit right next to the selected ones, so a view or a
+        # gather that reached one class too far would raise.
+        rng = np.random.default_rng(14)
+        S = np.ascontiguousarray(rng.uniform(-1.0, 1.0, size=(5, 30))).T
+        ids = np.arange(30, dtype=np.uint64)
+        clean = topk_per_class(S, 3, subset, ids)
+        S.T[1] = np.nan
+        S.T[4, 7] = np.nan
+        pl = topk_per_class(S, 3, subset, ids)
+        assert pl.example_ids.tolist() == clean.example_ids.tolist()
+        assert pl.scores.tolist() == clean.scores.tolist()
 
     def test_emission_order_per_class(self):
         rng = np.random.default_rng(4)

@@ -147,6 +147,35 @@ class TestPromptModelContainer:
         assert np.array_equal(m2.text_ctx, m.text_ctx + 1.0)
         assert np.array_equal(m2.text_mix, m.text_mix)
 
+    def test_with_learnable_shares_frozen_parts(self, monkeypatch):
+        """The per-step copy skips __post_init__: same mixer objects,
+        settings carried over, new ctx frozen."""
+        m = init_prompt("multimodal", 3, 6, seed=2)
+        checked = []
+        monkeypatch.setattr(PromptModel, "__post_init__", checked.append)
+        m2 = m.with_learnable({"vis_ctx": np.ones((3, 6))})
+        assert checked == []
+        assert m2.text_mix is m.text_mix and m2.vis_mix is m.vis_mix
+        assert m2.text_ctx is m.text_ctx
+        assert (m2.modality, m2.temperature) == (m.modality, m.temperature)
+        assert m2.vis_ctx.dtype == np.float64 and not m2.vis_ctx.flags.writeable
+        assert np.array_equal(m2.vis_ctx, np.ones((3, 6))) and not np.array_equal(m.vis_ctx, m2.vis_ctx)
+
+    @pytest.mark.parametrize(
+        "modality, params",
+        [
+            ("textual", {"text_ctx": np.zeros((4, 6))}),
+            ("multimodal", {"vis_ctx": np.zeros((3, 5))}),
+            ("textual", {"vis_ctx": np.zeros((3, 6))}),
+            ("visual", {"text_mix": np.zeros((6, 18))}),
+        ],
+        ids=["text-shape", "vis-shape", "absent-side", "frozen-mixer"],
+    )
+    def test_with_learnable_rejects_bad_blocks(self, modality, params):
+        m = init_prompt(modality, 3, 6, seed=2)
+        with pytest.raises(ValueError):
+            m.with_learnable(params)
+
     def test_mix_shape_validated(self):
         m = init_prompt("textual", 3, 6, seed=2)
         with pytest.raises(ValueError):
