@@ -34,7 +34,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raw = json.load(fh)
     cfg = parse_config(raw)
     if args.seed_override:
-        cfg = dataclasses.replace(cfg, seeds=parse_seed_list(args.seed_override.split(",")))
+        seeds = parse_seed_list([int(s) for s in args.seed_override.split(",")])
+        cfg = dataclasses.replace(cfg, seeds=seeds)
     if "FPL" in cfg.strategies and "I" in raw and cfg.I != 1:
         print(
             f"warning: I={cfg.I} is ignored by FPL (it always runs a single iteration)",

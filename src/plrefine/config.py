@@ -1,70 +1,65 @@
 """Experiment config: a small, strictly validated JSON schema.
 
-Unknown keys are rejected at every level so a typo ("epochz") fails loudly
-instead of silently running defaults. The schema is versioned; bump
-SCHEMA_VERSION when the layout changes.
+The frozen dataclasses are the schema. ExperimentConfig's fields, in echo
+order, are the top-level keys (``task`` groups the synthetic spec or the two
+file paths, ``schedule`` holds the schedule overrides); TrainSchedule's and
+SyntheticSpec's fields are the ``schedule`` and ``synthetic`` keys. Defaults
+shared with a run are read from StrategyConfig and ParadigmConfig.
+
+One typing rule covers all three objects: a value must have its field's JSON
+type, and nothing is cast. An int key takes a JSON integer, never a bool; a
+float key takes any finite JSON number, widened to float; a bool key takes
+only true or false; a str key only a string. Unknown keys are rejected at
+every level so a typo ("epochz") fails loudly instead of silently running
+defaults. Every paradigm's run settings are built and checked at load time,
+before any cell runs. The schema is versioned; bump SCHEMA_VERSION when the
+layout changes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+import sys
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_args, get_type_hints
 
-from .core import PARADIGMS
-from .strategies import STRATEGIES, default_schedule
+from .core import PARADIGMS, ParadigmConfig, json_form
+from .strategies import STRATEGIES, StrategyConfig, default_schedule
 from .surrogate import MODALITIES
 from .synth import SyntheticSpec
 from .training import TrainSchedule
 
 SCHEMA_VERSION = 1
 
-_SCHEDULE_KEYS = {"epochs", "warmup_epochs", "warmup_lr", "peak_lr", "batch_size", "momentum"}
-_TASK_KEYS = {"synthetic", "train_path", "test_path"}
-_TOP_KEYS = {
-    "schema_version",
-    "output_dir",
-    "task",
-    "strategies",
-    "paradigms",
-    "seeds",
-    "K",
-    "I",
-    "modality",
-    "prompt_len",
-    "temperature",
-    "shots_per_class",
-    "schedule",
-    "dedup_pseudolabels",
-    "init_scale",
-    "init_spread",
-    "threshold_tau",
-    "split_seed",
-}
-_SYNTH_KEYS = {"C", "d", "labeled_per_class", "unlabeled_per_class", "sigma", "delta", "seed"}
+# ExperimentConfig fields that the echo groups under "task".
+_TASK_FIELDS = ("synthetic", "train_path", "test_path")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and canonicalized experiment description."""
+    """Parsed and canonicalized experiment description.
 
-    strategies: tuple
-    paradigms: tuple
-    seeds: tuple
+    Field order is the echo's key order; a field's ``key`` metadata names
+    its JSON key when that differs from the field name.
+    """
+
+    output_dir: str = "runs"
     synthetic: Optional[SyntheticSpec] = None
     train_path: Optional[str] = None
     test_path: Optional[str] = None
-    output_dir: str = "runs"
-    K: int = 16
-    I: int = 10
-    modality: str = "textual"
-    prompt_len: Optional[int] = None
-    temperature: float = 100.0
-    shots_per_class: int = 2
-    schedule_overrides: dict = field(default_factory=dict)
-    dedup_pseudolabels: bool = False
-    init_scale: float = 0.02
-    init_spread: str = "std"
+    strategies: tuple = ("GRIP",)
+    paradigms: tuple = ("UL",)
+    seeds: tuple = (0,)
+    K: int = StrategyConfig.K
+    I: int = StrategyConfig.I
+    modality: str = StrategyConfig.modality
+    prompt_len: Optional[int] = StrategyConfig.prompt_len
+    temperature: float = StrategyConfig.temperature
+    shots_per_class: int = ParadigmConfig.shots_per_class
+    schedule_overrides: dict = field(default_factory=dict, metadata={"key": "schedule"})
+    dedup_pseudolabels: bool = StrategyConfig.dedup_pseudolabels
+    init_scale: float = StrategyConfig.init_scale
+    init_spread: str = StrategyConfig.init_spread
     threshold_tau: float = 0.95
     split_seed: int = 0
 
@@ -72,34 +67,62 @@ class ExperimentConfig:
         """Schedule with the modality-appropriate peak lr unless overridden."""
         return default_schedule(self.modality, **self.schedule_overrides)
 
+    def run_config(self, strategy: str, paradigm: str, seed: int) -> StrategyConfig:
+        """One sweep cell's settings; keys shared with the run configs are
+        copied by name."""
+        return StrategyConfig(
+            strategy,
+            ParadigmConfig(paradigm, **self._shared(ParadigmConfig)),
+            seed=seed,
+            schedule=self.schedule(),
+            **self._shared(StrategyConfig),
+        )
+
+    def _shared(self, cls) -> dict:
+        mine = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in mine}
+
     def echo(self) -> dict:
         """Canonical dict form, embedded into result.json for provenance."""
-        task: dict = {}
-        if self.synthetic is not None:
-            task["synthetic"] = self.synthetic.to_dict()
-        else:
-            task["train_path"] = self.train_path
-            task["test_path"] = self.test_path
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "output_dir": self.output_dir,
-            "task": task,
-            "strategies": list(self.strategies),
-            "paradigms": list(self.paradigms),
-            "seeds": list(self.seeds),
-            "K": self.K,
-            "I": self.I,
-            "modality": self.modality,
-            "prompt_len": self.prompt_len,
-            "temperature": self.temperature,
-            "shots_per_class": self.shots_per_class,
-            "schedule": dict(sorted(self.schedule_overrides.items())),
-            "dedup_pseudolabels": self.dedup_pseudolabels,
-            "init_scale": self.init_scale,
-            "init_spread": self.init_spread,
-            "threshold_tau": self.threshold_tau,
-            "split_seed": self.split_seed,
-        }
+        out: dict = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = json_form(getattr(self, f.name))
+            if f.name not in _TASK_FIELDS:
+                out[f.metadata.get("key", f.name)] = value
+            elif value is not None:
+                out.setdefault("task", {})[f.name] = value
+        return out
+
+
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(key: str, value, hint):
+    """value if it has the JSON type of a field hinted ``hint``; never a cast.
+
+    Optional[...] also takes null; a float also takes a JSON integer, widened.
+    """
+    args = get_args(hint)
+    if value is None and type(None) in args:
+        return None
+    kind = args[0] if args else hint
+    if kind is float:
+        # Compared exactly, so NaN, infinities and integers beyond the float
+        # range all fail here instead of overflowing.
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind:
+        return value
+    raise ValueError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
+
+
+def _typed_fields(raw, cls, where: str) -> dict:
+    """raw's keys checked against cls's fields: known names, JSON types."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be an object")
+    _reject_unknown(raw, {f.name for f in fields(cls)}, where)
+    hints = get_type_hints(cls)
+    return {key: _typed(key, value, hints[key]) for key, value in raw.items()}
 
 
 def _reject_unknown(given: dict, allowed: set, where: str) -> None:
@@ -108,57 +131,56 @@ def _reject_unknown(given: dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown {where} key(s): {', '.join(repr(k) for k in unknown)}")
 
 
-def _as_str_list(value, what: str, allowed: tuple) -> tuple:
-    items = [value] if isinstance(value, str) else list(value)
-    out = []
-    for item in items:
-        canon = str(item).upper()
-        if canon not in allowed:
-            raise ValueError(f"unknown {what} {item!r}; expected one of {allowed}")
-        out.append(canon)
-    if not out:
+def _names(value, key: str, what: str, allowed: tuple) -> tuple:
+    """One name or a list of names, matched case-insensitively."""
+    items = [value] if isinstance(value, str) else value
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise ValueError(f"{key} must be a string or a list of strings, got {value!r}")
+    if not items:
         raise ValueError(f"{what} list must not be empty")
-    return tuple(out)
-
-
-def _int_value(value, key: str) -> int:
-    """An integer from JSON as given: bools and floats are rejected, not cast."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+    for item in items:
+        if item.upper() not in allowed:
+            raise ValueError(f"unknown {what} {item!r}; expected one of {allowed}")
+    return tuple(item.upper() for item in items)
 
 
 def parse_seed_list(value) -> tuple:
-    """Seeds as a tuple of distinct non-negative ints (one int is a list of one).
-
-    Items are ints, or decimal strings as the command line passes them.
-    """
-    items = [value] if isinstance(value, int) else list(value)
-    seeds = []
-    for s in items:
-        s = int(s) if isinstance(s, str) else _int_value(s, "seeds")
-        if s < 0:
-            raise ValueError("seeds must be non-negative")
-        seeds.append(s)
+    """Seeds as a tuple of distinct non-negative ints (one int is a list of one)."""
+    items = value if isinstance(value, list) else [value]
+    seeds = tuple(_typed("seeds", s, int) for s in items)
+    if any(s < 0 for s in seeds):
+        raise ValueError("seeds must be non-negative")
     if not seeds:
         raise ValueError("seeds list must not be empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    return tuple(seeds)
+    return seeds
 
 
 def parse_synthetic_spec(raw: dict) -> SyntheticSpec:
-    if not isinstance(raw, dict):
-        raise ValueError("synthetic spec must be an object")
-    _reject_unknown(raw, _SYNTH_KEYS, "synthetic spec")
-    return SyntheticSpec(**raw)
+    return SyntheticSpec(**_typed_fields(raw, SyntheticSpec, "synthetic spec"))
+
+
+# Keys whose values are not plain scalars, with their parsers.
+_PARSERS = {
+    "strategies": lambda v: _names(v, "strategies", "strategy", STRATEGIES),
+    "paradigms": lambda v: _names(v, "paradigms", "paradigm", PARADIGMS),
+    "seeds": parse_seed_list,
+    "modality": lambda v: _typed("modality", v, str).lower(),
+    "schedule": lambda v: dict(sorted(_typed_fields(v, TrainSchedule, "schedule").items())),
+}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object and return the canonical config."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    keys = {
+        f.metadata.get("key", f.name): f.name
+        for f in fields(ExperimentConfig)
+        if f.name not in _TASK_FIELDS
+    }
+    _reject_unknown(raw, {"schema_version", "task", *keys}, "config")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"config schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -166,57 +188,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
     task = raw.get("task")
     if not isinstance(task, dict):
         raise ValueError("config requires a 'task' object")
-    _reject_unknown(task, _TASK_KEYS, "task")
-    synthetic = None
-    train_path = test_path = None
+    _reject_unknown(task, set(_TASK_FIELDS), "task")
+    hints = get_type_hints(ExperimentConfig)
+    values: dict = {}
     if "synthetic" in task:
         if "train_path" in task or "test_path" in task:
             raise ValueError("task must be either synthetic or file paths, not both")
-        synthetic = parse_synthetic_spec(task["synthetic"])
+        values["synthetic"] = parse_synthetic_spec(task["synthetic"])
     else:
-        train_path = task.get("train_path")
-        test_path = task.get("test_path")
-        if not train_path or not test_path:
+        for name in ("train_path", "test_path"):
+            values[name] = _typed(name, task.get(name), hints[name])
+        if not values["train_path"] or not values["test_path"]:
             raise ValueError("file task needs both 'train_path' and 'test_path'")
 
-    schedule_raw = raw.get("schedule", {})
-    if not isinstance(schedule_raw, dict):
-        raise ValueError("schedule must be an object")
-    _reject_unknown(schedule_raw, _SCHEDULE_KEYS, "schedule")
-    schedule_overrides = {k: v for k, v in schedule_raw.items() if v is not None}
+    for key, name in keys.items():
+        if key in raw:
+            parse = _PARSERS.get(key)
+            values[name] = parse(raw[key]) if parse else _typed(key, raw[key], hints[name])
+    cfg = ExperimentConfig(**values)
 
-    modality = str(raw.get("modality", "textual")).lower()
-    if modality not in MODALITIES:
-        raise ValueError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
-    init_spread = str(raw.get("init_spread", "std"))
-    if init_spread not in ("std", "variance"):
-        raise ValueError("init_spread must be 'std' or 'variance'")
-    dedup = raw.get("dedup_pseudolabels", False)
-    if not isinstance(dedup, bool):
-        raise ValueError(f"dedup_pseudolabels must be true or false, got {dedup!r}")
-    prompt_len = raw.get("prompt_len")
-
-    cfg = ExperimentConfig(
-        strategies=_as_str_list(raw.get("strategies", "GRIP"), "strategy", STRATEGIES),
-        paradigms=_as_str_list(raw.get("paradigms", "UL"), "paradigm", PARADIGMS),
-        seeds=parse_seed_list(raw.get("seeds", [0])),
-        synthetic=synthetic,
-        train_path=train_path,
-        test_path=test_path,
-        output_dir=str(raw.get("output_dir", "runs")),
-        K=_int_value(raw.get("K", 16), "K"),
-        I=_int_value(raw.get("I", 10), "I"),
-        modality=modality,
-        prompt_len=None if prompt_len is None else _int_value(prompt_len, "prompt_len"),
-        temperature=float(raw.get("temperature", 100.0)),
-        shots_per_class=_int_value(raw.get("shots_per_class", 2), "shots_per_class"),
-        schedule_overrides=schedule_overrides,
-        dedup_pseudolabels=dedup,
-        init_scale=float(raw.get("init_scale", 0.02)),
-        init_spread=init_spread,
-        threshold_tau=float(raw.get("threshold_tau", 0.95)),
-        split_seed=_int_value(raw.get("split_seed", 0), "split_seed"),
-    )
+    # The modality goes first: the schedule's default peak lr depends on it.
+    if cfg.modality not in MODALITIES:
+        raise ValueError(f"unknown modality {cfg.modality!r}; expected one of {MODALITIES}")
     if cfg.K < 1 or cfg.I < 1:
         raise ValueError("K and I must be at least 1")
     if cfg.prompt_len is not None and cfg.prompt_len < 1:
@@ -227,7 +220,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ValueError(f"init_scale must be non-negative, got {cfg.init_scale}")
     if not 0.0 <= cfg.threshold_tau < 1.0:
         raise ValueError("threshold_tau must lie in [0, 1)")
-    cfg.schedule()  # validate schedule overrides eagerly
+    # Each paradigm's run settings, so the run configs' own checks (schedule,
+    # shots per class, init_spread) fire here rather than deep inside a run.
+    for paradigm in cfg.paradigms:
+        cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
     return cfg
 
 

@@ -11,7 +11,7 @@ shared across worker processes without copies or locks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,6 +50,14 @@ def frozen_array(arr, dtype=None) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
     out.setflags(write=False)
     return out
+
+
+def json_form(value):
+    """A value as it goes into the JSON outputs: a dataclass becomes an object
+    of its fields in order, a tuple a list; anything else is kept."""
+    if is_dataclass(value):
+        return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tuple:
@@ -256,6 +264,8 @@ class ParadigmConfig:
             raise ValueError(f"unknown paradigm {self.paradigm!r}; expected one of {PARADIGMS}")
         if self.shots_per_class < 0:
             raise ValueError("shots_per_class must be non-negative")
+        if self.paradigm == "SSL" and self.shots_per_class < 1:
+            raise ValueError("SSL needs at least one labeled shot per class")
         if self.gamma is not None and self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.lam is not None and self.lam < 0:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, UNLABELED
+from .core import ClassSpace, EmbeddingSet, UNLABELED, json_form
 from .pseudolabels import PseudolabelSet
 
 
@@ -38,15 +38,7 @@ class EvalReport:
     class_balance: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "per_class": list(self.per_class),
-            "support": list(self.support),
-            "seen_accuracy": self.seen_accuracy,
-            "unseen_accuracy": self.unseen_accuracy,
-            "harmonic": self.harmonic,
-            "class_balance": self.class_balance,
-        }
+        return json_form(self)
 
 
 @dataclass(frozen=True)
@@ -65,13 +57,7 @@ class RobinHoodReport:
     per_class_delta: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "poor_classes": list(self.poor_classes),
-            "rich_classes": list(self.rich_classes),
-            "mean_delta_poor": self.mean_delta_poor,
-            "mean_delta_rich": self.mean_delta_rich,
-            "per_class_delta": list(self.per_class_delta),
-        }
+        return json_form(self)
 
 
 def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:

@@ -29,6 +29,7 @@ from .core import (
     Task,
     UNLABELED,
     frozen_array,
+    json_form,
     paradigm_weights,
     sample_shots,
 )
@@ -56,10 +57,6 @@ DEFAULT_PROMPT_LEN = {"textual": 16, "visual": 16, "multimodal": 8}
 
 # Multimodal runs train two ctx blocks at once and need the gentler peak.
 DEFAULT_PEAK_LR = {"textual": 0.1, "visual": 0.1, "multimodal": 0.01}
-
-
-def default_prompt_len(modality: str) -> int:
-    return DEFAULT_PROMPT_LEN[modality]
 
 
 def default_schedule(modality: str, **overrides) -> TrainSchedule:
@@ -96,9 +93,11 @@ class StrategyConfig:
             raise ValueError("I must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.init_spread not in ("std", "variance"):
+            raise ValueError("init_spread must be 'std' or 'variance'")
 
     def resolved_prompt_len(self) -> int:
-        return self.prompt_len if self.prompt_len is not None else default_prompt_len(self.modality)
+        return self.prompt_len if self.prompt_len is not None else DEFAULT_PROMPT_LEN[self.modality]
 
     def resolved_schedule(self) -> TrainSchedule:
         return self.schedule if self.schedule is not None else default_schedule(self.modality)
@@ -149,15 +148,7 @@ class IterationRecord:
     unseen_accuracy: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "k_used": self.k_used,
-            "n_pseudo": self.n_pseudo,
-            "pseudolabel_accuracy": self.pseudolabel_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "seen_accuracy": self.seen_accuracy,
-            "unseen_accuracy": self.unseen_accuracy,
-        }
+        return json_form(self)
 
 
 @dataclass(frozen=True)
@@ -213,8 +204,6 @@ def wire_paradigm(
     all_classes = tuple(range(space.C))
     empty = LabeledSubset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     if cfg.paradigm == "SSL":
-        if cfg.shots_per_class < 1:
-            raise ValueError("SSL needs at least one labeled shot per class")
         labeled = sample_shots(data, all_classes, cfg.shots_per_class, seed)
         pool = np.setdiff1d(np.arange(data.n, dtype=np.int64), labeled.rows)
         return ParadigmSplit(labeled, pool, all_classes)

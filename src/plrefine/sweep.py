@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import SCHEMA_VERSION, ExperimentConfig
-from .core import UNLABELED, ClassSpace, ParadigmConfig, Task, make_trzsl_split, paradigm_weights
+from .core import UNLABELED, ClassSpace, Task, make_trzsl_split, paradigm_weights
 from .fileio import read_ple
 from .metrics import (
     evaluate,
@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .probe import init_linear_probe
 from .pseudolabels import effective_k, pseudolabel_accuracy, topk_per_class
-from .strategies import StrategyConfig, run_strategy, wire_paradigm
+from .strategies import run_strategy, wire_paradigm
 from .surrogate import reinit_ctx
 from .synth import synth_generate
 from .training import train
@@ -70,28 +70,11 @@ def load_task(cfg: ExperimentConfig) -> Task:
     return task
 
 
-def strategy_config(cfg: ExperimentConfig, strategy: str, paradigm: str, seed: int) -> StrategyConfig:
-    return StrategyConfig(
-        strategy=strategy,
-        paradigm=ParadigmConfig(paradigm, shots_per_class=cfg.shots_per_class),
-        K=cfg.K,
-        I=cfg.I,
-        seed=seed,
-        modality=cfg.modality,
-        prompt_len=cfg.prompt_len,
-        temperature=cfg.temperature,
-        schedule=cfg.schedule(),
-        dedup_pseudolabels=cfg.dedup_pseudolabels,
-        init_scale=cfg.init_scale,
-        init_spread=cfg.init_spread,
-    )
-
-
 def _run_cell(args: Tuple[ExperimentConfig, str, str, int]) -> dict:
     """One sweep cell, returned as plain dicts so it can cross processes."""
     cfg, strategy, paradigm, seed = args
     task = load_task(cfg)
-    result = run_strategy(strategy_config(cfg, strategy, paradigm, seed), task)
+    result = run_strategy(cfg.run_config(strategy, paradigm, seed), task)
     baseline = zero_shot_report(task.test, task.space)
     return {
         "strategy": strategy,
@@ -215,7 +198,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     task = load_task(cfg)
     seed = cfg.seeds[0]
     # One pseudolabeling pass and one training per head, as in an FPL run.
-    run_cfg = strategy_config(cfg, "FPL", "SSL", seed)
+    run_cfg = cfg.run_config("FPL", "SSL", seed)
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
     pool_feats = task.train.features[split.pool_rows]
     pool_ids = task.train.ids[split.pool_rows]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, Task, make_trzsl_split, unit_normalize
+from .core import ClassSpace, EmbeddingSet, Task, json_form, make_trzsl_split, unit_normalize
 
 TEST_FRACTION = 0.25
 
@@ -54,15 +54,7 @@ class SyntheticSpec:
             raise ValueError("seed must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "d": self.d,
-            "labeled_per_class": self.labeled_per_class,
-            "unlabeled_per_class": self.unlabeled_per_class,
-            "sigma": self.sigma,
-            "delta": self.delta,
-            "seed": self.seed,
-        }
+        return json_form(self)
 
 
 def _noise_scale(scale: float, d: int) -> float:

@@ -252,6 +252,23 @@ class TestFailurePaths:
         assert payload["type"] == "ValueError"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "shots,message", [(0, "SSL needs at least one labeled shot"), (-1, "non-negative")]
+    )
+    def test_ssl_without_shots_fails_before_any_run(self, tmp_path, capsys, shots, message):
+        cfg_path = _write_config(tmp_path, paradigms=["UL", "SSL"], shots_per_class=shots)
+        assert main(["run", str(cfg_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert message in payload["error"]
+        assert payload["type"] == "ValueError"
+        assert not (tmp_path / "runs").exists()
+
+    def test_seed_override_takes_integers_only(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path)
+        assert main(["run", str(cfg_path), "--seed-override", "0,x"]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["type"] == "ValueError"
+        assert not (tmp_path / "runs").exists()
+
     def test_inspect_rejects_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.ple"
         path.write_bytes(b"garbage")

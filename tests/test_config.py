@@ -1,7 +1,10 @@
 """Experiment config parsing tests: defaults, canonical echo, and the
-fail-fast rejection of unknown keys at every nesting level."""
+fail-fast rejection of unknown keys and of values of the wrong JSON type at
+every nesting level."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -128,10 +131,92 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             parse_config(_minimal(**{key: value}))
 
-    @pytest.mark.parametrize("seeds", [[True], [0, 1.5]])
+    @pytest.mark.parametrize("seeds", [[True], [0, 1.5], ["3"]])
     def test_seeds_not_coerced(self, seeds):
         with pytest.raises(ValueError, match="seeds must be an integer"):
             parse_config(_minimal(seeds=seeds))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("temperature", "100", "temperature must be a finite number"),
+            ("temperature", True, "temperature must be a finite number"),
+            ("temperature", float("inf"), "temperature must be a finite number"),
+            ("init_scale", float("inf"), "init_scale must be a finite number"),
+            ("init_scale", float("nan"), "init_scale must be a finite number"),
+            ("temperature", 10**400, "temperature must be a finite number"),
+            ("threshold_tau", "0.5", "threshold_tau must be a finite number"),
+            ("output_dir", 5, "output_dir must be a string"),
+            ("strategies", {"GRIP": 1}, "strategies must be a string or a list of strings"),
+        ],
+    )
+    def test_top_level_types_not_coerced(self, key, value, message):
+        # Through JSON text, as a config file would give it (Infinity included).
+        raw = json.loads(json.dumps(_minimal(**{key: value})))
+        with pytest.raises(ValueError, match=message):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({"epochs": 2.5}, "epochs must be an integer"),
+            ({"epochs": True}, "epochs must be an integer"),
+            ({"batch_size": 1.5}, "batch_size must be an integer"),
+            ({"peak_lr": "0.1"}, "peak_lr must be a finite number"),
+            ({"momentum": "0.9"}, "momentum must be a finite number"),
+        ],
+    )
+    def test_schedule_types_not_coerced(self, schedule, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(_minimal(schedule=schedule))
+
+    @pytest.mark.parametrize(
+        "synthetic, message",
+        [({"C": 4.0}, "C must be an integer"), ({"sigma": "0.6"}, "sigma must be a finite number")],
+    )
+    def test_synthetic_types_not_coerced(self, synthetic, message):
+        raw = _minimal()
+        raw["task"]["synthetic"].update(synthetic)
+        with pytest.raises(ValueError, match=message):
+            parse_config(raw)
+
+    def test_file_task_paths_must_be_strings(self):
+        raw = _minimal()
+        raw["task"] = {"train_path": 5, "test_path": "b.ple"}
+        with pytest.raises(ValueError, match="train_path must be a string"):
+            parse_config(raw)
+
+    def test_float_keys_widen_integers(self):
+        raw = _minimal(temperature=50, init_scale=0, schedule={"peak_lr": 1})
+        raw["task"]["synthetic"]["sigma"] = 1
+        cfg = parse_config(raw)
+        assert type(cfg.temperature) is float and cfg.temperature == 50.0
+        assert type(cfg.init_scale) is float
+        assert type(cfg.schedule().peak_lr) is float
+        assert type(cfg.synthetic.sigma) is float
+
+    @pytest.mark.parametrize(
+        "shots, message",
+        [(0, "SSL needs at least one labeled shot"), (-1, "shots_per_class must be non-negative")],
+    )
+    def test_ssl_shots_checked_at_load(self, shots, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(_minimal(paradigms=["UL", "SSL"], shots_per_class=shots))
+
+    def test_zero_shots_fine_without_ssl(self):
+        assert parse_config(_minimal(paradigms=["UL", "SL"], shots_per_class=0)).shots_per_class == 0
+
+    def test_run_config_copies_shared_keys(self):
+        raw = _minimal(K=3, I=2, modality="visual", prompt_len=4, temperature=20, shots_per_class=1)
+        raw.update(dedup_pseudolabels=True, init_scale=0.5, init_spread="variance", schedule={"epochs": 7})
+        cfg = parse_config(raw)
+        run = cfg.run_config("GRIP", "SSL", 5)
+        assert (run.strategy, run.paradigm.paradigm, run.seed) == ("GRIP", "SSL", 5)
+        assert run.paradigm.shots_per_class == 1
+        assert (run.K, run.I, run.modality, run.prompt_len) == (3, 2, "visual", 4)
+        assert (run.temperature, run.init_scale, run.init_spread) == (20.0, 0.5, "variance")
+        assert run.dedup_pseudolabels is True
+        assert run.schedule == cfg.schedule() and run.schedule.epochs == 7
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_dedup_must_be_bool(self, value):
@@ -199,6 +284,113 @@ class TestEcho:
         cfg = parse_config(raw)
         echoed = cfg.echo()
         assert echoed["task"] == {"train_path": "a.ple", "test_path": "b.ple"}
+
+
+    # Every key set, top-level and schedule keys given out of echo order:
+    # the echo must come back in its canonical order regardless.
+    _EVERY_KEY = {
+        "split_seed": 2,
+        "threshold_tau": 0.5,
+        "init_spread": "variance",
+        "init_scale": 0.01,
+        "dedup_pseudolabels": True,
+        "schedule": {
+            "momentum": 0.8,
+            "batch_size": 16,
+            "peak_lr": 0.05,
+            "warmup_lr": 0.001,
+            "warmup_epochs": 1,
+            "epochs": 6,
+        },
+        "shots_per_class": 1,
+        "temperature": 50,
+        "prompt_len": 4,
+        "modality": "multimodal",
+        "I": 3,
+        "K": 4,
+        "seeds": [3, 1],
+        "paradigms": ["SSL", "TRZSL"],
+        "strategies": ["GRIP", "FPL"],
+        "task": {
+            "synthetic": {
+                "seed": 7,
+                "delta": 0.25,
+                "sigma": 0.5,
+                "unlabeled_per_class": 10,
+                "labeled_per_class": 3,
+                "d": 8,
+                "C": 4,
+            }
+        },
+        "output_dir": "out",
+        "schema_version": 1,
+    }
+
+    def _every_key_echo(self, task):
+        return {
+            "schema_version": 1,
+            "output_dir": "out",
+            "task": task,
+            "strategies": ["GRIP", "FPL"],
+            "paradigms": ["SSL", "TRZSL"],
+            "seeds": [3, 1],
+            "K": 4,
+            "I": 3,
+            "modality": "multimodal",
+            "prompt_len": 4,
+            "temperature": 50.0,
+            "shots_per_class": 1,
+            "schedule": {
+                "batch_size": 16,
+                "epochs": 6,
+                "momentum": 0.8,
+                "peak_lr": 0.05,
+                "warmup_epochs": 1,
+                "warmup_lr": 0.001,
+            },
+            "dedup_pseudolabels": True,
+            "init_scale": 0.01,
+            "init_spread": "variance",
+            "threshold_tau": 0.5,
+            "split_seed": 2,
+        }
+
+    def test_every_key_echo_pinned(self):
+        echoed = parse_config(json.loads(json.dumps(self._EVERY_KEY))).echo()
+        synthetic = {
+            "C": 4,
+            "d": 8,
+            "labeled_per_class": 3,
+            "unlabeled_per_class": 10,
+            "sigma": 0.5,
+            "delta": 0.25,
+            "seed": 7,
+        }
+        expected = self._every_key_echo({"synthetic": synthetic})
+        assert echoed == expected
+        assert list(echoed) == list(expected)
+        assert list(echoed["schedule"]) == list(expected["schedule"])
+        assert list(echoed["task"]["synthetic"]) == list(synthetic)
+        assert json.dumps(echoed) == json.dumps(expected)
+
+    def test_every_key_file_task_echo_pinned(self):
+        raw = json.loads(json.dumps(self._EVERY_KEY))
+        raw["task"] = {"test_path": "b.ple", "train_path": "a.ple"}
+        echoed = parse_config(raw).echo()
+        expected = self._every_key_echo({"train_path": "a.ple", "test_path": "b.ple"})
+        assert echoed == expected
+        assert list(echoed) == list(expected)
+        assert list(echoed["task"]) == ["train_path", "test_path"]
+        assert json.dumps(echoed) == json.dumps(expected)
+
+
+class TestReadme:
+    def test_config_schema_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^### Config schema\n+```json\n(.*?)^```", readme, re.M | re.S)
+        assert block is not None, "README has no ### Config schema JSON block"
+        cfg = parse_config(json.loads(block.group(1)))
+        assert parse_config(cfg.echo()) == cfg
 
 
 class TestParseSyntheticSpec:

@@ -107,6 +107,14 @@ class TestDefaults:
         with pytest.raises(ValueError, match="I must be"):
             StrategyConfig("FPL", ParadigmConfig("UL"), I=0)
 
+    def test_init_spread_checked_at_construction(self):
+        with pytest.raises(ValueError, match="init_spread must be 'std' or 'variance'"):
+            StrategyConfig("FPL", ParadigmConfig("UL"), init_spread="sigma")
+
+    def test_ssl_without_shots_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="SSL needs at least one labeled shot per class"):
+            ParadigmConfig("SSL", shots_per_class=0)
+
 
 class TestWireParadigm:
     def test_ssl_split(self, small_task):
