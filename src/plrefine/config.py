@@ -25,7 +25,6 @@ from typing import Optional, get_args, get_type_hints
 
 from .core import PARADIGMS, ParadigmConfig, json_form
 from .strategies import STRATEGIES, StrategyConfig, default_schedule
-from .surrogate import MODALITIES
 from .synth import SyntheticSpec
 from .training import TrainSchedule
 
@@ -207,9 +206,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             values[name] = parse(raw[key]) if parse else _typed(key, raw[key], hints[name])
     cfg = ExperimentConfig(**values)
 
-    # The modality goes first: the schedule's default peak lr depends on it.
-    if cfg.modality not in MODALITIES:
-        raise ValueError(f"unknown modality {cfg.modality!r}; expected one of {MODALITIES}")
     if cfg.K < 1 or cfg.I < 1:
         raise ValueError("K and I must be at least 1")
     if cfg.prompt_len is not None and cfg.prompt_len < 1:

@@ -26,6 +26,10 @@ SEEN_FRACTION = 0.62
 
 NORM_TOLERANCE = 1e-5
 
+# Rows per pass of softmax_cross_entropy: a block of 128 rows and its exp
+# temporary take 2 MB at C=1000, so the passes over a block hit cache.
+CE_BLOCK_ROWS = 128
+
 
 def unit_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Scale vectors to unit L2 norm along ``axis``.
@@ -70,8 +74,23 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     lie in [0, C). The log-sum-exp is max-shifted and grouped as
     (shift - label logit) + log-sum, so uniform logits give exactly ln(C); a
     non-finite loss raises rather than propagating.
+
+    S is consumed: dL/dS is written over it and returned as G, so a loss
+    call holds one (n, C) matrix instead of three. S must be a writeable 2-D
+    float64 array the caller no longer needs; that and the labels' shape
+    are checked before anything is written. Every pass is row-local, so
+    they all run on one block of CE_BLOCK_ROWS rows at a time: the block
+    and its (CE_BLOCK_ROWS, C) exp temporary stay in cache between passes,
+    and each row's values are exactly those of the whole-matrix passes.
     """
+    if not isinstance(S, np.ndarray) or S.ndim != 2 or S.dtype != np.float64:
+        raise ValueError("logits S must be a 2-D float64 array")
+    if not S.flags.writeable:
+        raise ValueError("logits S must be writeable: dL/dS is written over it")
     n, C = S.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if n == 0:
         raise ValueError("empty batch")
     if pools is None:
@@ -88,23 +107,37 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     outside = (labels < 0) | (labels >= C)
     if outside.any():
         raise ValueError(f"label {int(labels[outside][0])} outside [0, {C})")
-    rows = np.arange(n)
-    shift = S.max(axis=1, keepdims=True)
-    rel = np.log(np.sum(np.exp(S - shift), axis=1))
-    per_row = (shift[:, 0] - S[rows, labels]) + rel
-    G = np.exp(S - (shift[:, 0] + rel)[:, None])
-    G[rows, labels] -= 1.0
+    per_row = np.empty(n)
+    local = np.arange(min(n, CE_BLOCK_ROWS))
+    pool, start = 0, 0  # the first pool meeting the block, and its first row
+    for lo in range(0, n, CE_BLOCK_ROWS):
+        hi = min(lo + CE_BLOCK_ROWS, n)
+        blk, lab, at = S[lo:hi], labels[lo:hi], local[: hi - lo]
+        shift = blk.max(axis=1)
+        e = blk - shift[:, None]
+        np.exp(e, out=e)
+        rel = np.log(e.sum(axis=1))
+        per_row[lo:hi] = (shift - blk[at, lab]) + rel
+        blk -= (shift + rel)[:, None]
+        np.exp(blk, out=blk)
+        blk[at, lab] -= 1.0
+        while start < hi:  # scale each pool's rows inside [lo, hi)
+            count, weight = counts[pool], weights[pool]
+            part = S[max(start, lo) : min(start + count, hi)]
+            part /= count
+            if weight != 1.0:  # a unit weight needs no second pass over its rows
+                part *= weight
+            if start + count > hi:
+                break
+            start += count
+            pool += 1
     loss, start = 0.0, 0
     for count, weight in zip(counts, weights):
-        loss += weight * float(np.mean(per_row[start : start + count]))
-        block = G[start : start + count]
-        block /= count
-        if weight != 1.0:  # a unit weight needs no second pass over its rows
-            block *= weight
+        loss += weight * (float(per_row[start : start + count].sum()) / count)
         start += count
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise FloatingPointError("numerical overflow in cross-entropy loss")
-    return loss, G
+    return loss, S
 
 
 @dataclass(frozen=True)

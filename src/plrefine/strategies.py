@@ -44,8 +44,8 @@ from .pseudolabels import (
 from .surrogate import (
     DEFAULT_CTX_SCALE,
     DEFAULT_TEMPERATURE,
-    MODALITIES,
     PromptModel,
+    check_modality,
     class_prototypes,
     image_features,
     init_prompt,
@@ -60,6 +60,7 @@ DEFAULT_PEAK_LR = {"textual": 0.1, "visual": 0.1, "multimodal": 0.01}
 
 
 def default_schedule(modality: str, **overrides) -> TrainSchedule:
+    check_modality(modality)
     kwargs = {"peak_lr": DEFAULT_PEAK_LR[modality]}
     kwargs.update(overrides)
     return TrainSchedule(**kwargs)
@@ -85,8 +86,7 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGY_PLANS:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}; expected one of {MODALITIES}")
+        check_modality(self.modality)
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if self.I < 1:

@@ -37,6 +37,11 @@ DEFAULT_TEMPERATURE = 100.0
 DEFAULT_CTX_SCALE = 0.02
 
 
+def check_modality(modality: str) -> None:
+    if modality not in MODALITIES:
+        raise ValueError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
+
+
 @dataclass(frozen=True)
 class PromptModel:
     """Learnable context vectors plus frozen mixing maps.
@@ -55,8 +60,7 @@ class PromptModel:
     vis_mix: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}; expected one of {MODALITIES}")
+        check_modality(self.modality)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         has_text = self.modality in ("textual", "multimodal")
@@ -143,8 +147,7 @@ def init_prompt(
     drawn. Mixer entries are scaled by 1/sqrt(M*d), which keeps the offset
     magnitude comparable across prompt lengths.
     """
-    if modality not in MODALITIES:
-        raise ValueError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
+    check_modality(modality)
     if M < 1 or d < 1:
         raise ValueError("M and d must be positive")
     sigma = _ctx_sigma(scale, spread)
@@ -264,7 +267,10 @@ def batch_loss_and_grad(
     core.softmax_cross_entropy with its ``pools`` block list (consecutive
     (row count, weight) blocks of feats; None is the plain mean), so several
     weighted pools share one forward pass and one backward pass per route.
-    A non-finite loss or gradient raises rather than propagating.
+    The logits are built in one fresh (n, C) buffer that the cross-entropy
+    overwrites with dL/dS, so a call allocates one (n, C) matrix; feats, the
+    prototypes and the model are never written. A non-finite loss or
+    gradient raises rather than propagating.
 
     Backward pass, for reference: with P the softmax and Y one-hot,
     G = w (P - Y)/n_b on a block of n_b rows and weight w is dL/dS, so
@@ -292,7 +298,9 @@ def batch_loss_and_grad(
     else:
         Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "prototype")
 
-    loss, G = softmax_cross_entropy(tau * (Zp @ Wp.T), labels, pools)
+    S = Zp @ Wp.T
+    S *= tau
+    loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
 
     grads = {}
     if model.text_ctx is not None:

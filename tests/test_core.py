@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from plrefine.core import (
+    CE_BLOCK_ROWS,
     PARADIGMS,
     UNLABELED,
     ClassSpace,
@@ -20,7 +21,9 @@ from plrefine.core import (
     Task,
     make_trzsl_split,
     paradigm_weights,
+    frozen_array,
     sample_shots,
+    softmax_cross_entropy,
     unit_normalize,
 )
 
@@ -368,3 +371,97 @@ class TestTask:
         space = _class_space(rng, 3, 5)
         task = Task(train=train, test=test, space=space)
         assert task.space.C == 3
+
+
+def _whole_matrix_cross_entropy(S, labels, pools):
+    """Reference: every pass over the whole (n, C) matrix, into fresh arrays."""
+    n = S.shape[0]
+    rows = np.arange(n)
+    shift = S.max(axis=1, keepdims=True)
+    rel = np.log(np.sum(np.exp(S - shift), axis=1))
+    per_row = (shift[:, 0] - S[rows, labels]) + rel
+    G = np.exp(S - (shift[:, 0] + rel)[:, None])
+    G[rows, labels] -= 1.0
+    loss, start = 0.0, 0
+    for count, weight in pools:
+        loss += weight * float(np.mean(per_row[start : start + count]))
+        block = G[start : start + count]
+        block /= count
+        if weight != 1.0:
+            block *= weight
+        start += count
+    return loss, G
+
+
+def _block_cases():
+    """(n, C, pools) covering n below, at and past CE_BLOCK_ROWS, pool
+    boundaries inside and across row blocks, and weights 0, 1, 2.5, 16.5."""
+    B = CE_BLOCK_ROWS
+    cases = [
+        (1, 7, [(1, 1.0)]),
+        (B - 1, 10, [(B - 1, 1.0)]),
+        (B, 10, [(B, 2.5)]),
+        (B + 1, 10, [(1, 16.5), (B, 1.0)]),
+        (2 * B, 3, [(B, 0.0), (B, 1.0)]),
+        (2 * B + 44, 300, [(5, 16.5), (2 * B + 34, 1.0), (5, 2.5)]),
+        (3 * B - 7, 50, [(B - 3, 2.5), (6, 0.0), (2 * B - 10, 16.5)]),
+        (700, 300, [(700, 1.0)]),
+    ]
+    rng = np.random.default_rng(40)
+    for _ in range(12):
+        n = int(rng.integers(2, 5 * B))
+        cuts = rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 3))), replace=False)
+        edges = [0, *sorted(int(c) for c in cuts), n]
+        weights = rng.choice([0.0, 1.0, 2.5, 16.5], size=len(edges) - 1)
+        pools = [(b - a, float(w)) for a, b, w in zip(edges, edges[1:], weights)]
+        cases.append((n, int(rng.integers(1, 301)), pools))
+    return cases
+
+
+def _logits(shape, dtype=np.float64):
+    return np.linspace(-3.0, 5.0, int(np.prod(shape))).reshape(shape).astype(dtype)
+
+
+class TestSoftmaxCrossEntropy:
+    @pytest.mark.parametrize("n, C, pools", _block_cases())
+    def test_bitwise_equal_to_whole_matrix_passes(self, n, C, pools):
+        rng = np.random.default_rng(n * 1000 + C)
+        S = 100.0 * rng.standard_normal((n, C))
+        labels = rng.integers(0, C, size=n)
+        expected_loss, expected_G = _whole_matrix_cross_entropy(S, labels, pools)
+        loss, G = softmax_cross_entropy(S, labels, pools)
+        assert loss == expected_loss
+        assert np.array_equal(G, expected_G)
+        assert G is S  # written in place
+
+    @pytest.mark.parametrize("n", [1, CE_BLOCK_ROWS - 1, CE_BLOCK_ROWS, 3 * CE_BLOCK_ROWS + 5])
+    def test_uniform_logits_give_exactly_log_c(self, n):
+        C = 37
+        labels = np.random.default_rng(n).integers(0, C, size=n)
+        S = np.full((n, C), 4.25)
+        expected_loss, expected_G = _whole_matrix_cross_entropy(S, labels, [(n, 1.0)])
+        loss, G = softmax_cross_entropy(S, labels)
+        # Every row's cross-entropy is exactly ln(C); the mean of n of them
+        # is their pairwise sum over n.
+        assert loss == expected_loss == float(np.full(n, math.log(C)).sum()) / n
+        assert np.array_equal(G, expected_G)
+
+    @pytest.mark.parametrize(
+        "S, labels, pools, message",
+        [
+            (_logits((6,)), np.zeros(6, dtype=int), None, "2-D float64"),
+            (_logits((2, 3, 4)), np.zeros(2, dtype=int), None, "2-D float64"),
+            (_logits((6, 4), np.float32), np.zeros(6, dtype=int), None, "2-D float64"),
+            (frozen_array(_logits((6, 4))), np.zeros(6, dtype=int), None, "writeable"),
+            (_logits((6, 4)), np.zeros(5, dtype=int), None, r"labels must have shape \(6,\), got \(5,\)"),
+            (_logits((6, 4)), np.zeros((6, 1), dtype=int), None, r"labels must have shape \(6,\), got \(6, 1\)"),
+            (_logits((3, 4)), np.array([0, 1, 4]), None, r"label 4 outside \[0, 4\)"),
+            (_logits((3, 4)), np.array([0, 1, 2]), [(2, 1.0), (2, 1.0)], "pool blocks cover 4 rows"),
+        ],
+        ids=["1-D", "3-D", "float32", "read-only", "short labels", "2-D labels", "label range", "pool rows"],
+    )
+    def test_rejected_input_leaves_logits_unchanged(self, S, labels, pools, message):
+        before = S.copy()
+        with pytest.raises(ValueError, match=message):
+            softmax_cross_entropy(S, labels, pools)
+        assert np.array_equal(S, before)

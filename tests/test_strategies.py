@@ -89,6 +89,14 @@ class TestDefaults:
         assert default_schedule("multimodal").peak_lr == DEFAULT_PEAK_LR["multimodal"] == 0.01
         assert default_schedule("textual", epochs=20).epochs == 20
 
+    def test_schedule_unknown_modality(self):
+        """The config's own error, not a bare KeyError from the peak-lr table."""
+        message = r"unknown modality 'sonic'; expected one of \('textual', 'visual', 'multimodal'\)"
+        with pytest.raises(ValueError, match=message):
+            default_schedule("sonic")
+        with pytest.raises(ValueError, match=message):
+            default_schedule("sonic", peak_lr=0.5)
+
     def test_strategy_config_resolution(self):
         cfg = _fast("IFPL", "UL")
         assert cfg.resolved_prompt_len() == 16

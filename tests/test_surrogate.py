@@ -489,6 +489,43 @@ class TestPoolBlocks:
             call(Z, y, space, pools)
 
 
+class TestLogitBuffer:
+    """The cross-entropy writes dL/dS over the logits, so a loss call holds
+    one (n, C) matrix and never touches its inputs."""
+
+    @pytest.mark.parametrize("head", ["textual", "visual", "probe"])
+    def test_peak_memory_about_one_logit_matrix(self, head):
+        n, C, d = 2048, 500, 16
+        rng = np.random.default_rng(36)
+        space = _space(rng, C, d)
+        Z = _unit_rows(rng, n, d)
+        y = rng.integers(0, C, size=n)
+        call = _head_call(head, rng, C, d)
+        tracemalloc.start()
+        try:
+            call(Z, y, space, [(100, 16.5), (n - 100, 1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * C * 8
+
+    @pytest.mark.parametrize("head", [*MODALITIES, "probe"])
+    def test_inputs_unchanged(self, head):
+        """Feats, labels, prototypes and the model's parameters (the probe's
+        W, a prompt's ctx) read the same after a loss call."""
+        rng = np.random.default_rng(37)
+        space = _space(rng, 6, 8)
+        _, _, Z, y = _two_pools(rng, C=6)
+        if head == "probe":
+            model = LinearProbe(rng.standard_normal((6, 8)))
+        else:
+            model = init_prompt(head, 3, 8, seed=2, scale=0.3)
+        inputs = lambda: [Z, y, space.base_prototypes, *model.learnable().values()]
+        before = [a.copy() for a in inputs()]
+        model.loss_and_grad(Z, y, space, [(4, 2.5), (7, 1.0)])
+        assert all(np.array_equal(a, b) for a, b in zip(inputs(), before))
+
+
 def _tiled_reference(model, Z, y, space):
     """Features, prototypes and ctx gradients through the tiled definition.
 
