@@ -172,11 +172,17 @@ class EmbeddingSet:
             raise ValueError("labels and ids must both have shape (n,)")
         if np.any(labels < UNLABELED):
             raise ValueError("labels must be class indices or the sentinel -1")
-        if np.unique(ids).size != n:
+        order = np.argsort(ids)
+        sorted_ids = ids[order]
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise ValueError("ids must be unique")
         object.__setattr__(self, "features", frozen_array(feats))
         object.__setattr__(self, "labels", frozen_array(labels))
         object.__setattr__(self, "ids", frozen_array(ids))
+        # The ids in ascending order and the rows holding them, kept for
+        # find_ids; not fields.
+        object.__setattr__(self, "_id_order", frozen_array(order))
+        object.__setattr__(self, "_sorted_ids", frozen_array(sorted_ids))
 
     @property
     def n(self) -> int:
@@ -196,16 +202,19 @@ class EmbeddingSet:
         if keys.size and keys.dtype.kind not in "iu":
             raise TypeError(f"example ids must be integers, got dtype {keys.dtype}")
         # Negative keys wrap to large uint64 values here; `found` masks them.
-        ukeys = keys.astype(np.uint64)
-        order = np.argsort(self.ids)
-        sorted_ids = self.ids[order]
-        pos = np.minimum(np.searchsorted(sorted_ids, ukeys), self.n - 1)
-        found = sorted_ids[pos] == ukeys
+        rows, found = self.find_ids(keys.astype(np.uint64))
         if keys.dtype.kind == "i":
             found &= keys >= 0
         if not np.all(found):
             raise KeyError(f"unknown example id {int(keys[np.argmin(found)])}")
-        return order[pos].astype(np.int64, copy=False)
+        return rows
+
+    def find_ids(self, keys: np.ndarray) -> tuple:
+        """(rows, found) for a uint64 id array: ``found[i]`` says whether
+        ``keys[i]`` is one of the ids, and if so ``rows[i]`` is its row; a
+        key not held gets some valid row."""
+        pos = np.minimum(np.searchsorted(self._sorted_ids, keys), self.n - 1)
+        return self._id_order[pos].astype(np.int64, copy=False), self._sorted_ids[pos] == keys
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,15 @@ from .core import UNLABELED, EmbeddingSet, frozen_array
 
 SCORE_TOLERANCE = 1e-6
 
-# Classes selected per pass of topk_per_class: each pass holds at most two
-# (b, n) arrays, argpartition's indices and, for a scattered block, the
-# gathered class rows.
+# Classes selected per pass of topk_per_class: each pass holds a (b, n) bool
+# candidate mask, the (b, n / SAMPLE_STRIDE) sample and, for a scattered
+# block, the gathered (b, n) class rows.
 CLASS_BLOCK = 64
+
+# Every SAMPLE_STRIDE-th row of a class row forms the sample whose k-th best
+# score bounds that class's selection from below. A class then keeps about
+# SAMPLE_STRIDE·k candidates for the exact selection.
+SAMPLE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -109,20 +114,29 @@ def topk_per_class(
     Entries are emitted class by class in subset order, each class sorted by
     descending score then ascending id.
 
-    Cost: O(n·C) partition work plus O(C·k log k) ordering, with no
-    full-matrix copy. Selection reads ``S.T``, one row per class, in blocks
-    of ``CLASS_BLOCK`` classes: a block whose classes form one ascending run
-    (``range(C)``) is a view of those rows, any other block is gathered into
-    a (b, n) array. ``argpartition`` splits each row at the (n-k)-th place,
-    so the winners are the last k. Only a class whose k-th best score ties
-    with a row outside its k winners is sorted in full, so that the tie goes
-    to the lower id. S from :func:`similarity_matrix` is class-major and its
-    class rows are contiguous; a row-major S gives the same result, only
-    more slowly.
+    Cost: one compare pass over the n·C scores, a partition of the n·C /
+    ``SAMPLE_STRIDE`` sampled scores, then exact selection over each class's
+    candidates and O(C·k log k) ordering, with no full-matrix copy.
+    Selection reads ``S.T``, one row per class, in blocks of ``CLASS_BLOCK``
+    classes: a block whose classes form one ascending run (``range(C)``) is
+    a view of those rows, any other block is gathered into a (b, n) array.
+    S from :func:`similarity_matrix` is class-major and its class rows are
+    contiguous; a row-major S gives the same result, only more slowly.
+
+    Each class takes ``t``, the k-th best of its sampled scores (every
+    ``SAMPLE_STRIDE``-th row), and keeps as candidates the rows not below
+    ``t``. At least k rows score ``t`` or more, so the k-th best score of the
+    whole row is at least ``t``: every winner, and every row tied with the
+    k-th best, is a candidate, and the result is exactly that of selecting
+    over the whole row. A sample shorter than k makes every row a candidate.
+    ``argpartition`` splits the candidates at the k-th best. Only a class
+    whose k-th best score ties with a candidate outside its k winners sorts
+    its candidates in full, so that the tie goes to the lower id.
 
     Scores must be finite. A NaN in a selected class sorts above every
-    number, so it lands among that class's winners and the returned
-    :class:`PseudolabelSet` rejects it with ``ValueError``; a NaN in a
+    number and is never below ``t`` (a NaN ``t`` keeps every row), so it is
+    always a candidate, lands among that class's winners, and the returned
+    :class:`PseudolabelSet` rejects it with ``ValueError``. A NaN in a
     class outside ``class_subset`` is never read.
     """
     S = np.asarray(S, dtype=np.float64)
@@ -156,17 +170,30 @@ def _topk_rows(ST: np.ndarray, cols: np.ndarray, k: int, ids: np.ndarray) -> np.
 
     Each row of the result is ordered by score descending, then id ascending.
     """
-    n = ST.shape[1]
     if np.all(np.diff(cols) == 1):
         blk = ST[cols[0] : cols[-1] + 1]  # one ascending run: a view, no copy
     else:
         blk = ST[cols]
-    top = np.argpartition(blk, n - k, axis=1)[:, n - k :].copy()  # frees the (b, n) indices
-    boundary = np.take_along_axis(blk, top, axis=1).min(axis=1, keepdims=True)
-    # More than k rows at or above the k-th best score: the partition split a
-    # tie arbitrarily, so that class takes the full (score, id) sort instead.
-    for j in np.flatnonzero(np.count_nonzero(blk >= boundary, axis=1) > k):
-        top[j] = np.lexsort((ids, -blk[j]))[:k]
+    sample = blk[:, ::SAMPLE_STRIDE]
+    m = sample.shape[1]
+    if m >= k:
+        t = np.partition(sample, m - k, axis=1)[:, m - k, None]
+    else:
+        t = np.full((blk.shape[0], 1), -np.inf)
+    # ~(score < t), not score >= t: a NaN score, or a NaN t, keeps the row.
+    candidate = blk < t
+    np.logical_not(candidate, out=candidate)
+    top = np.empty((blk.shape[0], k), dtype=np.int64)
+    for j, row in enumerate(blk):
+        rows = np.flatnonzero(candidate[j])
+        scores = row[rows]
+        best = np.argpartition(scores, rows.size - k)[rows.size - k :]
+        # More than k candidates at or above the k-th best score: the
+        # partition split a tie arbitrarily, so the class sorts its
+        # candidates by (score, id) instead.
+        if np.count_nonzero(scores >= scores[best].min()) > k:
+            best = np.lexsort((ids[rows], -scores))[:k]
+        top[j] = rows[best]
     top_s = np.take_along_axis(blk, top, axis=1)
     order = np.lexsort((ids[top], -top_s), axis=1)
     return np.take_along_axis(top, order, axis=1)
@@ -199,10 +226,9 @@ def pseudolabel_accuracy(pl: PseudolabelSet, truth: EmbeddingSet) -> float:
     """
     if pl.m == 0:
         raise ValueError("cannot score an empty pseudolabel set")
-    order = np.argsort(truth.ids)
-    rows = order[np.minimum(np.searchsorted(truth.ids, pl.example_ids, sorter=order), truth.n - 1)]
+    rows, known = truth.find_ids(pl.example_ids)
     true = truth.labels[rows]
-    known = (truth.ids[rows] == pl.example_ids) & (true != UNLABELED)
+    known &= true != UNLABELED
     if not known.all():
         raise KeyError(f"no ground-truth label for example id {int(pl.example_ids[np.argmin(known)])}")
     return int(np.count_nonzero(true == pl.classes)) / pl.m

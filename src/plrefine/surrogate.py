@@ -249,7 +249,8 @@ def logits(model: PromptModel, z: np.ndarray, space: ClassSpace) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     squeeze = z.ndim == 1
     zp = image_features(model, z if not squeeze else z[None, :])
-    S = model.temperature * (zp @ class_prototypes(model, space).T)
+    S = zp @ class_prototypes(model, space).T
+    S *= model.temperature
     return S[0] if squeeze else S
 
 

@@ -17,10 +17,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    # The demos' temp directories land under tmp_path, which pytest cleans.
+    # The demos' temp directories land under tmp_path, where a leftover one
+    # shows that a demo did not clean up after itself.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    left = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("plrefine_demo_"))
+    assert not left, f"{demo.name} left its temporary directory behind: {left}"

@@ -13,6 +13,7 @@ import pytest
 from plrefine.core import UNLABELED, EmbeddingSet
 from plrefine.pseudolabels import (
     CLASS_BLOCK,
+    SAMPLE_STRIDE,
     PseudolabelSet,
     drop_duplicate_assignments,
     effective_k,
@@ -173,7 +174,8 @@ class TestTopkPerClass:
 
     def test_class_major_allocates_well_under_one_copy_of_s(self):
         # A contiguous class subset is read through views of S.T's rows; only
-        # argpartition's (b, n) indices are allocated per block.
+        # a (b, n) bool candidate mask and the strided sample are allocated
+        # per block.
         rng = np.random.default_rng(9)
         n, C = 20000, 300
         S = np.ascontiguousarray(rng.uniform(-1.0, 1.0, size=(C, n))).T
@@ -185,6 +187,21 @@ class TestTopkPerClass:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * S.nbytes
+
+    def test_class_major_allocates_under_a_tenth_of_s(self):
+        # Per block: a (b, n) bool mask (1/8 of the block's scores) and a
+        # (b, n / SAMPLE_STRIDE) sample; (b, n) int64 indices would not fit.
+        rng = np.random.default_rng(9)
+        n, C = 20000, 300
+        S = np.ascontiguousarray(rng.uniform(-1.0, 1.0, size=(C, n))).T
+        ids = np.arange(n, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            topk_per_class(S, 16, range(C), ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * S.nbytes
 
     @pytest.mark.parametrize("quantized", [False, True], ids=["random", "ties"])
     @pytest.mark.parametrize("subset", ["range", "scattered"])
@@ -241,6 +258,106 @@ class TestTopkPerClass:
         assert pl.classes.tolist() == [2] * 4 + [0] * 4
         for block in (pl.scores[:4], pl.scores[4:]):
             assert np.all(np.diff(block) <= 0)
+
+
+class TestTopkSampledThreshold:
+    """Pools long enough that each class's strided sample holds at least k
+    scores, so selection runs over the candidates at or above the sample's
+    k-th best instead of the whole row."""
+
+    N = 64 * SAMPLE_STRIDE
+
+    @staticmethod
+    def _layouts(S):
+        return {"row-major": np.ascontiguousarray(S), "class-major": np.ascontiguousarray(S.T).T}
+
+    def _assert_matches_oracle(self, S, k, subset, ids):
+        expected = _brute_force_topk(S, k, subset, ids)
+        for layout, arr in self._layouts(S).items():
+            pl = topk_per_class(arr, k, subset, ids)
+            got = list(zip(pl.example_ids.tolist(), pl.classes.tolist(), pl.scores.tolist()))
+            assert got == expected, (layout, k)
+
+    @pytest.mark.parametrize("k", [1, 16, 64, 65], ids=["k1", "k16", "sample-len", "past-sample"])
+    def test_matches_brute_force(self, k):
+        # n // SAMPLE_STRIDE is the sample's length: at k equal to it the
+        # threshold is the sample's minimum, one past it every row is kept.
+        rng = np.random.default_rng(21)
+        n, C = self.N, 6
+        assert n // SAMPLE_STRIDE == 64
+        S = rng.uniform(-1.0, 1.0, size=(n, C))
+        ids = rng.permutation(3 * n)[:n].astype(np.uint64)
+        self._assert_matches_oracle(S, k, range(C), ids)
+
+    @pytest.mark.parametrize("offset", [0, SAMPLE_STRIDE // 2], ids=["on-stride", "off-stride"])
+    def test_winners_placed_on_or_off_the_sample(self, offset):
+        # On the stride the k winners are exactly the sample's k best, so the
+        # threshold equals the k-th best score and only the winners reach it;
+        # off the stride the sample sees none of them.
+        rng = np.random.default_rng(26)
+        n, C, k = self.N, 4, 16
+        S = rng.uniform(-1.0, 0.5, size=(n, C))
+        winners = offset + SAMPLE_STRIDE * rng.permutation(n // SAMPLE_STRIDE)[:k]
+        S[winners] = rng.uniform(0.6, 1.0, size=(k, C))
+        ids = rng.permutation(3 * n)[:n].astype(np.uint64)
+        self._assert_matches_oracle(S, k, range(C), ids)
+        assert set(topk_per_class(S, k, (0,), ids).example_ids.tolist()) == set(ids[winners].tolist())
+
+    def test_scattered_subset_across_class_blocks(self):
+        # TRZSL-style: an unsorted scattered subset, so blocks are gathered.
+        rng = np.random.default_rng(22)
+        n, C = self.N, CLASS_BLOCK + 6
+        S = rng.uniform(-1.0, 1.0, size=(n, C))
+        ids = rng.permutation(3 * n)[:n].astype(np.uint64)
+        subset = rng.permutation(C)[: CLASS_BLOCK // 2 + 9]
+        for k in (1, 16):
+            self._assert_matches_oracle(S, k, subset, ids)
+
+    def test_ties_at_the_sampled_threshold(self):
+        # Three score levels: a handful of rows at the top, about half the
+        # rest at the middle. The sample's k-th best is the middle level,
+        # which is also the whole row's k-th best and is shared by far more
+        # than k rows, so the tie at the threshold decides by id.
+        rng = np.random.default_rng(23)
+        n, C, k = self.N, 8, 16
+        u = rng.random((n, C))
+        S = np.where(u < 0.005, 0.5, np.where(u < 0.5, 0.0, -0.5))
+        ids = rng.permutation(3 * n)[:n].astype(np.uint64)
+        for c in range(C):
+            sample = np.sort(S[::SAMPLE_STRIDE, c])[::-1]
+            kth = np.sort(S[:, c])[::-1][k - 1]
+            assert sample[k - 1] == kth == 0.0
+            assert 0 < np.count_nonzero(S[:, c] > kth) < k < np.count_nonzero(S[:, c] == kth)
+        self._assert_matches_oracle(S, k, range(C), ids)
+
+    def test_constant_row_keeps_every_row(self):
+        # Every row ties with the threshold, so every row is a candidate and
+        # the lowest ids win.
+        rng = np.random.default_rng(24)
+        n, C = self.N, 3
+        S = rng.uniform(-1.0, 1.0, size=(n, C))
+        S[:, 1] = 0.25
+        ids = rng.permutation(3 * n)[:n].astype(np.uint64)
+        for k in (1, 16):
+            self._assert_matches_oracle(S, k, range(C), ids)
+        pl = topk_per_class(S, 16, (1,), ids)
+        assert pl.example_ids.tolist() == np.sort(ids)[:16].tolist()
+
+    @pytest.mark.parametrize("layout", ["row-major", "class-major"])
+    @pytest.mark.parametrize(
+        "row, k", [(5, 16), (2 * SAMPLE_STRIDE, 1)], ids=["off-stride", "sampled-k1"]
+    )
+    def test_nan_rejected(self, layout, row, k):
+        # Off the stride the sample never sees the NaN, yet it is never below
+        # the threshold; on a sampled row with k = 1 the threshold itself is
+        # NaN, which keeps every row.
+        rng = np.random.default_rng(25)
+        n, C = self.N, 4
+        S = rng.uniform(-1.0, 1.0, size=(n, C))
+        S[row, 2] = np.nan
+        arr = self._layouts(S)[layout]
+        with pytest.raises(ValueError, match="finite"):
+            topk_per_class(arr, k, (0, 2), np.arange(n, dtype=np.uint64))
 
 
 class TestPseudolabelSet:
