@@ -21,6 +21,7 @@ from .pseudolabels import (
     effective_k,
     pseudolabel_accuracy,
     similarity_matrix,
+    topk_from_features,
     topk_per_class,
 )
 from .surrogate import (
@@ -108,6 +109,7 @@ __all__ = [
     "softmax_rows",
     "synth_generate",
     "threshold_pseudolabels",
+    "topk_from_features",
     "topk_per_class",
     "train",
     "unit_normalize",

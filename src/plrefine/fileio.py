@@ -19,7 +19,9 @@ error.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager, suppress
 from typing import Tuple
 
 import numpy as np
@@ -33,23 +35,46 @@ KEEP_DRIFT = 1e-5
 MAX_DRIFT = 1e-3
 
 
+@contextmanager
+def replacing(path: str, mode: str = "w", **open_kwargs):
+    """Handle on a temporary file in path's directory, opened with ``mode``
+    and ``open_kwargs``, that replaces ``path`` when the block completes. If
+    the block raises, ``path`` is left as it was and the temporary file is
+    removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_ple(path: str, data: EmbeddingSet, space: ClassSpace) -> None:
-    """Serialize one embedding set plus its class space."""
+    """Serialize one embedding set plus its class space.
+
+    Every input is checked before the file is touched, and the file is
+    replaced only once it is written in full, so a failed write leaves an
+    existing file at ``path`` as it was.
+    """
     if data.d != space.d:
         raise ValueError("embedding and prototype dimensions differ")
-    with open(path, "wb") as fh:
+    names = []
+    for name in space.class_names:
+        raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"class name too long to serialize: {name[:32]}...")
+        names.append(struct.pack("<H", len(raw)) + raw)
+    with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         fh.write(struct.pack("<III", data.d, data.n, space.C))
         fh.write(np.ascontiguousarray(data.features, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(data.labels, dtype="<i4").tobytes())
         fh.write(np.ascontiguousarray(data.ids, dtype="<u8").tobytes())
-        for name in space.class_names:
-            raw = name.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValueError(f"class name too long to serialize: {name[:32]}...")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+        fh.write(b"".join(names))
         fh.write(np.ascontiguousarray(space.base_prototypes, dtype="<f4").tobytes())
 
 

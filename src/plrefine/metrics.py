@@ -11,12 +11,20 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import ClassSpace, EmbeddingSet, UNLABELED, json_form
 from .pseudolabels import PseudolabelSet
+
+# Score cells per block of test rows in evaluate and zero_shot_report: the
+# argmax of a block's rows needs only its (b, C) scores, and b = cells // C
+# keeps that block at 8 MB (1048 rows at C=1000). Blocks are sized by memory,
+# not by a row count, because each one costs the model a scores call, and the
+# prompt surrogate re-derives its prototypes and feature map on every call
+# (a pass over each (d, M*d) mixer): a small C takes its test set in one block.
+PREDICT_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,8 @@ def class_balance(seen_acc: float, unseen_acc: float) -> float:
     return (unseen_acc - seen_acc) / seen_acc
 
 
-def _report_from_scores(
-    scores: np.ndarray,
+def _report_from_predictions(
+    preds: np.ndarray,
     test: EmbeddingSet,
     space: ClassSpace,
     partition_aware: bool,
@@ -89,7 +97,6 @@ def _report_from_scores(
         raise ValueError("test set contains unlabeled rows")
     if np.any(labels >= space.C):
         raise ValueError("test labels exceed the class count")
-    preds = np.argmax(scores, axis=1)
     correct = preds == labels
 
     support = np.bincount(labels, minlength=space.C)
@@ -122,14 +129,29 @@ def _report_from_scores(
     )
 
 
+def _predict(score_rows: Callable[[np.ndarray], np.ndarray], feats: np.ndarray, C: int) -> np.ndarray:
+    """Row argmax of the (n, C) ``score_rows(feats)``, one block of rows at a time."""
+    preds = np.empty(feats.shape[0], dtype=np.int64)
+    step = max(1, PREDICT_BLOCK_CELLS // C)
+    for start in range(0, feats.shape[0], step):
+        preds[start : start + step] = np.argmax(score_rows(feats[start : start + step]), axis=1)
+    return preds
+
+
 def evaluate(model, test: EmbeddingSet, space: ClassSpace, partition_aware: bool = False) -> EvalReport:
-    """Score a model (anything with .scores(feats, space)) on a test set."""
-    return _report_from_scores(model.scores(test.features, space), test, space, partition_aware)
+    """Score a model (anything with .scores(feats, space)) on a test set.
+
+    The model scores one block of test rows per call, so a call holds one
+    block's scores, not the whole (n, C) matrix.
+    """
+    preds = _predict(lambda feats: model.scores(feats, space), test.features, space.C)
+    return _report_from_predictions(preds, test, space, partition_aware)
 
 
 def zero_shot_report(test: EmbeddingSet, space: ClassSpace, partition_aware: bool = False) -> EvalReport:
     """Baseline report: predictions straight from the base prototypes."""
-    return _report_from_scores(test.features @ space.base_prototypes.T, test, space, partition_aware)
+    preds = _predict(lambda feats: feats @ space.base_prototypes.T, test.features, space.C)
+    return _report_from_predictions(preds, test, space, partition_aware)
 
 
 def robin_hood(baseline: EvalReport, trained: EvalReport) -> RobinHoodReport:

@@ -20,7 +20,8 @@ SCORE_TOLERANCE = 1e-6
 
 # Classes selected per pass of topk_per_class: each pass holds a (b, n) bool
 # candidate mask, the (b, n / SAMPLE_STRIDE) sample and, for a scattered
-# block, the gathered (b, n) class rows.
+# block, the gathered (b, n) class rows. topk_from_features also scores one
+# block at a time, so it holds one block's (n, b) scores.
 CLASS_BLOCK = 64
 
 # Every SAMPLE_STRIDE-th row of a class row forms the sample whose k-th best
@@ -143,18 +144,7 @@ def topk_per_class(
     ids = np.asarray(ids, dtype=np.uint64)
     if S.ndim != 2 or ids.shape != (S.shape[0],):
         raise ValueError("S must be (n, C) with one id per row")
-    n = S.shape[0]
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds the {n} available unlabeled rows")
-    subset = [int(c) for c in class_subset]
-    if not subset:
-        raise ValueError("class_subset must be non-empty")
-    if min(subset) < 0 or max(subset) >= S.shape[1]:
-        raise ValueError("class_subset indices must fall within the score columns")
-
-    cols = np.array(subset, dtype=np.int64)
+    cols = _checked_subset(S.shape[0], S.shape[1], k, class_subset)
     rows = np.concatenate(
         [
             _topk_rows(S.T, cols[start : start + CLASS_BLOCK], k, ids)
@@ -163,6 +153,54 @@ def topk_per_class(
     ).ravel()
     classes = np.repeat(cols, k)
     return PseudolabelSet(ids[rows], classes, S[rows, classes], k_used=k)
+
+
+def topk_from_features(
+    images: np.ndarray,
+    prototypes: np.ndarray,
+    k: int,
+    class_subset: Sequence[int],
+    ids: Sequence[int],
+) -> PseudolabelSet:
+    """``topk_per_class(similarity_matrix(images, prototypes), k, class_subset, ids)``
+    without the (n, C) score matrix.
+
+    The subset is taken ``CLASS_BLOCK`` classes at a time: each block scores
+    the pool against only its own prototypes and selects over that (n, b)
+    matrix, so the scores held at once are one block's, not the whole
+    pool's. Output order, ties and errors are those of
+    :func:`topk_per_class`, and the input checks run before any scoring.
+    Each block's scores come from a smaller matrix product than the whole
+    one, and the BLAS does not promise the same bits: OpenBLAS can move a
+    few cells of the pool's last rows by an ulp (seen at n=777 and n=2500).
+    """
+    images = np.asarray(images, dtype=np.float64)
+    prototypes = np.asarray(prototypes, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.uint64)
+    if images.ndim != 2 or prototypes.ndim != 2 or ids.shape != (images.shape[0],):
+        raise ValueError("images must be (n, d) and prototypes (C, d), with one id per image row")
+    cols = _checked_subset(images.shape[0], prototypes.shape[0], k, class_subset)
+    parts = []
+    for start in range(0, cols.size, CLASS_BLOCK):
+        blk = cols[start : start + CLASS_BLOCK]
+        pl = topk_per_class(similarity_matrix(images, prototypes[blk]), k, range(blk.size), ids)
+        parts.append((pl.example_ids, blk[pl.classes], pl.scores))
+    example_ids, classes, scores = (np.concatenate(arrs) for arrs in zip(*parts))
+    return PseudolabelSet(example_ids, classes, scores, k_used=k)
+
+
+def _checked_subset(n: int, C: int, k: int, class_subset: Sequence[int]) -> np.ndarray:
+    """``class_subset`` as an index array, once k and the subset fit n rows and C classes."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} available unlabeled rows")
+    subset = [int(c) for c in class_subset]
+    if not subset:
+        raise ValueError("class_subset must be non-empty")
+    if min(subset) < 0 or max(subset) >= C:
+        raise ValueError("class_subset indices must fall within the score columns")
+    return np.array(subset, dtype=np.int64)
 
 
 def _topk_rows(ST: np.ndarray, cols: np.ndarray, k: int, ids: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ run with I=1 are bit-identical under the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .pseudolabels import (
     drop_duplicate_assignments,
     effective_k,
     pseudolabel_accuracy,
-    similarity_matrix,
-    topk_per_class,
+    topk_from_features,
 )
 from .surrogate import (
     DEFAULT_CTX_SCALE,
@@ -227,15 +226,17 @@ def wire_paradigm(
     raise ValueError(f"unknown paradigm {cfg.paradigm!r}")
 
 
-def _pool_scores(model: Optional[PromptModel], pool_feats: np.ndarray, space) -> np.ndarray:
-    """Cosine scores of the pool against all classes.
+def _pool_sides(
+    model: Optional[PromptModel], pool_feats: np.ndarray, space
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(images, prototypes) that the pool is scored with against all classes.
 
-    With no model yet (iteration 1) this is the raw zero-shot similarity;
-    afterwards both sides go through the trained surrogate.
+    With no model yet (iteration 1) these are the raw pool and the base
+    prototypes; afterwards both sides go through the trained surrogate.
     """
     if model is None:
-        return similarity_matrix(pool_feats, space.base_prototypes)
-    return similarity_matrix(image_features(model, pool_feats), class_prototypes(model, space))
+        return pool_feats, space.base_prototypes
+    return image_features(model, pool_feats), class_prototypes(model, space)
 
 
 def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
@@ -253,8 +254,13 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     if split.pool_rows.size == 0:
         raise ValueError(f"{config.strategy} requires unlabeled data")
 
-    pool_feats = data.features[split.pool_rows]
-    pool_ids = data.ids[split.pool_rows]
+    if split.pool_rows.size == data.n:
+        # wire_paradigm's pool rows are unique and ascending, so this pool is
+        # every row in order (UL): use the train set itself, not a copy.
+        pool_feats, pool_ids = data.features, data.ids
+    else:
+        pool_feats = data.features[split.pool_rows]
+        pool_ids = data.ids[split.pool_rows]
     # Pseudolabel accuracy is reported only when every pool row has its class.
     truth = None if np.any(data.labels[split.pool_rows] == UNLABELED) else data
 
@@ -268,9 +274,7 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     report: Optional[EvalReport] = None
     for i in range(1, iterations + 1):
         k = k_rule(config, i, int(split.pool_rows.size), len(classes))
-        # The (n, C) scores are not kept: they would stay alive next to the
-        # next round's while it is being scored.
-        pl = topk_per_class(_pool_scores(model, pool_feats, space), k, classes, pool_ids)
+        pl = topk_from_features(*_pool_sides(model, pool_feats, space), k, classes, pool_ids)
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
         if config.paradigm.gamma is not None and config.paradigm.lam is not None:

@@ -14,14 +14,13 @@ import datetime
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, suppress
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import SCHEMA_VERSION, ExperimentConfig
 from .core import UNLABELED, ClassSpace, Task, make_trzsl_split, paradigm_weights
-from .fileio import read_ple
+from .fileio import read_ple, replacing
 from .metrics import (
     evaluate,
     robin_hood,
@@ -86,24 +85,8 @@ def _run_cell(args: Tuple[ExperimentConfig, str, str, int]) -> dict:
     }
 
 
-@contextmanager
-def _replacing(path: str, newline: Optional[str] = None):
-    """Text handle on a temporary file in path's directory that replaces
-    ``path`` when the block completes. If the block raises, ``path`` is left
-    as it was and the temporary file is removed."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def write_trace_csv(path: str, records: List[dict]) -> None:
-    with _replacing(path, newline="") as fh:
+    with replacing(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in records:
@@ -170,7 +153,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
         "runs": runs,
         "aggregates": _aggregate(runs),
     }
-    with _replacing(os.path.join(out, "result.json")) as fh:
+    with replacing(os.path.join(out, "result.json"), encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return payload
@@ -245,7 +228,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     }
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    with _replacing(os.path.join(out, "robinhood.json")) as fh:
+    with replacing(os.path.join(out, "robinhood.json"), encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return payload

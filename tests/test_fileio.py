@@ -70,6 +70,42 @@ class TestWrite:
             write_ple(str(tmp_path / "long.ple"), data, space)
 
 
+    def _earlier_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data, space = _sample(rng, C=2)
+        path = tmp_path / "kept.ple"
+        write_ple(str(path), data, space)
+        return rng, data, path, path.read_bytes()
+
+    def test_too_long_name_keeps_earlier_file(self, tmp_path):
+        # The name is checked before the file is touched: the earlier file
+        # stays byte for byte and still reads.
+        rng, data, path, before = self._earlier_file(tmp_path)
+        space = ClassSpace(("ok", "x" * 70000), _unit_rows(rng, 2, 5))
+        with pytest.raises(ValueError, match="class name too long"):
+            write_ple(str(path), data, space)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.ple"]
+        read_ple(str(path))
+
+    def test_failed_write_midway_keeps_earlier_file(self, tmp_path):
+        # A failure after the header went out (here the prototypes cannot be
+        # read) leaves the earlier file and no temporary file behind.
+        rng, data, path, before = self._earlier_file(tmp_path)
+
+        class FailingSpace:
+            d, C, class_names = 5, 2, ("a", "b")
+
+            @property
+            def base_prototypes(self):
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_ple(str(path), data, FailingSpace())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.ple"]
+
+
 class TestRoundTrip:
     def test_arrays_survive(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -5,6 +5,7 @@ and class balance are pinned to the values the formulas give on published
 seen/unseen accuracies.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 
 from plrefine.core import ClassSpace, EmbeddingSet, UNLABELED
 from plrefine.metrics import (
+    PREDICT_BLOCK_CELLS,
     EvalReport,
+    _report_from_predictions,
     class_balance,
     evaluate,
     harmonic_mean,
@@ -21,6 +24,8 @@ from plrefine.metrics import (
     threshold_pseudolabels,
     zero_shot_report,
 )
+from plrefine.probe import LinearProbe
+from plrefine.surrogate import init_prompt
 
 
 def _unit_rows(rng, n, d):
@@ -185,6 +190,100 @@ class TestZeroShotReport:
         overall, per_class, support = _oracle_report(feats @ space.base_prototypes.T, labels, C)
         assert report.overall == overall
         assert list(report.per_class) == per_class
+
+
+class _RecordingScores:
+    """Delegates to a model's scores and records how many rows each call got."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = []
+
+    def scores(self, feats, space):
+        self.rows.append(feats.shape[0])
+        return self.model.scores(feats, space)
+
+
+def _scored_test_set(rng, n, C, d, partition=None):
+    """Test rows scattered around their class prototypes, so predictions
+    vary from class to class."""
+    space = _space(rng, C, d, partition=partition)
+    labels = rng.integers(0, C, size=n).astype(np.int64)
+    feats = space.base_prototypes[labels] + 0.6 * rng.standard_normal((n, d)) / np.sqrt(d)
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    return EmbeddingSet(feats, labels, np.arange(n, dtype=np.uint64)), space
+
+
+def _model(kind, C, d):
+    if kind == "linear-probe":
+        return LinearProbe(np.random.default_rng(7).standard_normal((C, d)))
+    return init_prompt(kind, 4, d, seed=3, scale=0.3, temperature=100.0)
+
+
+class TestBlockedPrediction:
+    """evaluate and zero_shot_report score PREDICT_BLOCK_CELLS // C test
+    rows at a time; their reports equal those of the whole-matrix argmax."""
+
+    C = 600
+    BLOCK = PREDICT_BLOCK_CELLS // C
+    SIZES = [BLOCK - 24, BLOCK, 2 * BLOCK + 300]
+    PARTITION = (tuple(range(0, C, 2)), tuple(range(1, C, 2)))
+
+    @pytest.mark.parametrize("n", SIZES, ids=["below", "at", "past"])
+    @pytest.mark.parametrize("kind", ["textual", "visual", "multimodal", "linear-probe"])
+    def test_evaluate_matches_whole_matrix_argmax(self, kind, n):
+        rng = np.random.default_rng(41)
+        test, space = _scored_test_set(rng, n, self.C, 16, partition=self.PARTITION)
+        model = _model(kind, self.C, 16)
+        whole = model.scores(test.features, space)
+        expected = _report_from_predictions(np.argmax(whole, axis=1), test, space, partition_aware=True)
+        recorder = _RecordingScores(model)
+        report = evaluate(recorder, test, space, partition_aware=True)
+        assert report == expected
+        assert report.harmonic is not None
+        assert sum(recorder.rows) == n
+        assert max(recorder.rows) == min(n, self.BLOCK)
+        assert len(recorder.rows) == -(-n // self.BLOCK)
+
+    @pytest.mark.parametrize("n", SIZES, ids=["below", "at", "past"])
+    def test_zero_shot_matches_whole_matrix_argmax(self, n):
+        rng = np.random.default_rng(42)
+        test, space = _scored_test_set(rng, n, self.C, 16, partition=self.PARTITION)
+        whole = test.features @ space.base_prototypes.T
+        expected = _report_from_predictions(np.argmax(whole, axis=1), test, space, partition_aware=True)
+        overall, per_class, _ = _oracle_report(whole, test.labels, self.C)
+        report = zero_shot_report(test, space, partition_aware=True)
+        assert report == expected
+        assert report.overall == overall
+        assert list(report.per_class) == per_class
+
+    def test_small_class_count_takes_one_block(self):
+        # At C=12 a block holds PREDICT_BLOCK_CELLS // 12 rows, so the
+        # model's per-call set-up runs once for a test set of this size.
+        rng = np.random.default_rng(44)
+        test, space = _scored_test_set(rng, 5000, 12, 16)
+        recorder = _RecordingScores(_model("multimodal", 12, 16))
+        evaluate(recorder, test, space)
+        assert recorder.rows == [5000]
+
+    @pytest.mark.parametrize("which", ["evaluate", "zero-shot"])
+    def test_holds_one_block_of_scores(self, which):
+        # The (n, C) scores (48 MB) would break the bound; one block's
+        # scores (PREDICT_BLOCK_CELLS of them) and the (n,) predictions do not.
+        rng = np.random.default_rng(43)
+        n, C, d = 20000, 300, 16
+        test, space = _scored_test_set(rng, n, C, d)
+        model = _model("multimodal", C, d)
+        tracemalloc.start()
+        try:
+            if which == "evaluate":
+                evaluate(model, test, space)
+            else:
+                zero_shot_report(test, space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * C * 8
 
 
 class TestRobinHood:

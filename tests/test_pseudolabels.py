@@ -19,6 +19,7 @@ from plrefine.pseudolabels import (
     effective_k,
     pseudolabel_accuracy,
     similarity_matrix,
+    topk_from_features,
     topk_per_class,
 )
 
@@ -358,6 +359,146 @@ class TestTopkSampledThreshold:
         arr = self._layouts(S)[layout]
         with pytest.raises(ValueError, match="finite"):
             topk_per_class(arr, k, (0, 2), np.arange(n, dtype=np.uint64))
+
+
+def _dyadic_rows(rng, n, d, step):
+    """Rows near the unit sphere, halved, with entries on a grid of ``step``
+    (a power of two). Every product and partial sum of two such rows is a
+    multiple of step**2 well inside float64's range, so a dot product is
+    exact whatever order a BLAS kernel sums it in."""
+    return np.round(_unit_rows(rng, n, d) / (2 * step)) * step
+
+
+class TestTopkFromFeatures:
+    """topk_from_features against the oracle it replaces,
+    topk_per_class(similarity_matrix(X, P), ...), bit for bit.
+
+    OpenBLAS does not promise that a block of prototypes yields the same
+    bits as those rows of the whole product: on a 2-core Haswell box the
+    cells where a pool-row tail meets a class tail moved by an ulp, at odd n
+    and at even n alike (n=777 and n=2500 with blocks of 64 classes). So
+    the pools here are even, for the sampled-threshold path, and the inputs
+    sit on a dyadic grid, where every score is exact in any summation order;
+    what is compared is the selection, not the BLAS."""
+
+    N = 128 * SAMPLE_STRIDE
+
+    def _assert_matches_oracle(self, X, P, k, subset, ids):
+        want = topk_per_class(similarity_matrix(X, P), k, subset, ids)
+        got = topk_from_features(X, P, k, subset, ids)
+        for name in ("example_ids", "classes", "scores"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, k)
+        assert got.k_used == want.k_used == k
+
+    @pytest.mark.parametrize("C", [CLASS_BLOCK, 3 * CLASS_BLOCK + 5], ids=["one-block", "partial-last-block"])
+    def test_range_subset_over_class_blocks(self, C):
+        rng = np.random.default_rng(31)
+        X = _dyadic_rows(rng, self.N, 16, 2.0**-6)
+        P = _dyadic_rows(rng, C, 16, 2.0**-6)
+        ids = rng.permutation(3 * self.N)[: self.N].astype(np.uint64)
+        for k in (1, 16, 200):
+            self._assert_matches_oracle(X, P, k, range(C), ids)
+
+    def test_scattered_unsorted_subset_crosses_blocks(self):
+        # TRZSL-style: unseen classes in no particular order, more of them
+        # than one block holds, so blocks mix classes from the whole range.
+        rng = np.random.default_rng(32)
+        C = 3 * CLASS_BLOCK + 5
+        X = _dyadic_rows(rng, self.N, 16, 2.0**-6)
+        P = _dyadic_rows(rng, C, 16, 2.0**-6)
+        ids = rng.permutation(3 * self.N)[: self.N].astype(np.uint64)
+        subset = rng.permutation(C)[: 2 * CLASS_BLOCK + 7]
+        assert not np.all(np.diff(subset) > 0)
+        for k in (1, 16):
+            self._assert_matches_oracle(X, P, k, subset, ids)
+        pl = topk_from_features(X, P, 16, subset, ids)
+        assert pl.classes.tolist() == np.repeat(subset, 16).tolist()
+
+    def test_ties_go_to_the_lower_id(self):
+        # Entries on a grid of 1/4 over d=8 leave scores on a grid of 1/16,
+        # so in most classes the k-th place sits inside a tie.
+        rng = np.random.default_rng(33)
+        C, k = CLASS_BLOCK + 9, 16
+        X = _dyadic_rows(rng, self.N, 8, 0.25)
+        P = _dyadic_rows(rng, C, 8, 0.25)
+        ids = rng.permutation(3 * self.N)[: self.N].astype(np.uint64)
+        S = similarity_matrix(X, P)
+        kth = -np.sort(-S, axis=0)[k - 1]
+        assert np.count_nonzero(np.count_nonzero(S >= kth, axis=0) > k) > C // 2
+        self._assert_matches_oracle(X, P, k, rng.permutation(C), ids)
+
+    @pytest.mark.parametrize("side", ["image", "prototype"])
+    def test_nan_rejected(self, side):
+        rng = np.random.default_rng(34)
+        C = CLASS_BLOCK + 4
+        X = _unit_rows(rng, 64, 8)
+        P = _unit_rows(rng, C, 8)
+        if side == "image":
+            X[5, 3] = np.nan
+        else:
+            P[CLASS_BLOCK + 2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            topk_from_features(X, P, 3, range(C), np.arange(64, dtype=np.uint64))
+
+    def test_nan_prototype_outside_subset_not_read(self):
+        rng = np.random.default_rng(35)
+        X = _dyadic_rows(rng, 64, 8, 2.0**-6)
+        P = _dyadic_rows(rng, 6, 8, 2.0**-6)
+        ids = np.arange(64, dtype=np.uint64)
+        clean = topk_from_features(X, P, 3, (4, 0, 2), ids)
+        P[[1, 3, 5]] = np.nan
+        pl = topk_from_features(X, P, 3, (4, 0, 2), ids)
+        assert pl.example_ids.tolist() == clean.example_ids.tolist()
+        assert pl.scores.tolist() == clean.scores.tolist()
+
+    @pytest.mark.parametrize(
+        "k, subset, match",
+        [
+            (3, (), "class_subset must be non-empty"),
+            (3, (0, 6), "class_subset indices must fall within the score columns"),
+            (3, (-1,), "class_subset indices must fall within the score columns"),
+            (9, (0,), "k=9 exceeds the 8 available unlabeled rows"),
+            (0, (0,), "k must be at least 1"),
+        ],
+    )
+    def test_errors_match_topk_per_class_before_any_scoring(self, monkeypatch, k, subset, match):
+        rng = np.random.default_rng(36)
+        X, P = _unit_rows(rng, 8, 4), _unit_rows(rng, 6, 4)
+        ids = np.arange(8, dtype=np.uint64)
+        with pytest.raises(ValueError, match=match):
+            topk_per_class(similarity_matrix(X, P), k, subset, ids)
+
+        def no_scoring(*args):
+            raise AssertionError("scored before checking its inputs")
+
+        monkeypatch.setattr("plrefine.pseudolabels.similarity_matrix", no_scoring)
+        with pytest.raises(ValueError, match=match):
+            topk_from_features(X, P, k, subset, ids)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(37)
+        X, P = _unit_rows(rng, 8, 4), _unit_rows(rng, 6, 4)
+        with pytest.raises(ValueError, match="one id per image row"):
+            topk_from_features(X, P, 1, (0,), np.arange(7, dtype=np.uint64))
+        with pytest.raises(ValueError, match="prototypes \\(C, d\\)"):
+            topk_from_features(X, P[0], 1, (0,), np.arange(8, dtype=np.uint64))
+        with pytest.raises(ValueError, match="dimension"):
+            topk_from_features(X, P[:, :3], 1, (0,), np.arange(8, dtype=np.uint64))
+
+    def test_holds_one_class_block_of_scores(self):
+        # A whole (n, C) score matrix would not fit this bound; one block's
+        # (n, CLASS_BLOCK) scores and its candidate mask do.
+        rng = np.random.default_rng(38)
+        n, C = 20000, 300
+        X, P = _unit_rows(rng, n, 16), _unit_rows(rng, C, 16)
+        ids = np.arange(n, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            topk_from_features(X, P, 16, range(C), ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * C * 8
 
 
 class TestPseudolabelSet:

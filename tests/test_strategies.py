@@ -6,6 +6,7 @@ checked for bit-level reinitialization semantics (FPL is literally the first
 IFPL iteration, and every iteration restarts from a fresh seeded prompt).
 """
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -282,6 +283,24 @@ class TestRefinementLoops:
         b = run_strategy(cfg, loop_task)
         assert np.array_equal(a.final_model.text_ctx, b.final_model.text_ctx)
         assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+
+    def test_ul_run_never_holds_the_pool_score_matrix(self):
+        # n*C = 3.06M cells: the (n, C) scores alone (24 MB) would break the
+        # bound; selection holds one class block of them at a time and the
+        # UL pool is the train set itself, not a copy.
+        task = synth_generate(SyntheticSpec(C=300, d=16, labeled_per_class=0,
+                                            unlabeled_per_class=34, seed=0))
+        n, C = task.train.n, task.space.C
+        assert n * C >= 3_000_000
+        cfg = _fast("GRIP", "UL", I=2,
+                    schedule=TrainSchedule(epochs=1, warmup_epochs=0, batch_size=256))
+        tracemalloc.start()
+        try:
+            run_strategy(cfg, task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * C * 8
 
 
 @pytest.fixture(scope="module")
