@@ -206,18 +206,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             values[name] = parse(raw[key]) if parse else _typed(key, raw[key], hints[name])
     cfg = ExperimentConfig(**values)
 
-    if cfg.K < 1 or cfg.I < 1:
-        raise ValueError("K and I must be at least 1")
-    if cfg.prompt_len is not None and cfg.prompt_len < 1:
-        raise ValueError(f"prompt_len must be at least 1, got {cfg.prompt_len}")
-    if not cfg.temperature > 0:
-        raise ValueError(f"temperature must be positive, got {cfg.temperature}")
-    if not cfg.init_scale >= 0:
-        raise ValueError(f"init_scale must be non-negative, got {cfg.init_scale}")
     if not 0.0 <= cfg.threshold_tau < 1.0:
         raise ValueError("threshold_tau must lie in [0, 1)")
-    # Each paradigm's run settings, so the run configs' own checks (schedule,
-    # shots per class, init_spread) fire here rather than deep inside a run.
+    if "SL" in cfg.paradigms:
+        raise ValueError("paradigms must not include SL: it has no unlabeled pool to pseudolabel")
+    # Each paradigm's run settings, so the run configs' own range checks (K, I,
+    # prompt_len, temperature, schedule, shots, ...) fire here, not in a run.
     for paradigm in cfg.paradigms:
         cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
     return cfg

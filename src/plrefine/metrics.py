@@ -11,11 +11,12 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ClassSpace, EmbeddingSet, UNLABELED, json_form
+from .probe import LinearProbe
 from .pseudolabels import PseudolabelSet
 
 # Score cells per block of test rows in evaluate and zero_shot_report: the
@@ -129,29 +130,24 @@ def _report_from_predictions(
     )
 
 
-def _predict(score_rows: Callable[[np.ndarray], np.ndarray], feats: np.ndarray, C: int) -> np.ndarray:
-    """Row argmax of the (n, C) ``score_rows(feats)``, one block of rows at a time."""
-    preds = np.empty(feats.shape[0], dtype=np.int64)
-    step = max(1, PREDICT_BLOCK_CELLS // C)
-    for start in range(0, feats.shape[0], step):
-        preds[start : start + step] = np.argmax(score_rows(feats[start : start + step]), axis=1)
-    return preds
-
-
 def evaluate(model, test: EmbeddingSet, space: ClassSpace, partition_aware: bool = False) -> EvalReport:
     """Score a model (anything with .scores(feats, space)) on a test set.
 
     The model scores one block of test rows per call, so a call holds one
     block's scores, not the whole (n, C) matrix.
     """
-    preds = _predict(lambda feats: model.scores(feats, space), test.features, space.C)
+    feats = test.features
+    preds = np.empty(feats.shape[0], dtype=np.int64)
+    step = max(1, PREDICT_BLOCK_CELLS // space.C)
+    for start in range(0, feats.shape[0], step):
+        preds[start : start + step] = np.argmax(model.scores(feats[start : start + step], space), axis=1)
     return _report_from_predictions(preds, test, space, partition_aware)
 
 
 def zero_shot_report(test: EmbeddingSet, space: ClassSpace, partition_aware: bool = False) -> EvalReport:
-    """Baseline report: predictions straight from the base prototypes."""
-    preds = _predict(lambda feats: feats @ space.base_prototypes.T, test.features, space.C)
-    return _report_from_predictions(preds, test, space, partition_aware)
+    """Baseline report: the linear head whose weights are the base
+    prototypes, so its scores are exactly ``feats @ base_prototypes.T``."""
+    return evaluate(LinearProbe(space.base_prototypes), test, space, partition_aware)
 
 
 def robin_hood(baseline: EvalReport, trained: EvalReport) -> RobinHoodReport:

@@ -1,11 +1,12 @@
 """Training strategies: one-shot and iterative pseudolabel refinement.
 
 All three strategies share one engine, run_strategy. Each iteration scores
-the unlabeled pool (iteration 1 with the zero-ctx base prototypes, later ones
-with the previously trained model), takes the top K per class, recomputes the
-paradigm weights from the actual pool sizes, reinitializes the prompt from
-seed XOR iteration, and trains. They differ only in the iteration count and
-the K rule, which STRATEGY_PLANS holds:
+the unlabeled pool (iteration 1 with the run's prompt at ctx = 0, which is
+the zero-shot classifier, later ones with the previously trained model),
+takes the top K per class, recomputes the paradigm weights from the actual
+pool sizes, reinitializes the prompt from seed XOR iteration, and trains.
+They differ only in the iteration count and the K rule, which
+STRATEGY_PLANS holds:
 
   FPL   one iteration, K capped by the pool (effective_k)
   IFPL  I iterations, same fixed K every time
@@ -18,7 +19,7 @@ run with I=1 are bit-identical under the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -90,6 +91,12 @@ class StrategyConfig:
             raise ValueError("K must be at least 1")
         if self.I < 1:
             raise ValueError("I must be at least 1")
+        if self.prompt_len is not None and self.prompt_len < 1:
+            raise ValueError(f"prompt_len must be at least 1, got {self.prompt_len}")
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not self.init_scale >= 0:
+            raise ValueError(f"init_scale must be non-negative, got {self.init_scale}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.init_spread not in ("std", "variance"):
@@ -226,19 +233,6 @@ def wire_paradigm(
     raise ValueError(f"unknown paradigm {cfg.paradigm!r}")
 
 
-def _pool_sides(
-    model: Optional[PromptModel], pool_feats: np.ndarray, space
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(images, prototypes) that the pool is scored with against all classes.
-
-    With no model yet (iteration 1) these are the raw pool and the base
-    prototypes; afterwards both sides go through the trained surrogate.
-    """
-    if model is None:
-        return pool_feats, space.base_prototypes
-    return image_features(model, pool_feats), class_prototypes(model, space)
-
-
 def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     """Run config.strategy with the iteration count and quota rule of its plan.
 
@@ -270,11 +264,14 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     base = config.base_prompt(space.d)
 
     records = []
-    model: Optional[PromptModel] = None
-    report: Optional[EvalReport] = None
+    # The scored sides are passed inline, not bound to locals, so a round's
+    # scored pool is freed before that round trains.
+    model = base.with_learnable({name: np.zeros_like(ctx) for name, ctx in base.learnable().items()})
     for i in range(1, iterations + 1):
         k = k_rule(config, i, int(split.pool_rows.size), len(classes))
-        pl = topk_from_features(*_pool_sides(model, pool_feats, space), k, classes, pool_ids)
+        pl = topk_from_features(
+            image_features(model, pool_feats), class_prototypes(model, space), k, classes, pool_ids
+        )
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
         if config.paradigm.gamma is not None and config.paradigm.lam is not None:

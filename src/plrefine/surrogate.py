@@ -61,8 +61,8 @@ class PromptModel:
 
     def __post_init__(self) -> None:
         check_modality(self.modality)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
         has_text = self.modality in ("textual", "multimodal")
         has_vis = self.modality in ("visual", "multimodal")
         if has_text != (self.text_ctx is not None) or has_text != (self.text_mix is not None):
@@ -122,8 +122,8 @@ class PromptModel:
 def _ctx_sigma(scale: float, spread: str) -> float:
     # "std" reads the configured scale as the standard deviation (default);
     # "variance" takes it literally as the variance.
-    if scale < 0:
-        raise ValueError(f"ctx init scale must be non-negative, got {scale}")
+    if not scale >= 0:
+        raise ValueError(f"init_scale must be non-negative, got {scale}")
     if spread == "std":
         return float(scale)
     if spread == "variance":
@@ -216,10 +216,11 @@ def class_prototypes(model: PromptModel, space: ClassSpace) -> np.ndarray:
     offset (the context modulated by that prototype) and re-normalize;
     visual models return the base prototypes untouched (the visual side must
     not move class anchors). A zero context leaves the prototypes exactly at
-    the base because the offsets are linear in ctx.
+    the base because the offsets are linear in ctx. An untouched side is a
+    read-only view of the base prototypes, not a copy.
     """
     if model.text_ctx is None or not model.text_ctx.any():
-        return np.array(space.base_prototypes, dtype=np.float64)
+        return space.base_prototypes.view()
     return _shift_normalize(model.text_mix, model.text_ctx, space.base_prototypes, "prototype")[0]
 
 
@@ -228,14 +229,16 @@ def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
 
     Visual/multimodal models shift every feature by its own mixed offset
     (the context modulated by that feature) and re-normalize; textual models
-    (and a zero context) pass features through unchanged.
+    (and a zero context) pass features through unchanged, as a read-only
+    view of the float64 input rather than a copy of it.
     """
     z = np.asarray(z, dtype=np.float64)
     squeeze = z.ndim == 1
     if squeeze:
         z = z[None, :]
     if model.vis_ctx is None or not model.vis_ctx.any():
-        out = np.array(z)
+        out = z.view()
+        out.setflags(write=False)
     else:
         out = _shift_normalize(model.vis_mix, model.vis_ctx, z, "feature")[0]
     return out[0] if squeeze else out

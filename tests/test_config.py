@@ -112,8 +112,10 @@ class TestParseConfig:
             parse_config(_minimal(threshold_tau=1.0))
 
     def test_k_and_i_positive(self):
-        with pytest.raises(ValueError, match="K and I"):
+        with pytest.raises(ValueError, match="K must be at least 1"):
             parse_config(_minimal(K=0))
+        with pytest.raises(ValueError, match="I must be at least 1"):
+            parse_config(_minimal(I=0))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -204,7 +206,13 @@ class TestParseConfig:
             parse_config(_minimal(paradigms=["UL", "SSL"], shots_per_class=shots))
 
     def test_zero_shots_fine_without_ssl(self):
-        assert parse_config(_minimal(paradigms=["UL", "SL"], shots_per_class=0)).shots_per_class == 0
+        assert parse_config(_minimal(paradigms=["UL", "TRZSL"], shots_per_class=0)).shots_per_class == 0
+
+    @pytest.mark.parametrize("paradigms", [["SL"], ["UL", "sl"]])
+    def test_sl_rejected_at_parse(self, paradigms):
+        # SL has no unlabeled pool, so no strategy could run its cells.
+        with pytest.raises(ValueError, match="paradigms must not include SL: it has no unlabeled pool"):
+            parse_config(_minimal(paradigms=paradigms))
 
     def test_run_config_copies_shared_keys(self):
         raw = _minimal(K=3, I=2, modality="visual", prompt_len=4, temperature=20, shots_per_class=1)

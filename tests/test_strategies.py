@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from plrefine.core import ParadigmConfig, UNLABELED
-from plrefine.pseudolabels import effective_k, topk_per_class
+from plrefine import strategies
+from plrefine.pseudolabels import effective_k, similarity_matrix, topk_per_class
 from plrefine.strategies import (
     DEFAULT_PEAK_LR,
     DEFAULT_PROMPT_LEN,
@@ -115,6 +116,14 @@ class TestDefaults:
             StrategyConfig("FPL", ParadigmConfig("UL"), K=0)
         with pytest.raises(ValueError, match="I must be"):
             StrategyConfig("FPL", ParadigmConfig("UL"), I=0)
+        with pytest.raises(ValueError, match="prompt_len must be at least 1, got 0"):
+            StrategyConfig("FPL", ParadigmConfig("UL"), prompt_len=0)
+        for temperature in (0.0, -5.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be positive, got"):
+                StrategyConfig("FPL", ParadigmConfig("UL"), temperature=temperature)
+        for scale in (-0.02, float("nan")):
+            with pytest.raises(ValueError, match="init_scale must be non-negative, got"):
+                StrategyConfig("FPL", ParadigmConfig("UL"), init_scale=scale)
 
     def test_init_spread_checked_at_construction(self):
         with pytest.raises(ValueError, match="init_spread must be 'std' or 'variance'"):
@@ -232,6 +241,32 @@ class TestRefinementLoops:
         fpl = run_strategy(_fast("FPL", "UL", seed=2), loop_task)
         assert fpl.records[0].n_pseudo == direct.m
         assert fpl.records[0].k_used == direct.k_used
+
+    @pytest.mark.parametrize("modality", ["textual", "visual", "multimodal"])
+    def test_first_iteration_selects_with_zero_shot_scores(self, loop_task, monkeypatch, modality):
+        """Iteration 1's pseudolabels are those of the base prototypes' cosine
+        scores, entry for entry, whatever side the prompt trains."""
+        selected = []
+        original = strategies.topk_from_features
+
+        def recording(*args):
+            selected.append(original(*args))
+            return selected[-1]
+
+        monkeypatch.setattr(strategies, "topk_from_features", recording)
+        cfg = _fast("GRIP", "SSL", seed=2, I=2, modality=modality)
+        run_strategy(cfg, loop_task)
+        train, space = loop_task.train, loop_task.space
+        split = wire_paradigm(cfg.paradigm, train, space, cfg.seed)
+        S = similarity_matrix(train.features[split.pool_rows], space.base_prototypes)
+        k = grip_k(1, cfg.I, split.pool_rows.size, space.C)
+        direct = topk_per_class(S, k, range(space.C), train.ids[split.pool_rows])
+        assert len(selected) == 2
+        first = selected[0]
+        assert np.array_equal(first.example_ids, direct.example_ids)
+        assert np.array_equal(first.classes, direct.classes)
+        assert first.scores.tobytes() == direct.scores.tobytes()
+        assert first.k_used == direct.k_used
 
     def test_trzsl_run_reports_partition_metrics(self, loop_task):
         cfg = _fast("FPL", "TRZSL", seed=0)

@@ -101,6 +101,12 @@ class TestInitPrompt:
         with pytest.raises(ValueError, match="scale must be non-negative"):
             reinit_ctx(init_prompt("textual", 4, 8, seed=0), 1, scale=-0.01, spread=spread)
 
+    def test_nan_settings_rejected_with_the_config_messages(self):
+        with pytest.raises(ValueError, match="init_scale must be non-negative, got nan"):
+            init_prompt("textual", 4, 8, seed=0, scale=float("nan"))
+        with pytest.raises(ValueError, match="temperature must be positive, got nan"):
+            init_prompt("textual", 4, 8, seed=0, temperature=float("nan"))
+
     def test_deterministic(self):
         a = init_prompt("multimodal", 4, 8, seed=9)
         b = init_prompt("multimodal", 4, 8, seed=9)
@@ -213,6 +219,33 @@ class TestOffsetsAndFirewall:
         out = class_prototypes(m, space)
         assert np.array_equal(out, space.base_prototypes)
         assert out is not space.base_prototypes
+
+    def test_pass_through_sides_are_read_only_views(self):
+        """A side the prompt does not move is its input, shared, not copied."""
+        rng = np.random.default_rng(8)
+        space = _space(rng, 4, 8)
+        Z = _unit_rows(rng, 6, 8)
+        zero = init_prompt("multimodal", 4, 8, seed=0)
+        zero = zero.with_learnable({k: np.zeros_like(v) for k, v in zero.learnable().items()})
+        for m in (init_prompt("textual", 4, 8, seed=1), zero):
+            out = image_features(m, Z)
+            assert np.shares_memory(out, Z) and not out.flags.writeable
+        for m in (init_prompt("visual", 4, 8, seed=1), zero):
+            out = class_prototypes(m, space)
+            assert np.shares_memory(out, space.base_prototypes) and not out.flags.writeable
+        assert Z.flags.writeable
+
+    def test_pass_through_allocates_no_copy(self):
+        n, d = 20000, 64
+        Z = _unit_rows(np.random.default_rng(9), n, d)
+        m = init_prompt("textual", 4, d, seed=1)
+        tracemalloc.start()
+        try:
+            image_features(m, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * Z.nbytes
 
     def test_nonzero_ctx_moves_its_side(self):
         rng = np.random.default_rng(6)
