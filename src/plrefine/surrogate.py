@@ -36,6 +36,10 @@ MODALITIES = ("textual", "visual", "multimodal")
 DEFAULT_TEMPERATURE = 100.0
 DEFAULT_CTX_SCALE = 0.02
 
+# Rows per block of _shift_normalize's row norms, so it never holds a second
+# (n, d) array; a row's norm reads that row alone, so its bits are unchanged.
+NORM_BLOCK_ROWS = 1024
+
 
 def check_modality(modality: str) -> None:
     if modality not in MODALITIES:
@@ -189,11 +193,15 @@ def _shift_normalize(mix: np.ndarray, ctx: np.ndarray, anchors: np.ndarray, what
     """Unit rows of anchors + anchors @ E.T (E the route's effective map), and their norms."""
     d = mix.shape[0]
     E = np.einsum("jmk,mk->jk", mix.reshape(d, -1, d), ctx)
-    A = anchors + anchors @ E.T
-    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    A = anchors @ E.T
+    A += anchors
+    norms = np.empty((A.shape[0], 1))
+    for s in range(0, A.shape[0], NORM_BLOCK_ROWS):
+        norms[s : s + NORM_BLOCK_ROWS] = np.linalg.norm(A[s : s + NORM_BLOCK_ROWS], axis=1, keepdims=True)
     if np.any(norms < 1e-12):
         raise ValueError(f"degenerate embedding: {what} collapsed to zero norm")
-    return A / norms, norms
+    A /= norms
+    return A, norms
 
 
 def _shift_normalize_vjp(

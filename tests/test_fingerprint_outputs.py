@@ -13,7 +13,7 @@ TOOL = ROOT / "tools" / "fingerprint_outputs.py"
 
 def _fingerprint(work_dir):
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(work_dir), "--toy", "--seeds", "0"],
+        [sys.executable, str(TOOL), str(work_dir), "--toy"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -24,7 +24,8 @@ def test_toy_fingerprint_covers_every_output_and_ignores_the_work_dir(tmp_path):
     first = _fingerprint(tmp_path / "a")
     assert _fingerprint(tmp_path / "b") == first
     for name in ("calib", "fullscale", "select"):
-        assert f"{name}/0/result.json" in first
-        assert any(re.fullmatch(rf"{name}/0/[^/]+/trace\.csv", key) for key in first)
-    assert "calib/0/robinhood.json" in first
+        for seed in (0, 3):
+            assert f"{name}/{seed}/result.json" in first
+            assert any(re.fullmatch(rf"{name}/{seed}/[^/]+/trace\.csv", key) for key in first)
+    assert "calib/0/robinhood.json" in first and "calib/3/robinhood.json" in first
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in first.values())

@@ -247,6 +247,23 @@ class TestOffsetsAndFirewall:
             tracemalloc.stop()
         assert peak < 0.01 * Z.nbytes
 
+    def test_shifted_side_holds_one_copy_with_whole_matrix_bits(self):
+        # Row norms are taken NORM_BLOCK_ROWS rows at a time; n is not a
+        # multiple of the block, and the bits must match the whole-matrix norm.
+        n, d = 20000, 64
+        Z = _unit_rows(np.random.default_rng(9), n, d)
+        m = init_prompt("visual", 4, d, seed=1)
+        tracemalloc.start()
+        try:
+            out = image_features(m, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * Z.nbytes
+        E = np.einsum("jmk,mk->jk", m.vis_mix.reshape(d, -1, d), m.vis_ctx)
+        A = Z + Z @ E.T
+        assert out.tobytes() == (A / np.linalg.norm(A, axis=1, keepdims=True)).tobytes()
+
     def test_nonzero_ctx_moves_its_side(self):
         rng = np.random.default_rng(6)
         space = _space(rng, 4, 8)

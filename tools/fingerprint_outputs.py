@@ -1,9 +1,9 @@
 """Fingerprint the output files of the benchmark's workloads.
 
-    python3 tools/fingerprint_outputs.py WORK_DIR [--seeds 0 3] [--toy]
+    python3 tools/fingerprint_outputs.py WORK_DIR [--toy]
 
 Runs one unit of every workload in ``bench/workloads.py`` (calib, fullscale
-and select) at each seed, each in its own directory under WORK_DIR, and
+and select) at seeds 0 and 3, each in its own directory under WORK_DIR, and
 prints one JSON object that maps ``<workload>/<seed>/<file>`` to the sha256
 of that output file: ``result.json``, ``robinhood.json`` (calib) and every
 ``trace.csv``. The ``generated_at`` timestamps are removed first, and so is
@@ -27,12 +27,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from workloads import NAMES, Workload  # noqa: E402
 
+SEEDS = (0, 3)
 
-def fingerprint(work_dir: str, seeds, toy: bool) -> dict:
+
+def fingerprint(work_dir: str, toy: bool) -> dict:
     """sha256 of each output file of one unit per workload and seed."""
     out = {}
     for name in NAMES:
-        for seed in seeds:
+        for seed in SEEDS:
             unit_dir = os.path.abspath(os.path.join(work_dir, f"{name}-{seed}"))
             os.makedirs(unit_dir, exist_ok=True)
             workload = Workload(name, seed, toy, unit_dir)
@@ -48,10 +50,9 @@ def fingerprint(work_dir: str, seeds, toy: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("work_dir", help="directory for the inputs and outputs of every unit")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     parser.add_argument("--toy", action="store_true", help="run the workloads' toy shapes")
     args = parser.parse_args(argv)
-    print(json.dumps(fingerprint(args.work_dir, args.seeds, args.toy), indent=2, sort_keys=True))
+    print(json.dumps(fingerprint(args.work_dir, args.toy), indent=2, sort_keys=True))
     return 0
 
 
