@@ -107,9 +107,11 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     outside = (labels < 0) | (labels >= C)
     if outside.any():
         raise ValueError(f"label {int(labels[outside][0])} outside [0, {C})")
+    # Each row's pool size and weight; a unit weight needs no second pass.
+    row_count = np.repeat(np.array(counts, dtype=np.float64), counts)
+    row_weight = np.repeat(weights, counts) if any(w != 1.0 for w in weights) else None
     per_row = np.empty(n)
     local = np.arange(min(n, CE_BLOCK_ROWS))
-    pool, start = 0, 0  # the first pool meeting the block, and its first row
     for lo in range(0, n, CE_BLOCK_ROWS):
         hi = min(lo + CE_BLOCK_ROWS, n)
         blk, lab, at = S[lo:hi], labels[lo:hi], local[: hi - lo]
@@ -121,16 +123,9 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
         blk -= (shift + rel)[:, None]
         np.exp(blk, out=blk)
         blk[at, lab] -= 1.0
-        while start < hi:  # scale each pool's rows inside [lo, hi)
-            count, weight = counts[pool], weights[pool]
-            part = S[max(start, lo) : min(start + count, hi)]
-            part /= count
-            if weight != 1.0:  # a unit weight needs no second pass over its rows
-                part *= weight
-            if start + count > hi:
-                break
-            start += count
-            pool += 1
+        blk /= row_count[lo:hi, None]
+        if row_weight is not None:
+            blk *= row_weight[lo:hi, None]
     loss, start = 0.0, 0
     for count, weight in zip(counts, weights):
         loss += weight * (float(per_row[start : start + count].sum()) / count)
@@ -292,8 +287,8 @@ class ParadigmConfig:
     """Training paradigm plus its loss weights.
 
     gamma weights the labeled cross-entropy term, lam the pseudolabeled one.
-    Leave both None to have them derived from pool sizes (paradigm_weights)
-    at each iteration start, which is the standard behaviour.
+    Set both, or leave both None to have them derived from pool sizes
+    (paradigm_weights) at each iteration start, the standard behaviour.
     """
 
     paradigm: str
@@ -316,6 +311,8 @@ class ParadigmConfig:
             raise ValueError("UL trains with no labeled term: gamma must be 0")
         if self.paradigm == "SL" and self.lam not in (None, 0, 0.0):
             raise ValueError("SL trains with no pseudolabel term: lambda must be 0")
+        if (self.gamma is None) != (self.lam is None):
+            raise ValueError("set gamma and lambda together, or leave both unset")
 
 
 def make_trzsl_split(C: int, seed: int) -> tuple:

@@ -274,7 +274,7 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
         )
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
-        if config.paradigm.gamma is not None and config.paradigm.lam is not None:
+        if config.paradigm.gamma is not None:  # ParadigmConfig sets both or neither
             weights = (config.paradigm.gamma, config.paradigm.lam)
         else:
             weights = paradigm_weights(config.paradigm.paradigm, split.labeled.n, pl.m)

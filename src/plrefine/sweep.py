@@ -1,16 +1,17 @@
 """Experiment sweep: strategies x paradigms x seeds, plus the comparison
 scenario for the redistribution analysis.
 
-Outputs are deterministic: runs execute in config order (or in parallel and
-are re-assembled in config order), every RNG is derived from config seeds,
-and result.json is byte-identical across repeated invocations except for the
-"generated_at" timestamp.
+Outputs are deterministic: runs execute in config order (or in stripes across
+worker processes and are re-assembled in config order), every RNG is derived
+from config seeds, and result.json is byte-identical across repeated
+invocations except for the "generated_at" timestamp.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -69,20 +70,26 @@ def load_task(cfg: ExperimentConfig) -> Task:
     return task
 
 
-def _run_cell(args: Tuple[ExperimentConfig, str, str, int]) -> dict:
-    """One sweep cell, returned as plain dicts so it can cross processes."""
-    cfg, strategy, paradigm, seed = args
+def _run_cells(cfg: ExperimentConfig, cells: List[Tuple[str, str, int]], out: str) -> List[dict]:
+    """Run cells in order on one task and zero-shot baseline, writing each
+    cell's trace.csv as it finishes; returns plain dicts that can cross processes."""
     task = load_task(cfg)
-    result = run_strategy(cfg.run_config(strategy, paradigm, seed), task)
     baseline = zero_shot_report(task.test, task.space)
-    return {
-        "strategy": strategy,
-        "paradigm": paradigm,
-        "seed": seed,
-        "final": result.final_report.to_dict(),
-        "robin_hood": robin_hood(baseline, result.final_report).to_dict(),
-        "records": [r.to_dict() for r in result.records],
-    }
+    runs = []
+    for strategy, paradigm, seed in cells:
+        result = run_strategy(cfg.run_config(strategy, paradigm, seed), task)
+        runs.append({
+            "strategy": strategy,
+            "paradigm": paradigm,
+            "seed": seed,
+            "final": result.final_report.to_dict(),
+            "robin_hood": robin_hood(baseline, result.final_report).to_dict(),
+            "records": [r.to_dict() for r in result.records],
+        })
+        run_dir = os.path.join(out, f"{strategy}_{paradigm}_seed{seed}")
+        os.makedirs(run_dir, exist_ok=True)
+        write_trace_csv(os.path.join(run_dir, "trace.csv"), runs[-1]["records"])
+    return runs
 
 
 def write_trace_csv(path: str, records: List[dict]) -> None:
@@ -121,42 +128,41 @@ def _aggregate(runs: List[dict]) -> List[dict]:
     return out
 
 
-def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None) -> dict:
-    """Execute every (strategy, paradigm, seed) cell and write the outputs.
-
-    Writes <out>/<strategy>_<paradigm>_seed<k>/trace.csv per run and a single
-    <out>/result.json; returns the result.json payload.
-    """
-    out = out_dir or cfg.output_dir
-    cells = [
-        (cfg, strategy, paradigm, seed)
-        for strategy in cfg.strategies
-        for paradigm in cfg.paradigms
-        for seed in cfg.seeds
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_run_cell, cells))
-    else:
-        runs = [_run_cell(c) for c in cells]
-
-    os.makedirs(out, exist_ok=True)
-    for run in runs:
-        run_dir = os.path.join(out, f"{run['strategy']}_{run['paradigm']}_seed{run['seed']}")
-        os.makedirs(run_dir, exist_ok=True)
-        write_trace_csv(os.path.join(run_dir, "trace.csv"), run["records"])
-
+def _write_json(out: str, name: str, cfg: ExperimentConfig, body: dict) -> dict:
+    """Write <out>/<name>: schema version, timestamp, config echo, then body."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.echo(),
-        "runs": runs,
-        "aggregates": _aggregate(runs),
+        **body,
     }
-    with replacing(os.path.join(out, "result.json"), encoding="utf-8") as fh:
+    os.makedirs(out, exist_ok=True)
+    with replacing(os.path.join(out, name), encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return payload
+
+
+def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None) -> dict:
+    """Execute every (strategy, paradigm, seed) cell and write the outputs.
+
+    Writes <out>/<strategy>_<paradigm>_seed<k>/trace.csv per run and a single
+    <out>/result.json; returns the result.json payload. ``jobs`` > 1 runs
+    min(jobs, cells) worker processes, each on a stripe of every workers-th cell.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    out = out_dir or cfg.output_dir
+    cells = list(itertools.product(cfg.strategies, cfg.paradigms, cfg.seeds))
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        stripes = [cells[w::workers] for w in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_cells, [cfg] * workers, stripes, [out] * workers))
+        runs = [parts[i % workers][i // workers] for i in range(len(cells))]
+    else:
+        runs = _run_cells(cfg, cells, out)
+    return _write_json(out, "result.json", cfg, {"runs": runs, "aggregates": _aggregate(runs)})
 
 
 def _train_head(head, task: Task, split, pl, seed: int, schedule):
@@ -218,17 +224,8 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
                 "robin_hood": robin_hood(baseline, report).to_dict(),
             }
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": cfg.echo(),
+    return _write_json(out_dir or cfg.output_dir, "robinhood.json", cfg, {
         "baseline": baseline.to_dict(),
         "threshold_tau": cfg.threshold_tau,
         "comparisons": comparisons,
-    }
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    with replacing(os.path.join(out, "robinhood.json"), encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return payload
+    })

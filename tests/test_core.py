@@ -231,6 +231,13 @@ class TestParadigmConfig:
         with pytest.raises(ValueError, match="SL trains with no pseudolabel term: lambda must be 0"):
             ParadigmConfig("SL", lam=0.5)
 
+    def test_weights_come_as_a_pair(self):
+        ParadigmConfig("SSL", gamma=50.0, lam=1.0)
+        with pytest.raises(ValueError, match="set gamma and lambda together"):
+            ParadigmConfig("SSL", gamma=50.0)
+        with pytest.raises(ValueError, match="set gamma and lambda together"):
+            ParadigmConfig("TRZSL", lam=2.0)
+
     def test_rejects_negative_knobs(self):
         with pytest.raises(ValueError, match="shots_per_class"):
             ParadigmConfig("SSL", shots_per_class=-1)

@@ -1,0 +1,133 @@
+"""Sweep execution: cells run in stripes on one task and one zero-shot
+baseline per process, with the same bytes serially and across workers."""
+
+from pathlib import Path
+
+import pytest
+
+from plrefine import sweep
+from plrefine.cli import main
+from plrefine.config import parse_config
+
+CELL_DIRS = ("FPL_UL_seed0", "FPL_SSL_seed0", "GRIP_UL_seed0", "GRIP_SSL_seed0")
+
+
+@pytest.fixture
+def cfg(tmp_path):
+    """Four cells in config order: FPL then GRIP, each under UL then SSL."""
+    return parse_config({
+        "schema_version": 1,
+        "task": {"synthetic": {"C": 3, "d": 8, "labeled_per_class": 2, "unlabeled_per_class": 8}},
+        "strategies": ["FPL", "GRIP"],
+        "paradigms": ["UL", "SSL"],
+        "seeds": [0],
+        "I": 2,
+        "temperature": 10.0,
+        "schedule": {"epochs": 3, "warmup_epochs": 1},
+        "output_dir": str(tmp_path / "unused"),
+    })
+
+
+def _outputs(out: Path) -> dict:
+    """Every file under out, with result.json's timestamp line removed."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "result.json":
+                data = b"\n".join(ln for ln in data.split(b"\n") if b'"generated_at"' not in ln)
+            files[path.relative_to(out).as_posix()] = data
+    return files
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(sweep, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, name, wrapper)
+    return calls
+
+
+def test_serial_and_workers_write_the_same_bytes(cfg, tmp_path):
+    serial = sweep.run_sweep(cfg, out_dir=str(tmp_path / "serial"))
+    assert [(r["strategy"], r["paradigm"]) for r in serial["runs"]] == [
+        ("FPL", "UL"), ("FPL", "SSL"), ("GRIP", "UL"), ("GRIP", "SSL")
+    ]
+    expected = _outputs(tmp_path / "serial")
+    assert sorted(expected) == sorted([f"{d}/trace.csv" for d in CELL_DIRS] + ["result.json"])
+    for jobs in (2, 5):  # two stripes of two cells; more jobs than cells
+        sweep.run_sweep(cfg, jobs=jobs, out_dir=str(tmp_path / f"jobs{jobs}"))
+        assert _outputs(tmp_path / f"jobs{jobs}") == expected
+
+
+def test_serial_sweep_loads_task_and_scores_baseline_once(cfg, tmp_path, monkeypatch):
+    loads = _counting(monkeypatch, "load_task")
+    baselines = _counting(monkeypatch, "zero_shot_report")
+    payload = sweep.run_sweep(cfg, out_dir=str(tmp_path / "out"))
+    assert len(payload["runs"]) == 4
+    assert len(loads) == 1 and len(baselines) == 1
+
+
+def test_failing_cell_keeps_finished_traces_and_writes_no_result(cfg, tmp_path, monkeypatch):
+    real = sweep.run_strategy
+    calls = []
+
+    def third_fails(config, task):
+        calls.append(config.strategy)
+        if len(calls) == 3:
+            raise RuntimeError("cell failed")
+        return real(config, task)
+
+    monkeypatch.setattr(sweep, "run_strategy", third_fails)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="cell failed"):
+        sweep.run_sweep(cfg, out_dir=str(out))
+    assert sorted(_outputs(out)) == sorted(f"{d}/trace.csv" for d in CELL_DIRS[:2])
+
+
+def test_workers_never_outnumber_cells(cfg, tmp_path, monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Runs the stripes in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    sweep.run_sweep(cfg, out_dir=str(tmp_path / "serial"))
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    sweep.run_sweep(cfg, jobs=64, out_dir=str(tmp_path / "jobs64"))
+    assert started == [4]
+    assert _outputs(tmp_path / "jobs64") == _outputs(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_rejected(cfg, tmp_path, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sweep.run_sweep(cfg, jobs=jobs, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_jobs_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(
+        '{"schema_version": 1, "task": {"synthetic": {"C": 3, "d": 8}},'
+        ' "strategies": ["FPL"], "paradigms": ["UL"], "seeds": [0]}',
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg_path), "--jobs", "0"]) == 1
+    err = capsys.readouterr().err
+    assert '"error": "jobs must be at least 1"' in err and '"type": "ValueError"' in err
