@@ -41,6 +41,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"warning: I={cfg.I} is ignored by FPL (it always runs a single iteration)",
             file=sys.stderr,
         )
+    if cfg.synthetic is not None and cfg.synthetic.d <= 64 and "temperature" not in raw:
+        print(
+            f"warning: temperature defaults to {cfg.temperature:g}, which suits 512-d spaces; on a"
+            f" synthetic task with d={cfg.synthetic.d} (d <= 64) refinement tends to lose accuracy"
+            " at that temperature (set \"temperature\", e.g. 10)",
+            file=sys.stderr,
+        )
     payload = run_sweep(cfg, jobs=args.jobs, out_dir=args.out)
     out = args.out or cfg.output_dir
     print(f"wrote {out}/result.json ({len(payload['runs'])} runs)")

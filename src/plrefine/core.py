@@ -45,6 +45,25 @@ def unit_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x / norms
 
 
+def max_norm_drift(mat: np.ndarray) -> float:
+    """Largest |‖row‖ − 1| over the rows of a 2-D array; 0.0 when it has no
+    rows. A NaN or inf entry gives NaN or inf."""
+    norms = np.linalg.norm(mat, axis=1)
+    return float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
+
+
+def _check_unit_rows(mat: np.ndarray, name: str) -> None:
+    """Raise unless every entry of ``mat`` is finite and every row unit-norm
+    within NORM_TOLERANCE."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite (found NaN or inf)")
+    drift = max_norm_drift(mat)
+    if drift > NORM_TOLERANCE:
+        raise ValueError(
+            f"{name} must be unit-normalized within {NORM_TOLERANCE:g} (worst drift {drift:.3g})"
+        )
+
+
 def frozen_array(arr, dtype=None) -> np.ndarray:
     """Read-only C-contiguous ``arr`` (cast to ``dtype`` when given).
 
@@ -152,14 +171,7 @@ class EmbeddingSet:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty (n, d) matrix")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite (found NaN or inf)")
-        norms = np.linalg.norm(feats, axis=1)
-        if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
-            raise ValueError(
-                "features must be unit-normalized within %g (worst drift %.3g)"
-                % (NORM_TOLERANCE, float(np.max(np.abs(norms - 1.0))))
-            )
+        _check_unit_rows(feats, "features")
         labels = np.asarray(self.labels, dtype=np.int64)
         ids = np.asarray(self.ids, dtype=np.uint64)
         n = feats.shape[0]
@@ -230,11 +242,7 @@ class ClassSpace:
         protos = np.asarray(self.base_prototypes, dtype=np.float64)
         if protos.ndim != 2 or protos.shape[0] != len(names) or len(names) == 0:
             raise ValueError("base_prototypes must be (C, d) with one row per class name")
-        if not np.all(np.isfinite(protos)):
-            raise ValueError("base_prototypes must be finite (found NaN or inf)")
-        norms = np.linalg.norm(protos, axis=1)
-        if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
-            raise ValueError("base_prototypes rows must be unit-normalized within 1e-5")
+        _check_unit_rows(protos, "base_prototypes")
         part = self.partition
         if part is not None:
             seen = tuple(sorted(int(c) for c in part[0]))

@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, unit_normalize
+from .core import ClassSpace, EmbeddingSet, max_norm_drift, unit_normalize
 
 MAGIC = b"PLE1"
 VERSION = 1
@@ -68,25 +68,15 @@ def write_ple(path: str, data: EmbeddingSet, space: ClassSpace) -> None:
             raise ValueError(f"class name too long to serialize: {name[:32]}...")
         names.append(struct.pack("<H", len(raw)) + raw)
     with replacing(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<III", data.d, data.n, space.C))
-        fh.write(np.ascontiguousarray(data.features, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(data.labels, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(data.ids, dtype="<u8").tobytes())
+        fh.write(MAGIC + struct.pack("<HIII", VERSION, data.d, data.n, space.C))
+        for arr, dtype in ((data.features, "<f4"), (data.labels, "<i4"), (data.ids, "<u8")):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
         fh.write(b"".join(names))
         fh.write(np.ascontiguousarray(space.base_prototypes, dtype="<f4").tobytes())
 
 
-def _take(buf: bytes, offset: int, count: int) -> Tuple[bytes, int]:
-    if offset + count > len(buf):
-        raise ValueError("not a PLE1 file: truncated payload")
-    return buf[offset : offset + count], offset + count
-
-
 def _check_norms(mat: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
+    drift = max_norm_drift(mat)
     if drift > MAX_DRIFT:
         raise ValueError(f"{what} norm drift {drift:.3g} exceeds {MAX_DRIFT}")
     if drift > KEEP_DRIFT:
@@ -100,30 +90,34 @@ def read_ple(path: str) -> Tuple[EmbeddingSet, ClassSpace]:
         buf = fh.read()
     if len(buf) < 6 or buf[:4] != MAGIC:
         raise ValueError("not a PLE1 file: bad magic")
-    (version,) = struct.unpack_from("<H", buf, 4)
+    offset = 4
+
+    def field(dtype: str, count: int) -> np.ndarray:
+        """The next ``count`` values of ``dtype``: a read-only view of buf."""
+        nonlocal offset
+        end = offset + np.dtype(dtype).itemsize * count
+        if end > len(buf):
+            raise ValueError("not a PLE1 file: truncated payload")
+        values = np.frombuffer(buf, dtype, count, offset)
+        offset = end
+        return values
+
+    version = int(field("<u2", 1)[0])
     if version != VERSION:
         raise ValueError(f"not a PLE1 file: unsupported version {version}")
-    offset = 6
-    header, offset = _take(buf, offset, 12)
-    d, n, C = struct.unpack("<III", header)
+    d, n, C = (int(v) for v in field("<u4", 3))
     if d < 1 or n < 1 or C < 1:
         raise ValueError("not a PLE1 file: empty dimensions")
 
-    raw, offset = _take(buf, offset, 4 * n * d)
-    features = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
-    raw, offset = _take(buf, offset, 4 * n)
-    labels = np.frombuffer(raw, dtype="<i4").astype(np.int64)
-    raw, offset = _take(buf, offset, 8 * n)
-    ids = np.frombuffer(raw, dtype="<u8").copy()
-
+    features = field("<f4", n * d).astype(np.float64).reshape(n, d)
+    labels = field("<i4", n).astype(np.int64)
+    # A copy, so the loaded set does not keep the whole file buffer alive.
+    ids = field("<u8", n).copy()
     names = []
     for _ in range(C):
-        raw, offset = _take(buf, offset, 2)
-        (ln,) = struct.unpack("<H", raw)
-        raw, offset = _take(buf, offset, ln)
-        names.append(raw.decode("utf-8"))
-    raw, offset = _take(buf, offset, 4 * C * d)
-    prototypes = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(C, d)
+        length = int(field("<u2", 1)[0])
+        names.append(bytes(field("u1", length)).decode("utf-8"))
+    prototypes = field("<f4", C * d).astype(np.float64).reshape(C, d)
     if offset != len(buf):
         raise ValueError("not a PLE1 file: trailing bytes after payload")
     if labels.max() >= C:
@@ -139,7 +133,6 @@ def read_ple(path: str) -> Tuple[EmbeddingSet, ClassSpace]:
 def inspect_ple(path: str) -> dict:
     """Human-oriented summary of a PLE1 file."""
     data, space = read_ple(path)
-    norms = np.linalg.norm(data.features, axis=1)
     return {
         "path": path,
         "n": data.n,
@@ -148,5 +141,5 @@ def inspect_ple(path: str) -> dict:
         "labeled_rows": int(np.sum(data.labels >= 0)),
         "unlabeled_rows": int(np.sum(data.labels < 0)),
         "class_names": list(space.class_names),
-        "max_norm_drift": float(np.max(np.abs(norms - 1.0))),
+        "max_norm_drift": max_norm_drift(data.features),
     }

@@ -140,6 +140,15 @@ class ParadigmSplit:
             self, "pseudolabel_classes", tuple(int(c) for c in self.pseudolabel_classes)
         )
 
+    def pool(self, data: EmbeddingSet) -> tuple:
+        """The pool's (features, ids) in the train set ``data``: its own
+        arrays, not copies, when the pool is every row."""
+        if self.pool_rows.size == data.n:
+            # wire_paradigm's pool rows are unique and ascending, so this pool
+            # is every row in order (UL).
+            return data.features, data.ids
+        return data.features[self.pool_rows], data.ids[self.pool_rows]
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -248,13 +257,7 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     if split.pool_rows.size == 0:
         raise ValueError(f"{config.strategy} requires unlabeled data")
 
-    if split.pool_rows.size == data.n:
-        # wire_paradigm's pool rows are unique and ascending, so this pool is
-        # every row in order (UL): use the train set itself, not a copy.
-        pool_feats, pool_ids = data.features, data.ids
-    else:
-        pool_feats = data.features[split.pool_rows]
-        pool_ids = data.ids[split.pool_rows]
+    pool_feats, pool_ids = split.pool(data)
     # Pseudolabel accuracy is reported only when every pool row has its class.
     truth = None if np.any(data.labels[split.pool_rows] == UNLABELED) else data
 

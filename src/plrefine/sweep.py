@@ -10,6 +10,7 @@ invocations except for the "generated_at" timestamp.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import itertools
 import json
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import SCHEMA_VERSION, ExperimentConfig
-from .core import UNLABELED, ClassSpace, Task, make_trzsl_split, paradigm_weights
+from .core import UNLABELED, Task, make_trzsl_split, paradigm_weights
 from .fileio import read_ple, replacing
 from .metrics import (
     evaluate,
@@ -49,24 +50,28 @@ TRACE_COLUMNS = (
 def load_task(cfg: ExperimentConfig) -> Task:
     """Materialize the task: generate synthetically or read PLE1 files.
 
-    A transductive paradigm needs a class partition; file-based spaces get
-    one derived from split_seed (synthetic spaces already carry one).
+    The two files must hold the same class space: names, order and
+    prototypes. A transductive paradigm needs a class partition; file-based
+    spaces get one derived from split_seed (synthetic spaces already carry
+    one).
     """
     if cfg.synthetic is not None:
         task = synth_generate(cfg.synthetic)
     else:
         train_set, space = read_ple(cfg.train_path)
         test_set, test_space = read_ple(cfg.test_path)
-        if test_space.C != space.C or test_space.d != space.d:
-            raise ValueError("train and test files describe different class spaces")
+        protos = (space.base_prototypes, test_space.base_prototypes)
+        for c in range(max(space.C, test_space.C)):
+            names = [repr(s.class_names[c]) if c < s.C else "absent" for s in (space, test_space)]
+            if names[0] != names[1] or not np.array_equal(protos[0][c], protos[1][c]):
+                raise ValueError(
+                    "train and test files describe different class spaces: they first differ"
+                    f" at class {c}, {names[0]} in the train file and {names[1]} in the test file"
+                )
         task = Task(train=train_set, test=test_set, space=space)
     if "TRZSL" in cfg.paradigms and task.space.partition is None:
-        space = ClassSpace(
-            task.space.class_names,
-            task.space.base_prototypes,
-            partition=make_trzsl_split(task.space.C, cfg.split_seed),
-        )
-        task = Task(train=task.train, test=task.test, space=space)
+        partition = make_trzsl_split(task.space.C, cfg.split_seed)
+        task = dataclasses.replace(task, space=dataclasses.replace(task.space, partition=partition))
     return task
 
 
@@ -165,17 +170,6 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
     return _write_json(out, "result.json", cfg, {"runs": runs, "aggregates": _aggregate(runs)})
 
 
-def _train_head(head, task: Task, split, pl, seed: int, schedule):
-    """Fit one comparison head on labeled shots plus a pseudolabel set."""
-    if pl.m == 0:
-        # Nothing crossed the threshold; fall back to pure supervised shots.
-        weights = (1.0, 0.0)
-    else:
-        weights = paradigm_weights("SSL", split.labeled.n, pl.m)
-    fitted, _ = train(head, task.train, task.space, split.labeled, pl, weights, schedule, seed=seed)
-    return fitted
-
-
 def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Top-K vs confidence-threshold pseudolabels, prompt vs linear probe.
 
@@ -189,8 +183,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     # One pseudolabeling pass and one training per head, as in an FPL run.
     run_cfg = cfg.run_config("FPL", "SSL", seed)
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
-    pool_feats = task.train.features[split.pool_rows]
-    pool_ids = task.train.ids[split.pool_rows]
+    pool_feats, pool_ids = split.pool(task.train)
     # Row-major on purpose: softmax_rows' row sums over this S feed the
     # threshold pseudolabels pinned in robinhood.json.
     S = pool_feats @ task.space.base_prototypes.T
@@ -207,6 +200,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     scored = not np.any(task.train.labels[split.pool_rows] == UNLABELED)
     baseline = zero_shot_report(task.test, task.space)
     base = run_cfg.base_prompt(task.space.d)
+    schedule = run_cfg.resolved_schedule()
     comparisons: dict = {}
     for head_name in ("prompt", "linear_probe"):
         comparisons[head_name] = {}
@@ -215,7 +209,11 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
                 head = reinit_ctx(base, seed ^ 1, scale=cfg.init_scale, spread=cfg.init_spread)
             else:
                 head = init_linear_probe(task.space.C, task.space.d)
-            fitted = _train_head(head, task, split, pl, seed ^ 1, run_cfg.resolved_schedule())
+            # Nothing may cross the threshold; that head trains on the shots alone.
+            weights = paradigm_weights("SSL", split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
+            fitted, _ = train(
+                head, task.train, task.space, split.labeled, pl, weights, schedule, seed=seed ^ 1
+            )
             report = evaluate(fitted, task.test, task.space)
             comparisons[head_name][mode] = {
                 "n_pseudolabels": pl.m,

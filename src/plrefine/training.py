@@ -115,8 +115,9 @@ def train(
     if schedule.epochs == 0:
         return model, []
 
-    # The pools' rows back to back; a pool's batch rows are shifted by its offset.
-    feats = data.features[np.concatenate([rows for rows, _, _ in pools])]
+    # The pools' data rows back to back; a pool's batch rows are shifted by
+    # its offset. Each batch is gathered from data, with no stacked copy.
+    data_rows = np.concatenate([rows for rows, _, _ in pools])
     labels = np.concatenate([pool_labels for _, pool_labels, _ in pools])
     sizes = [rows.size for rows, _, _ in pools]
     offsets = np.cumsum([0] + sizes[:-1])
@@ -138,7 +139,7 @@ def train(
             rows = np.concatenate(picks)
             blocks = [(pick.size, weight) for pick, (_, _, weight) in zip(picks, pools)]
             try:
-                loss, grads = model.loss_and_grad(feats[rows], labels[rows], space, blocks)
+                loss, grads = model.loss_and_grad(data.features[data_rows[rows]], labels[rows], space, blocks)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} (epoch {epoch}, step {step})") from None
             new_params = {}

@@ -147,6 +147,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert "I=5 is ignored by FPL" in err
 
+    @pytest.mark.parametrize(
+        "d, temperature, warned",
+        [(8, None, True), (64, None, True), (8, 100.0, False), (65, None, False)],
+    )
+    def test_defaulted_temperature_warns_on_small_synthetic_task(
+        self, tmp_path, capsys, d, temperature, warned
+    ):
+        """Only a synthetic task with d <= 64 left on the default temperature
+        warns; setting it, even to the default, is taken as meant."""
+        cfg_path = _write_config(tmp_path)
+        raw = json.loads(cfg_path.read_text())
+        raw["task"]["synthetic"]["d"] = d
+        raw.pop("temperature")
+        if temperature is not None:
+            raw["temperature"] = temperature
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == 0
+        err = capsys.readouterr().err
+        assert ("temperature defaults to 100" in err) is warned
+        assert (f"d={d} (d <= 64)" in err) is warned
+
     def test_file_based_task_round_trip(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"C": 3, "d": 8, "unlabeled_per_class": 8}))

@@ -220,6 +220,18 @@ class TestFuzz:
             with pytest.raises(ValueError):
                 read_ple(str(path))
 
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        """Each cut, including ones inside a multi-byte class name, raises
+        ValueError with the message of what is missing, never another error."""
+        good, path = self._good(tmp_path)
+        for cut in range(len(good)):
+            path.write_bytes(good[:cut])
+            with pytest.raises(ValueError) as caught:
+                read_ple(str(path))
+            assert type(caught.value) is ValueError
+            expected = "bad magic" if cut < 6 else "truncated payload"
+            assert str(caught.value) == f"not a PLE1 file: {expected}"
+
     def test_bit_flips_rejected_or_well_formed(self, tmp_path):
         good, path = self._good(tmp_path)
         rng = np.random.default_rng(13)

@@ -1,13 +1,18 @@
 """Sweep execution: cells run in stripes on one task and one zero-shot
 baseline per process, with the same bytes serially and across workers."""
 
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plrefine import sweep
 from plrefine.cli import main
 from plrefine.config import parse_config
+from plrefine.core import ClassSpace
+from plrefine.fileio import write_ple
+from plrefine.synth import SyntheticSpec, synth_generate
 
 CELL_DIRS = ("FPL_UL_seed0", "FPL_SSL_seed0", "GRIP_UL_seed0", "GRIP_SSL_seed0")
 
@@ -131,3 +136,49 @@ def test_cli_reports_jobs_below_one(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--jobs", "0"]) == 1
     err = capsys.readouterr().err
     assert '"error": "jobs must be at least 1"' in err and '"type": "ValueError"' in err
+
+
+def _reversed(task):
+    space = task.space
+    return task.test, ClassSpace(space.class_names[::-1], space.base_prototypes[::-1])
+
+
+def _extra_class(task):
+    space = task.space
+    protos = np.vstack([space.base_prototypes, np.eye(1, space.d)])
+    return task.test, ClassSpace(space.class_names + ("extra",), protos)
+
+
+def _other_prototypes(task):
+    space = task.space
+    return task.test, ClassSpace(space.class_names, space.base_prototypes[[0, 2, 1]])
+
+
+def _other_dimension(task):
+    other = synth_generate(SyntheticSpec(C=3, d=6))
+    return other.test, other.space
+
+
+@pytest.mark.parametrize(
+    "test_file_of, difference",
+    [
+        (_extra_class, "class 3, absent in the train file and 'extra' in the test file"),
+        (_other_dimension, "class 0, 'class_000' in the train file and 'class_000' in the test file"),
+        (_reversed, "class 0, 'class_000' in the train file and 'class_002' in the test file"),
+        (_other_prototypes, "class 1, 'class_001' in the train file and 'class_001' in the test file"),
+    ],
+    ids=["class-count", "dimension", "names", "prototypes"],
+)
+def test_test_file_from_another_class_space_is_rejected(tmp_path, test_file_of, difference):
+    """The test file must carry the train file's class space: the same names
+    in the same order and the same prototypes, not only the same C and d."""
+    task = synth_generate(SyntheticSpec(C=3, d=8, unlabeled_per_class=4))
+    paths = {"train_path": str(tmp_path / "train.ple"), "test_path": str(tmp_path / "test.ple")}
+    raw = {"schema_version": 1, "task": paths, "strategies": ["FPL"], "paradigms": ["UL"], "seeds": [0]}
+    write_ple(paths["train_path"], task.train, task.space)
+    write_ple(paths["test_path"], task.test, task.space)
+    assert sweep.load_task(parse_config(raw)).space.class_names == task.space.class_names
+    write_ple(paths["test_path"], *test_file_of(task))
+    message = f"train and test files describe different class spaces: they first differ at {difference}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep.load_task(parse_config(raw))

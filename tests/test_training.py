@@ -2,11 +2,13 @@
 one loss call per step, determinism and descent behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from plrefine.core import ClassSpace, EmbeddingSet, LabeledSubset, ParadigmConfig, paradigm_weights
+from plrefine.probe import init_linear_probe
 from plrefine.pseudolabels import topk_per_class
 from plrefine.surrogate import PromptModel, init_prompt
 from plrefine.training import TrainSchedule, _batch_rows, lr_at, train
@@ -210,6 +212,25 @@ class TestTrain:
                             seed=0)
         assert len(losses) == 3
         assert np.all(np.isfinite(losses))
+
+    def test_batches_are_gathered_without_a_stacked_pool_copy(self):
+        """Each batch comes from the train set's rows: the loop never holds a
+        (pooled rows, d) copy of the features, so its traced peak stays below
+        half of one such array."""
+        rng = np.random.default_rng(8)
+        n, d, C = 20000, 64, 4
+        labels = rng.integers(0, C, size=n).astype(np.int64)
+        data = EmbeddingSet(_unit_rows(rng, n, d), labels, np.arange(n, dtype=np.uint64))
+        labeled = LabeledSubset(np.arange(n), labels)
+        space, model = _space(rng, C, d), init_linear_probe(C, d)
+        schedule = TrainSchedule(epochs=1, warmup_epochs=0)
+        tracemalloc.start()
+        try:
+            train(model, data, space, labeled, None, (1.0, 0.0), schedule, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.features.nbytes / 2
 
 
 def _pools(rng, paradigm):
