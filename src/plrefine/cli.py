@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config, parse_config, parse_seed_list, parse_synthetic_spec
+from .config import parse_config, parse_seed_list, parse_synthetic_spec
 from .fileio import inspect_ple, write_ple
 from .sweep import run_comparison_scenario, run_sweep
 from .synth import synth_generate
@@ -29,23 +29,33 @@ def _test_path_for(path: str) -> str:
     return str(p.with_suffix(".test" + (p.suffix or ".ple")))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _read_config(path: str) -> tuple:
+    """The config file's raw JSON object and its parsed config, after warning
+    when a small synthetic task is left on the 512-d default temperature."""
+    with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     cfg = parse_config(raw)
-    if args.seed_override:
-        seeds = parse_seed_list([int(s) for s in args.seed_override.split(",")])
-        cfg = dataclasses.replace(cfg, seeds=seeds)
-    if "FPL" in cfg.strategies and "I" in raw and cfg.I != 1:
-        print(
-            f"warning: I={cfg.I} is ignored by FPL (it always runs a single iteration)",
-            file=sys.stderr,
-        )
     if cfg.synthetic is not None and cfg.synthetic.d <= 64 and "temperature" not in raw:
         print(
             f"warning: temperature defaults to {cfg.temperature:g}, which suits 512-d spaces; on a"
             f" synthetic task with d={cfg.synthetic.d} (d <= 64) refinement tends to lose accuracy"
             " at that temperature (set \"temperature\", e.g. 10)",
+            file=sys.stderr,
+        )
+    return raw, cfg
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    raw, cfg = _read_config(args.config)
+    if args.seed_override:
+        try:
+            seeds = [int(s) for s in args.seed_override.split(",")]
+        except ValueError:
+            raise ValueError(f"--seed-override takes comma-separated integers, got {args.seed_override!r}") from None
+        cfg = dataclasses.replace(cfg, seeds=parse_seed_list(seeds))
+    if "FPL" in cfg.strategies and "I" in raw and cfg.I != 1:
+        print(
+            f"warning: I={cfg.I} is ignored by FPL (it always runs a single iteration)",
             file=sys.stderr,
         )
     payload = run_sweep(cfg, jobs=args.jobs, out_dir=args.out)
@@ -71,7 +81,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_robinhood(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    _, cfg = _read_config(args.config)
     run_comparison_scenario(cfg, out_dir=args.out)
     out = args.out or cfg.output_dir
     print(f"wrote {out}/robinhood.json")

@@ -40,6 +40,10 @@ DEFAULT_CTX_SCALE = 0.02
 # (n, d) array; a row's norm reads that row alone, so its bits are unchanged.
 NORM_BLOCK_ROWS = 1024
 
+# One row per route: the modality that owns it (multimodal models own both),
+# its ctx and mixer fields, and the SeedSequence children that draw them.
+_ROUTES = (("textual", "text_ctx", "text_mix", 0, 2), ("visual", "vis_ctx", "vis_mix", 1, 3))
+
 
 def check_modality(modality: str) -> None:
     if modality not in MODALITIES:
@@ -67,33 +71,25 @@ class PromptModel:
         check_modality(self.modality)
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        has_text = self.modality in ("textual", "multimodal")
-        has_vis = self.modality in ("visual", "multimodal")
-        if has_text != (self.text_ctx is not None) or has_text != (self.text_mix is not None):
-            raise ValueError("textual side must be present exactly for textual/multimodal models")
-        if has_vis != (self.vis_ctx is not None) or has_vis != (self.vis_mix is not None):
-            raise ValueError("visual side must be present exactly for visual/multimodal models")
-        for name in ("text_ctx", "vis_ctx", "text_mix", "vis_mix"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, frozen_array(getattr(self, name), np.float64))
-        if self.text_ctx is not None:
-            m, d = self.text_ctx.shape
-            if self.text_mix.shape != (d, m * d):
-                raise ValueError("text_mix must be (d, M*d) for text_ctx of shape (M, d)")
-        if self.vis_ctx is not None:
-            m, d = self.vis_ctx.shape
-            if self.vis_mix.shape != (d, m * d):
-                raise ValueError("vis_mix must be (d, M*d) for vis_ctx of shape (M, d)")
+        for side, ctx_name, mix_name, *_ in _ROUTES:
+            present = self.modality in (side, "multimodal")
+            if any(present != (getattr(self, name) is not None) for name in (ctx_name, mix_name)):
+                raise ValueError(f"{side} side must be present exactly for {side}/multimodal models")
+        for _, ctx_name, mix_name, *_ in _ROUTES:
+            if getattr(self, ctx_name) is not None:
+                ctx = frozen_array(getattr(self, ctx_name), np.float64)
+                mix = frozen_array(getattr(self, mix_name), np.float64)
+                object.__setattr__(self, ctx_name, ctx)
+                object.__setattr__(self, mix_name, mix)
+                m, d = ctx.shape
+                if mix.shape != (d, m * d):
+                    raise ValueError(f"{mix_name} must be (d, M*d) for {ctx_name} of shape (M, d)")
 
     # --- generic trainable-model interface (shared with the linear probe) ---
 
     def learnable(self) -> Dict[str, np.ndarray]:
-        out = {}
-        if self.text_ctx is not None:
-            out["text_ctx"] = self.text_ctx
-        if self.vis_ctx is not None:
-            out["vis_ctx"] = self.vis_ctx
-        return out
+        blocks = {ctx_name: getattr(self, ctx_name) for _, ctx_name, *_ in _ROUTES}
+        return {name: ctx for name, ctx in blocks.items() if ctx is not None}
 
     def with_learnable(self, params: Dict[str, np.ndarray]) -> "PromptModel":
         """A copy holding new ctx blocks of the same shapes.
@@ -155,22 +151,13 @@ def init_prompt(
     if M < 1 or d < 1:
         raise ValueError("M and d must be positive")
     sigma = _ctx_sigma(scale, spread)
-    kids = np.random.SeedSequence(seed).spawn(4)
-    text_ctx = vis_ctx = text_mix = vis_mix = None
-    if modality in ("textual", "multimodal"):
-        text_ctx = np.random.default_rng(kids[0]).normal(0.0, sigma, size=(M, d))
-        text_mix = np.random.default_rng(kids[2]).standard_normal((d, M * d)) / np.sqrt(M * d)
-    if modality in ("visual", "multimodal"):
-        vis_ctx = np.random.default_rng(kids[1]).normal(0.0, sigma, size=(M, d))
-        vis_mix = np.random.default_rng(kids[3]).standard_normal((d, M * d)) / np.sqrt(M * d)
-    return PromptModel(
-        modality=modality,
-        temperature=temperature,
-        text_ctx=text_ctx,
-        vis_ctx=vis_ctx,
-        text_mix=text_mix,
-        vis_mix=vis_mix,
-    )
+    rngs = [np.random.default_rng(kid) for kid in np.random.SeedSequence(seed).spawn(4)]
+    sides: Dict[str, np.ndarray] = {}
+    for side, ctx_name, mix_name, ctx_kid, mix_kid in _ROUTES:
+        if modality in (side, "multimodal"):
+            sides[ctx_name] = rngs[ctx_kid].normal(0.0, sigma, size=(M, d))
+            sides[mix_name] = rngs[mix_kid].standard_normal((d, M * d)) / np.sqrt(M * d)
+    return PromptModel(modality=modality, temperature=temperature, **sides)
 
 
 def reinit_ctx(model: PromptModel, seed: int, scale: float = DEFAULT_CTX_SCALE, spread: str = "std") -> PromptModel:
@@ -180,12 +167,12 @@ def reinit_ctx(model: PromptModel, seed: int, scale: float = DEFAULT_CTX_SCALE, 
     produce, because ctx and mixers come from independent seed streams.
     """
     sigma = _ctx_sigma(scale, spread)
-    kids = np.random.SeedSequence(seed).spawn(2)
-    updates: Dict[str, np.ndarray] = {}
-    if model.text_ctx is not None:
-        updates["text_ctx"] = np.random.default_rng(kids[0]).normal(0.0, sigma, size=model.text_ctx.shape)
-    if model.vis_ctx is not None:
-        updates["vis_ctx"] = np.random.default_rng(kids[1]).normal(0.0, sigma, size=model.vis_ctx.shape)
+    rngs = [np.random.default_rng(kid) for kid in np.random.SeedSequence(seed).spawn(2)]
+    updates = {
+        ctx_name: rngs[ctx_kid].normal(0.0, sigma, size=getattr(model, ctx_name).shape)
+        for _, ctx_name, _, ctx_kid, _ in _ROUTES
+        if getattr(model, ctx_name) is not None
+    }
     return replace(model, **updates)
 
 

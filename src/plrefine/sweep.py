@@ -77,8 +77,22 @@ def load_task(cfg: ExperimentConfig) -> Task:
 
 def _run_cells(cfg: ExperimentConfig, cells: List[Tuple[str, str, int]], out: str) -> List[dict]:
     """Run cells in order on one task and zero-shot baseline, writing each
-    cell's trace.csv as it finishes; returns plain dicts that can cross processes."""
+    cell's trace.csv as it finishes; returns plain dicts that can cross processes.
+
+    Each of the config's paradigms is wired once first, so a task too small
+    for shots_per_class, or with no unlabeled pool, fails before any cell
+    runs; the error names shots_per_class only for SSL, the one paradigm it
+    shapes.
+    """
     task = load_task(cfg)
+    for paradigm in cfg.paradigms:
+        run_cfg = cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
+        try:
+            if wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed).pool_rows.size == 0:
+                raise ValueError("its unlabeled pool is empty")
+        except ValueError as exc:
+            cause = f"with shots_per_class={cfg.shots_per_class}" if paradigm == "SSL" else "on this task"
+            raise ValueError(f"paradigm {paradigm} cannot run {cause}: {exc}") from exc
     baseline = zero_shot_report(task.test, task.space)
     runs = []
     for strategy, paradigm, seed in cells:

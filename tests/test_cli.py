@@ -146,6 +146,8 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 0
         err = capsys.readouterr().err
         assert "I=5 is ignored by FPL" in err
+        assert main(["robinhood", str(cfg_path)]) == 0
+        assert "ignored by FPL" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "d, temperature, warned",
@@ -155,7 +157,8 @@ class TestRun:
         self, tmp_path, capsys, d, temperature, warned
     ):
         """Only a synthetic task with d <= 64 left on the default temperature
-        warns; setting it, even to the default, is taken as meant."""
+        warns; setting it, even to the default, is taken as meant. Both
+        commands that train prompt heads warn alike."""
         cfg_path = _write_config(tmp_path)
         raw = json.loads(cfg_path.read_text())
         raw["task"]["synthetic"]["d"] = d
@@ -163,10 +166,11 @@ class TestRun:
         if temperature is not None:
             raw["temperature"] = temperature
         cfg_path.write_text(json.dumps(raw))
-        assert main(["run", str(cfg_path)]) == 0
-        err = capsys.readouterr().err
-        assert ("temperature defaults to 100" in err) is warned
-        assert (f"d={d} (d <= 64)" in err) is warned
+        for command in ("run", "robinhood"):
+            assert main([command, str(cfg_path)]) == 0
+            err = capsys.readouterr().err
+            assert ("temperature defaults to 100" in err) is warned, command
+            assert (f"d={d} (d <= 64)" in err) is warned, command
 
     def test_file_based_task_round_trip(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -287,7 +291,11 @@ class TestFailurePaths:
     def test_seed_override_takes_integers_only(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
         assert main(["run", str(cfg_path), "--seed-override", "0,x"]) == 1
-        assert json.loads(capsys.readouterr().err.strip())["type"] == "ValueError"
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {
+            "error": "--seed-override takes comma-separated integers, got '0,x'",
+            "type": "ValueError",
+        }
         assert not (tmp_path / "runs").exists()
 
     def test_inspect_rejects_garbage(self, tmp_path, capsys):

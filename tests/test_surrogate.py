@@ -193,6 +193,62 @@ class TestPromptModelContainer:
             )
 
 
+class TestRouteRules:
+    """Each route's rules hold, with the same messages, on both sides: a side
+    is present exactly for its modality and for multimodal models, and its
+    mixer is (d, M*d) for a (M, d) ctx."""
+
+    ROUTES = [("text", "textual", "visual"), ("vis", "visual", "textual")]
+
+    @pytest.mark.parametrize("prefix, side, other", ROUTES, ids=["textual", "visual"])
+    @pytest.mark.parametrize("case", ["missing-ctx", "missing-mix", "wrong-modality", "mix-shape"])
+    def test_rule_violations_raise_the_side_message(self, prefix, side, other, case):
+        full = init_prompt("multimodal", 3, 6, seed=2)
+        fields = {f"{prefix}_ctx": getattr(full, f"{prefix}_ctx"), f"{prefix}_mix": getattr(full, f"{prefix}_mix")}
+        modality = side
+        message = f"{side} side must be present exactly for {side}/multimodal models"
+        if case == "missing-ctx":
+            del fields[f"{prefix}_ctx"]
+        elif case == "missing-mix":
+            del fields[f"{prefix}_mix"]
+        elif case == "wrong-modality":
+            modality = other
+            other_prefix = "vis" if prefix == "text" else "text"
+            for name in (f"{other_prefix}_ctx", f"{other_prefix}_mix"):
+                fields[name] = getattr(full, name)
+        else:
+            fields[f"{prefix}_mix"] = np.zeros((6, 6))
+            message = f"{prefix}_mix must be (d, M*d) for {prefix}_ctx of shape (M, d)"
+        with pytest.raises(ValueError) as err:
+            PromptModel(modality=modality, temperature=100.0, **fields)
+        assert str(err.value) == message
+
+    def test_multimodal_learnable_lists_text_before_vis(self):
+        m = init_prompt("multimodal", 3, 6, seed=2)
+        assert list(m.learnable()) == ["text_ctx", "vis_ctx"]
+        assert list(reinit_ctx(m, 4).learnable()) == ["text_ctx", "vis_ctx"]
+
+    def test_seed_streams(self):
+        """Children 0 and 1 of the seed draw the text and visual ctx, 2 and 3
+        their mixers, whichever sides the modality holds."""
+        M, d, sigma = 3, 6, 0.5
+        kids = np.random.SeedSequence(9).spawn(4)
+        want = {
+            "text_ctx": np.random.default_rng(kids[0]).normal(0.0, sigma, size=(M, d)),
+            "vis_ctx": np.random.default_rng(kids[1]).normal(0.0, sigma, size=(M, d)),
+            "text_mix": np.random.default_rng(kids[2]).standard_normal((d, M * d)) / np.sqrt(M * d),
+            "vis_mix": np.random.default_rng(kids[3]).standard_normal((d, M * d)) / np.sqrt(M * d),
+        }
+        for modality in MODALITIES:
+            m = init_prompt(modality, M, d, seed=9, scale=sigma)
+            for name, value in want.items():
+                got = getattr(m, name)
+                assert got is None or got.tobytes() == value.tobytes(), (modality, name)
+            redrawn = reinit_ctx(m.with_learnable({k: np.zeros_like(v) for k, v in m.learnable().items()}), 9, sigma)
+            for name, value in redrawn.learnable().items():
+                assert value.tobytes() == want[name].tobytes(), (modality, name)
+
+
 class TestOffsetsAndFirewall:
     def test_zero_ctx_is_identity(self):
         """ctx = 0 reproduces the zero-shot geometry bit for bit."""

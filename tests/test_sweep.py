@@ -10,7 +10,7 @@ import pytest
 from plrefine import sweep
 from plrefine.cli import main
 from plrefine.config import parse_config
-from plrefine.core import ClassSpace
+from plrefine.core import UNLABELED, ClassSpace, EmbeddingSet
 from plrefine.fileio import write_ple
 from plrefine.synth import SyntheticSpec, synth_generate
 
@@ -117,6 +117,52 @@ def test_workers_never_outnumber_cells(cfg, tmp_path, monkeypatch):
     sweep.run_sweep(cfg, jobs=64, out_dir=str(tmp_path / "jobs64"))
     assert started == [4]
     assert _outputs(tmp_path / "jobs64") == _outputs(tmp_path / "serial")
+
+
+def _synthetic_task(labeled: int, unlabeled: int):
+    return lambda tmp_path: {"synthetic": {"C": 3, "d": 4, "labeled_per_class": labeled, "unlabeled_per_class": unlabeled}}
+
+
+def _unlabeled_train_file(tmp_path) -> dict:
+    """A .ple task whose train rows all carry the unlabeled sentinel."""
+    task = synth_generate(SyntheticSpec(C=3, d=4, unlabeled_per_class=1))
+    paths = {"train_path": str(tmp_path / "train.ple"), "test_path": str(tmp_path / "test.ple")}
+    hidden = EmbeddingSet(task.train.features, np.full(task.train.n, UNLABELED), task.train.ids)
+    write_ple(paths["train_path"], hidden, task.space)
+    write_ple(paths["test_path"], task.test, task.space)
+    return paths
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "task, paradigm, message",
+    [
+        (_synthetic_task(0, 1), "SSL", "cannot run with shots_per_class=2: class 0 has only 1 labeled rows, need 2"),
+        (_synthetic_task(2, 0), "SSL", "cannot run with shots_per_class=2: its unlabeled pool is empty"),
+        (_unlabeled_train_file, "TRZSL", "cannot run on this task: its unlabeled pool is empty"),
+    ],
+    ids=["too-few-rows", "empty-pool", "trzsl-unlabeled-rows"],
+)
+def test_infeasible_paradigm_fails_before_any_cell(tmp_path, jobs, task, paradigm, message):
+    """The UL cell could run, but the second paradigm cannot (SSL cannot take
+    2 shots per class, or they leave it no pool; TRZSL cannot route unlabeled
+    rows), so the sweep raises before either cell runs. shots_per_class is
+    named only where it is the cause."""
+    cfg = parse_config({
+        "schema_version": 1,
+        "task": task(tmp_path),
+        "strategies": ["FPL"],
+        "paradigms": ["UL", paradigm],
+        "seeds": [0],
+        "K": 1,
+        "temperature": 10.0,
+        "schedule": {"epochs": 2, "warmup_epochs": 1},
+        "output_dir": str(tmp_path / "unused"),
+    })
+    with pytest.raises(ValueError) as err:
+        sweep.run_sweep(cfg, jobs=jobs, out_dir=str(tmp_path / "out"))
+    assert str(err.value) == f"paradigm {paradigm} {message}"
+    assert not (tmp_path / "out").exists()  # no cell's trace.csv, no result.json
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
