@@ -36,6 +36,7 @@ from .core import (
 )
 from .metrics import EvalReport, evaluate
 from .pseudolabels import (
+    PseudolabelSet,
     drop_duplicate_assignments,
     effective_k,
     pseudolabel_accuracy,
@@ -242,6 +243,32 @@ def wire_paradigm(
     raise ValueError(f"unknown paradigm {cfg.paradigm!r}")
 
 
+def fit_round(
+    config: StrategyConfig, task: Task, split: ParadigmSplit, head, pl: PseudolabelSet, i: int
+) -> tuple:
+    """Train ``head`` on the split's labeled rows and the pseudolabels ``pl``
+    as round i, then evaluate it; returns (model, report, pseudolabel accuracy).
+
+    The loss weights are config's gamma and lambda when set, else the
+    paradigm's weights for the actual pool sizes, else (1, 0) when nothing
+    was pseudolabeled; training is seeded with seed XOR i. TRZSL is evaluated
+    per partition side. Pseudolabel accuracy is None unless pl is non-empty
+    and every pool row has its class.
+    """
+    paradigm = config.paradigm
+    if paradigm.gamma is not None:  # ParadigmConfig sets both or neither
+        weights = (paradigm.gamma, paradigm.lam)
+    elif pl.m:
+        weights = paradigm_weights(paradigm.paradigm, split.labeled.n, pl.m)
+    else:
+        weights = (1.0, 0.0)
+    schedule = config.resolved_schedule()
+    model, _ = train(head, task.train, task.space, split.labeled, pl, weights, schedule, seed=config.seed ^ i)
+    report = evaluate(model, task.test, task.space, partition_aware=paradigm.paradigm == "TRZSL")
+    scored = pl.m and not np.any(task.train.labels[split.pool_rows] == UNLABELED)
+    return model, report, pseudolabel_accuracy(pl, task.train) if scored else None
+
+
 def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     """Run config.strategy with the iteration count and quota rule of its plan.
 
@@ -252,18 +279,13 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     """
     iterate, k_rule = STRATEGY_PLANS[config.strategy]
     iterations = config.I if iterate else 1
-    data, test, space = task.train, task.test, task.space
-    split = wire_paradigm(config.paradigm, data, space, config.seed)
+    space = task.space
+    split = wire_paradigm(config.paradigm, task.train, space, config.seed)
     if split.pool_rows.size == 0:
         raise ValueError(f"{config.strategy} requires unlabeled data")
 
-    pool_feats, pool_ids = split.pool(data)
-    # Pseudolabel accuracy is reported only when every pool row has its class.
-    truth = None if np.any(data.labels[split.pool_rows] == UNLABELED) else data
-
+    pool_feats, pool_ids = split.pool(task.train)
     classes = split.pseudolabel_classes
-    transductive = config.paradigm.paradigm == "TRZSL"
-    schedule = config.resolved_schedule()
     base = config.base_prompt(space.d)
 
     records = []
@@ -277,14 +299,8 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
         )
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
-        if config.paradigm.gamma is not None:  # ParadigmConfig sets both or neither
-            weights = (config.paradigm.gamma, config.paradigm.lam)
-        else:
-            weights = paradigm_weights(config.paradigm.paradigm, split.labeled.n, pl.m)
         fresh = reinit_ctx(base, config.seed ^ i, scale=config.init_scale, spread=config.init_spread)
-        model, _ = train(fresh, data, space, split.labeled, pl, weights, schedule, seed=config.seed ^ i)
-        report = evaluate(model, test, space, partition_aware=transductive)
-        pl_acc = pseudolabel_accuracy(pl, truth) if truth is not None else None
+        model, report, pl_acc = fit_round(config, task, split, fresh, pl, i)
         records.append(
             IterationRecord(
                 iteration=i,

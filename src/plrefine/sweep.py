@@ -21,21 +21,20 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import SCHEMA_VERSION, ExperimentConfig
-from .core import UNLABELED, Task, make_trzsl_split, paradigm_weights
+from .core import Task, make_trzsl_split
 from .fileio import read_ple, replacing
 from .metrics import (
-    evaluate,
+    EvalReport,
     robin_hood,
     softmax_rows,
     threshold_pseudolabels,
     zero_shot_report,
 )
 from .probe import init_linear_probe
-from .pseudolabels import effective_k, pseudolabel_accuracy, topk_per_class
-from .strategies import run_strategy, wire_paradigm
+from .pseudolabels import effective_k, topk_per_class
+from .strategies import fit_round, run_strategy, wire_paradigm
 from .surrogate import reinit_ctx
 from .synth import synth_generate
-from .training import train
 
 TRACE_COLUMNS = (
     "iteration",
@@ -75,25 +74,37 @@ def load_task(cfg: ExperimentConfig) -> Task:
     return task
 
 
+def _prepared(cfg: ExperimentConfig, paradigms: tuple) -> Tuple[Task, EvalReport]:
+    """The task and its zero-shot baseline, after checking that each of
+    ``paradigms`` can run on the task.
+
+    Each paradigm's run settings are built and its split wired, so a class
+    short of shots_per_class rows, an empty unlabeled pool, or (TRZSL) a test
+    set missing a partition side fails here, before any training; the error
+    names shots_per_class only for SSL, the one paradigm it shapes.
+    """
+    task = load_task(cfg)
+    for paradigm in paradigms:
+        try:
+            run_cfg = cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
+            if wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed).pool_rows.size == 0:
+                raise ValueError("its unlabeled pool is empty")
+            if paradigm == "TRZSL":
+                zero_shot_report(task.test, task.space, partition_aware=True)
+        except ValueError as exc:
+            cause = f"with shots_per_class={cfg.shots_per_class}" if paradigm == "SSL" else "on this task"
+            raise ValueError(f"paradigm {paradigm} cannot run {cause}: {exc}") from exc
+    return task, zero_shot_report(task.test, task.space)
+
+
 def _run_cells(cfg: ExperimentConfig, cells: List[Tuple[str, str, int]], out: str) -> List[dict]:
     """Run cells in order on one task and zero-shot baseline, writing each
     cell's trace.csv as it finishes; returns plain dicts that can cross processes.
 
-    Each of the config's paradigms is wired once first, so a task too small
-    for shots_per_class, or with no unlabeled pool, fails before any cell
-    runs; the error names shots_per_class only for SSL, the one paradigm it
-    shapes.
+    Every paradigm of the config is checked first (_prepared), so an
+    infeasible one fails before any cell runs.
     """
-    task = load_task(cfg)
-    for paradigm in cfg.paradigms:
-        run_cfg = cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
-        try:
-            if wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed).pool_rows.size == 0:
-                raise ValueError("its unlabeled pool is empty")
-        except ValueError as exc:
-            cause = f"with shots_per_class={cfg.shots_per_class}" if paradigm == "SSL" else "on this task"
-            raise ValueError(f"paradigm {paradigm} cannot run {cause}: {exc}") from exc
-    baseline = zero_shot_report(task.test, task.space)
+    task, baseline = _prepared(cfg, cfg.paradigms)
     runs = []
     for strategy, paradigm, seed in cells:
         result = run_strategy(cfg.run_config(strategy, paradigm, seed), task)
@@ -130,19 +141,13 @@ def _aggregate(runs: List[dict]) -> List[dict]:
         cells.setdefault((run["strategy"], run["paradigm"]), []).append(run)
     out = []
     for (strategy, paradigm), members in cells.items():
-        accs = np.array([m["final"]["overall"] for m in members], dtype=np.float64)
-        entry = {
-            "strategy": strategy,
-            "paradigm": paradigm,
-            "n_seeds": len(members),
-            "mean_accuracy": float(accs.mean()),
-            "std_accuracy": float(accs.std(ddof=1)) if accs.size > 1 else 0.0,
-        }
-        harms = [m["final"]["harmonic"] for m in members]
-        if all(h is not None for h in harms):
-            harms = np.array(harms, dtype=np.float64)
-            entry["mean_harmonic"] = float(harms.mean())
-            entry["std_harmonic"] = float(harms.std(ddof=1)) if harms.size > 1 else 0.0
+        entry = {"strategy": strategy, "paradigm": paradigm, "n_seeds": len(members)}
+        for key, name in (("overall", "accuracy"), ("harmonic", "harmonic")):
+            values = [m["final"][key] for m in members]
+            if None not in values:
+                values = np.array(values, dtype=np.float64)
+                entry[f"mean_{name}"] = float(values.mean())
+                entry[f"std_{name}"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
         out.append(entry)
     return out
 
@@ -192,7 +197,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     zero-shot baseline with the poor/rich redistribution report. Writes
     <out>/robinhood.json and returns its payload.
     """
-    task = load_task(cfg)
+    task, baseline = _prepared(cfg, ("SSL",))
     seed = cfg.seeds[0]
     # One pseudolabeling pass and one training per head, as in an FPL run.
     run_cfg = cfg.run_config("FPL", "SSL", seed)
@@ -207,14 +212,11 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     k = effective_k(cfg.K, int(split.pool_rows.size), len(classes))
     pseudolabel_sets = {
         "topk": topk_per_class(S, k, classes, pool_ids),
+        # Nothing may cross the threshold; that head trains on the shots alone.
         "threshold": threshold_pseudolabels(probs, cfg.threshold_tau, pool_ids),
     }
 
-    # Pseudolabel accuracy is reported only when every pool row has its class.
-    scored = not np.any(task.train.labels[split.pool_rows] == UNLABELED)
-    baseline = zero_shot_report(task.test, task.space)
     base = run_cfg.base_prompt(task.space.d)
-    schedule = run_cfg.resolved_schedule()
     comparisons: dict = {}
     for head_name in ("prompt", "linear_probe"):
         comparisons[head_name] = {}
@@ -223,15 +225,10 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
                 head = reinit_ctx(base, seed ^ 1, scale=cfg.init_scale, spread=cfg.init_spread)
             else:
                 head = init_linear_probe(task.space.C, task.space.d)
-            # Nothing may cross the threshold; that head trains on the shots alone.
-            weights = paradigm_weights("SSL", split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
-            fitted, _ = train(
-                head, task.train, task.space, split.labeled, pl, weights, schedule, seed=seed ^ 1
-            )
-            report = evaluate(fitted, task.test, task.space)
+            _, report, pl_acc = fit_round(run_cfg, task, split, head, pl, 1)
             comparisons[head_name][mode] = {
                 "n_pseudolabels": pl.m,
-                "pseudolabel_accuracy": pseudolabel_accuracy(pl, task.train) if pl.m and scored else None,
+                "pseudolabel_accuracy": pl_acc,
                 "report": report.to_dict(),
                 "robin_hood": robin_hood(baseline, report).to_dict(),
             }

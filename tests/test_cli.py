@@ -288,6 +288,29 @@ class TestFailurePaths:
         assert payload["type"] == "ValueError"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "labeled, unlabeled, shots, cause",
+        [
+            (0, 1, 2, "class 0 has only 1 labeled rows, need 2"),
+            (0, 2, 2, "its unlabeled pool is empty"),
+            (2, 8, 0, "SSL needs at least one labeled shot per class"),
+        ],
+        ids=["too-few-rows", "empty-pool", "zero-shots"],
+    )
+    def test_robinhood_checks_ssl_before_training(self, tmp_path, capsys, labeled, unlabeled, shots, cause):
+        """robinhood always runs SSL, whatever the config's paradigms, so it
+        checks SSL up front as run checks its paradigms, and the error names
+        shots_per_class."""
+        synthetic = {"C": 3, "d": 4, "labeled_per_class": labeled, "unlabeled_per_class": unlabeled}
+        cfg_path = _write_config(tmp_path, task={"synthetic": synthetic}, shots_per_class=shots)
+        assert main(["robinhood", str(cfg_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {
+            "error": f"paradigm SSL cannot run with shots_per_class={shots}: {cause}",
+            "type": "ValueError",
+        }
+        assert not (tmp_path / "runs").exists()
+
     def test_seed_override_takes_integers_only(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
         assert main(["run", str(cfg_path), "--seed-override", "0,x"]) == 1

@@ -7,12 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plrefine import sweep
+from plrefine import strategies, sweep
 from plrefine.cli import main
 from plrefine.config import parse_config
 from plrefine.core import UNLABELED, ClassSpace, EmbeddingSet
 from plrefine.fileio import write_ple
+from plrefine.metrics import evaluate
+from plrefine.probe import init_linear_probe
+from plrefine.pseudolabels import PseudolabelSet
+from plrefine.strategies import wire_paradigm
+from plrefine.surrogate import reinit_ctx
 from plrefine.synth import SyntheticSpec, synth_generate
+from plrefine.training import train
 
 CELL_DIRS = ("FPL_UL_seed0", "FPL_SSL_seed0", "GRIP_UL_seed0", "GRIP_SSL_seed0")
 
@@ -45,15 +51,15 @@ def _outputs(out: Path) -> dict:
     return files
 
 
-def _counting(monkeypatch, name: str) -> list:
+def _counting(monkeypatch, name: str, module=sweep) -> list:
     calls = []
-    real = getattr(sweep, name)
+    real = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sweep, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -133,6 +139,19 @@ def _unlabeled_train_file(tmp_path) -> dict:
     return paths
 
 
+def _unseen_only_test_file(tmp_path) -> dict:
+    """A .ple task whose test file holds classes 0 and 1 only: with
+    split_seed 0 those are both unseen (seen is (2,)), so TRZSL has no seen
+    side to evaluate."""
+    task = synth_generate(SyntheticSpec(C=3, d=4, labeled_per_class=2, unlabeled_per_class=6))
+    paths = {"train_path": str(tmp_path / "train.ple"), "test_path": str(tmp_path / "test.ple")}
+    keep = task.test.labels < 2
+    unseen = EmbeddingSet(task.test.features[keep], task.test.labels[keep], task.test.ids[keep])
+    write_ple(paths["train_path"], task.train, task.space)
+    write_ple(paths["test_path"], unseen, task.space)
+    return paths
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "task, paradigm, message",
@@ -140,14 +159,19 @@ def _unlabeled_train_file(tmp_path) -> dict:
         (_synthetic_task(0, 1), "SSL", "cannot run with shots_per_class=2: class 0 has only 1 labeled rows, need 2"),
         (_synthetic_task(2, 0), "SSL", "cannot run with shots_per_class=2: its unlabeled pool is empty"),
         (_unlabeled_train_file, "TRZSL", "cannot run on this task: its unlabeled pool is empty"),
+        (
+            _unseen_only_test_file,
+            "TRZSL",
+            "cannot run on this task: test set must contain rows on both partition sides",
+        ),
     ],
-    ids=["too-few-rows", "empty-pool", "trzsl-unlabeled-rows"],
+    ids=["too-few-rows", "empty-pool", "trzsl-unlabeled-rows", "trzsl-test-one-side"],
 )
 def test_infeasible_paradigm_fails_before_any_cell(tmp_path, jobs, task, paradigm, message):
     """The UL cell could run, but the second paradigm cannot (SSL cannot take
     2 shots per class, or they leave it no pool; TRZSL cannot route unlabeled
-    rows), so the sweep raises before either cell runs. shots_per_class is
-    named only where it is the cause."""
+    rows, or its test set lacks a partition side), so the sweep raises before
+    either cell runs. shots_per_class is named only where it is the cause."""
     cfg = parse_config({
         "schema_version": 1,
         "task": task(tmp_path),
@@ -228,3 +252,104 @@ def test_test_file_from_another_class_space_is_rejected(tmp_path, test_file_of, 
     message = f"train and test files describe different class spaces: they first differ at {difference}"
     with pytest.raises(ValueError, match=re.escape(message)):
         sweep.load_task(parse_config(raw))
+
+
+def test_empty_threshold_cell_trains_on_the_shots_alone(tmp_path):
+    """At temperature 1 no pool row's softmax confidence crosses tau = 0.95,
+    so both heads' threshold cells hold no pseudolabels, report no
+    pseudolabel accuracy, and are the head trained with weights (1, 0) on
+    the labeled shots alone."""
+    cfg = parse_config({
+        "schema_version": 1,
+        "task": {"synthetic": {"C": 4, "d": 8, "labeled_per_class": 2, "unlabeled_per_class": 10}},
+        "strategies": ["FPL"],
+        "paradigms": ["SSL"],
+        "seeds": [0],
+        "temperature": 1.0,
+        "schedule": {"epochs": 2, "warmup_epochs": 1},
+        "output_dir": str(tmp_path / "out"),
+    })
+    comparisons = sweep.run_comparison_scenario(cfg)["comparisons"]
+
+    task = sweep.load_task(cfg)
+    run_cfg = cfg.run_config("FPL", "SSL", 0)
+    split = wire_paradigm(run_cfg.paradigm, task.train, task.space, 0)
+    nothing = PseudolabelSet(np.array([], dtype=np.uint64), np.array([], dtype=np.int64), np.array([]), 0)
+    heads = {
+        "prompt": reinit_ctx(run_cfg.base_prompt(task.space.d), 0 ^ 1),
+        "linear_probe": init_linear_probe(task.space.C, task.space.d),
+    }
+    schedule = run_cfg.resolved_schedule()
+    for name, head in heads.items():
+        assert comparisons[name]["topk"]["n_pseudolabels"] > 0
+        assert comparisons[name]["topk"]["pseudolabel_accuracy"] is not None
+        cell = comparisons[name]["threshold"]
+        assert cell["n_pseudolabels"] == 0 and cell["pseudolabel_accuracy"] is None
+        shots_only, _ = train(head, task.train, task.space, split.labeled, nothing, (1.0, 0.0), schedule, seed=0 ^ 1)
+        assert cell["report"] == evaluate(shots_only, task.test, task.space).to_dict()
+
+
+def _fuzzed_raw_configs(count: int, seed: int, out: Path):
+    """Random toy configs over every strategy, paradigm (SL included, which
+    parse_config rejects) and modality, with as few rows per class as a
+    synthetic task allows."""
+    rng = np.random.default_rng(seed)
+
+    def subset(options):
+        chosen = [o for o in options if rng.random() < 0.5]
+        return chosen or [options[int(rng.integers(len(options)))]]
+
+    for n in range(count):
+        yield n, {
+            "schema_version": 1,
+            "task": {"synthetic": {
+                "C": int(rng.choice([2, 3, 10])),
+                "d": int(rng.choice([2, 4, 8])),
+                "labeled_per_class": int(rng.integers(0, 3)),
+                "unlabeled_per_class": int(rng.integers(0, 21)),
+                "seed": n,
+            }},
+            "strategies": subset(["FPL", "IFPL", "GRIP"]),
+            "paradigms": subset(["SSL", "UL", "TRZSL", "SL"]),
+            "modality": str(rng.choice(["textual", "visual", "multimodal"])),
+            "seeds": [0],
+            "K": int(rng.choice([1, 4, 50])),
+            "I": 2,
+            "shots_per_class": int(rng.integers(0, 6)),
+            "temperature": 10.0,
+            "schedule": {"epochs": 2, "warmup_epochs": 1},
+            "output_dir": str(out / f"unused{n}"),
+        }
+
+
+def test_every_loaded_config_runs_or_fails_before_training(tmp_path, monkeypatch):
+    """A config that parses either writes its outputs, under run_sweep and
+    under run_comparison_scenario alike, or fails before anything trains,
+    with an error that names shots_per_class or the paradigm that cannot
+    run, and leaves no output directory."""
+    trained = _counting(monkeypatch, "train", module=strategies)
+    outcomes = {"rejected": 0, "failed": 0, "ran": 0}
+    commands = {
+        "result.json": lambda cfg, out: sweep.run_sweep(cfg, out_dir=out),
+        "robinhood.json": lambda cfg, out: sweep.run_comparison_scenario(cfg, out_dir=out),
+    }
+    for n, raw in _fuzzed_raw_configs(60, seed=1, out=tmp_path):
+        try:
+            cfg = parse_config(raw)
+        except ValueError:
+            outcomes["rejected"] += 1
+            continue
+        for name, command in commands.items():
+            out = tmp_path / f"{n}-{name}"
+            trained.clear()
+            try:
+                command(cfg, str(out))
+            except ValueError as exc:
+                outcomes["failed"] += 1
+                assert not trained, (raw, name, str(exc))
+                assert re.search(r"shots_per_class|paradigm (SSL|UL|TRZSL) ", str(exc)), (raw, name, str(exc))
+                assert not out.exists(), (raw, name)
+            else:
+                outcomes["ran"] += 1
+                assert (out / name).is_file(), (raw, name)
+    assert min(outcomes.values()) > 0, outcomes
