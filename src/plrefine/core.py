@@ -10,6 +10,7 @@ shared across worker processes without copies or locks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence
@@ -89,18 +90,21 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     ``pools`` splits the rows into consecutive blocks, one (row count,
     weight) pair per block; the loss is the sum over blocks of weight times
     the block's mean cross-entropy, and each block's rows of dL/dS carry the
-    same scale. None is one block of weight 1 over all n rows. Labels must
+    same scale. None is one block of weight 1 over all n rows. A count must
+    be an integer of at least 1 (a float such as 11.0 is refused), the counts
+    must sum to n, and a weight must be finite and non-negative. Labels must
     lie in [0, C). The log-sum-exp is max-shifted and grouped as
     (shift - label logit) + log-sum, so uniform logits give exactly ln(C); a
     non-finite loss raises rather than propagating.
 
     S is consumed: dL/dS is written over it and returned as G, so a loss
     call holds one (n, C) matrix instead of three. S must be a writeable 2-D
-    float64 array the caller no longer needs; that and the labels' shape
-    are checked before anything is written. Every pass is row-local, so
-    they all run on one block of CE_BLOCK_ROWS rows at a time: the block
-    and its (CE_BLOCK_ROWS, C) exp temporary stay in cache between passes,
-    and each row's values are exactly those of the whole-matrix passes.
+    float64 array the caller no longer needs; it, the labels and the pool
+    blocks are all checked before anything is written. Every pass is
+    row-local, so they all run on one block of CE_BLOCK_ROWS rows at a time:
+    the block and its (CE_BLOCK_ROWS, C) exp temporary stay in cache between
+    passes, and each row's values are exactly those of the whole-matrix
+    passes, its pool's count and weight included.
     """
     if not isinstance(S, np.ndarray) or S.ndim != 2 or S.dtype != np.float64:
         raise ValueError("logits S must be a 2-D float64 array")
@@ -114,21 +118,20 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
         raise ValueError("empty batch")
     if pools is None:
         pools = ((n, 1.0),)
-    counts = [int(count) for count, _ in pools]
-    weights = [float(weight) for _, weight in pools]
-    if sum(counts) != n:
-        raise ValueError(f"pool blocks cover {sum(counts)} rows, the batch has {n}")
-    if min(counts) < 1:
-        raise ValueError(f"pool block {counts.index(min(counts))} has no rows")
-    for weight in weights:
+    for block, (count, weight) in enumerate(pools):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            shown = "no" if count == 0 else count
+            raise ValueError(f"pool block {block} has {shown} rows; a row count must be an integer of at least 1")
         if not (math.isfinite(weight) and weight >= 0):
             raise ValueError(f"pool weight {weight} must be finite and non-negative")
-    outside = (labels < 0) | (labels >= C)
-    if outside.any():
+    starts = [0, *itertools.accumulate(int(count) for count, _ in pools)]
+    if starts[-1] != n:
+        raise ValueError(f"pool blocks cover {starts[-1]} rows, the batch has {n}")
+    if labels.min() < 0 or labels.max() >= C:
+        outside = (labels < 0) | (labels >= C)
         raise ValueError(f"label {int(labels[outside][0])} outside [0, {C})")
-    # Each row's pool size and weight; a unit weight needs no second pass.
-    row_count = np.repeat(np.array(counts, dtype=np.float64), counts)
-    row_weight = np.repeat(weights, counts) if any(w != 1.0 for w in weights) else None
+    # (first row, end row, weight) of each pool block.
+    spans = [(start, end, float(weight)) for start, end, (_, weight) in zip(starts, starts[1:], pools)]
     per_row = np.empty(n)
     local = np.arange(min(n, CE_BLOCK_ROWS))
     for lo in range(0, n, CE_BLOCK_ROWS):
@@ -142,13 +145,17 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
         blk -= (shift + rel)[:, None]
         np.exp(blk, out=blk)
         blk[at, lab] -= 1.0
-        blk /= row_count[lo:hi, None]
-        if row_weight is not None:
-            blk *= row_weight[lo:hi, None]
-    loss, start = 0.0, 0
-    for count, weight in zip(counts, weights):
-        loss += weight * (float(per_row[start : start + count].sum()) / count)
-        start += count
+        # Each pool's rows in this block: divided by its count, scaled by
+        # its weight (a unit weight needs no pass).
+        for start, end, weight in spans:
+            if start < hi and end > lo:
+                rows = S[max(start, lo) : min(end, hi)]
+                rows /= end - start
+                if weight != 1.0:
+                    rows *= weight
+    loss = 0.0
+    for start, end, weight in spans:
+        loss += weight * (float(per_row[start:end].sum()) / (end - start))
     if not math.isfinite(loss):
         raise FloatingPointError("numerical overflow in cross-entropy loss")
     return loss, S

@@ -23,7 +23,6 @@ differences; everything is float64.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -96,17 +95,21 @@ class PromptModel:
 
         Training calls this once per step, so the copy shares the mixers and
         settings validated at construction instead of re-running
-        ``__post_init__``; only the new blocks are checked and frozen.
+        ``__post_init__``: a name must be a ctx field of a route this model
+        has, and its new block is frozen (in place when it is already
+        contiguous float64) and must keep the current block's shape.
         """
-        current = self.learnable()
-        out = copy.copy(self)
+        fields = dict(vars(self))
         for name, value in params.items():
-            if name not in current:
+            current = fields[name] if any(name == route[1] for route in _ROUTES) else None
+            if current is None:
                 raise ValueError(f"{name!r} is not a learnable block of this {self.modality} model")
             value = frozen_array(value, np.float64)
-            if value.shape != current[name].shape:
-                raise ValueError(f"{name} must keep shape {current[name].shape}, got {value.shape}")
-            object.__setattr__(out, name, value)
+            if value.shape != current.shape:
+                raise ValueError(f"{name} must keep shape {current.shape}, got {value.shape}")
+            fields[name] = value
+        out = object.__new__(type(self))
+        vars(out).update(fields)
         return out
 
     def loss_and_grad(
@@ -184,8 +187,9 @@ def _shift_normalize(mix: np.ndarray, ctx: np.ndarray, anchors: np.ndarray, what
     A += anchors
     norms = np.empty((A.shape[0], 1))
     for s in range(0, A.shape[0], NORM_BLOCK_ROWS):
-        norms[s : s + NORM_BLOCK_ROWS] = np.linalg.norm(A[s : s + NORM_BLOCK_ROWS], axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
+        blk = A[s : s + NORM_BLOCK_ROWS]
+        np.sqrt(np.add.reduce(blk * blk, axis=1, keepdims=True), out=norms[s : s + NORM_BLOCK_ROWS])
+    if (norms < 1e-12).any():
         raise ValueError(f"degenerate embedding: {what} collapsed to zero norm")
     A /= norms
     return A, norms
@@ -199,7 +203,7 @@ def _shift_normalize_vjp(
     Back through u = a/|a| (Jacobian (I - u u^T)/|a|) to dA, then
     dE = dA^T anchors and dctx[m, k] = sum_j mix[j, m*d + k] * dE[j, k].
     """
-    dA = (d_unit - np.sum(d_unit * unit, axis=1, keepdims=True) * unit) / norms
+    dA = (d_unit - np.add.reduce(d_unit * unit, axis=1, keepdims=True) * unit) / norms
     d = mix.shape[0]
     return np.einsum("jmk,jk->mk", mix.reshape(d, -1, d), dA.T @ anchors)
 
@@ -220,36 +224,30 @@ def class_prototypes(model: PromptModel, space: ClassSpace) -> np.ndarray:
 
 
 def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
-    """Transformed image features (n, d), unit rows.
+    """Transformed image features (n, d), unit rows, of a feature matrix z.
 
     Visual/multimodal models shift every feature by its own mixed offset
     (the context modulated by that feature) and re-normalize; textual models
     (and a zero context) pass features through unchanged, as a read-only
-    view of the float64 input rather than a copy of it.
+    view of the float64 input rather than a copy of it. A z that is not 2-D
+    (one vector included) raises ValueError.
     """
     z = np.asarray(z, dtype=np.float64)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
+    if z.ndim != 2:
+        raise ValueError(f"z must be an (n, d) feature matrix, got {z.ndim}-D input")
     if model.vis_ctx is None or not model.vis_ctx.any():
         out = z.view()
         out.setflags(write=False)
-    else:
-        out = _shift_normalize(model.vis_mix, model.vis_ctx, z, "feature")[0]
-    return out[0] if squeeze else out
+        return out
+    return _shift_normalize(model.vis_mix, model.vis_ctx, z, "feature")[0]
 
 
 def logits(model: PromptModel, z: np.ndarray, space: ClassSpace) -> np.ndarray:
-    """Temperature-scaled cosine logits over all C classes.
-
-    Returns (n, C) for a feature matrix, (C,) for one vector.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    squeeze = z.ndim == 1
-    zp = image_features(model, z if not squeeze else z[None, :])
-    S = zp @ class_prototypes(model, space).T
+    """Temperature-scaled cosine logits (n, C) of a feature matrix z over all
+    C classes; z is checked as in image_features."""
+    S = image_features(model, z) @ class_prototypes(model, space).T
     S *= model.temperature
-    return S[0] if squeeze else S
+    return S
 
 
 def batch_loss_and_grad(
@@ -306,6 +304,6 @@ def batch_loss_and_grad(
         grads["text_ctx"] = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
     if model.vis_ctx is not None:
         grads["vis_ctx"] = _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))
-    if not all(np.all(np.isfinite(g)) for g in grads.values()):
+    if not all(np.isfinite(g).all() for g in grads.values()):
         raise FloatingPointError("numerical overflow in gradient computation")
     return loss, grads

@@ -93,9 +93,11 @@ def train(
     the batches stacked in pool order and one (row count, weight) block per
     pool. model must expose learnable() / with_learnable() / loss_and_grad(),
     which both PromptModel and LinearProbe do. Updates are SGD with momentum
-    in the velocity form v = momentum * v + g; p -= lr * v. A pool with zero
-    weight or no rows contributes nothing; with zero epochs the model comes
-    back bit-identical and the loss trace is empty.
+    in the velocity form v = momentum * v + g; p = p - lr * v, the velocity
+    updated in place and each p a new array, so no gradient, input block or
+    feature row is ever written. A pool with zero weight or no rows
+    contributes nothing; with zero epochs the model comes back bit-identical
+    and the loss trace is empty.
     """
     gamma, lam = float(weights[0]), float(weights[1])
     if gamma < 0 or lam < 0:
@@ -122,31 +124,31 @@ def train(
     sizes = [rows.size for rows, _, _ in pools]
     offsets = np.cumsum([0] + sizes[:-1])
     n_major = max(sizes)
-    steps = math.ceil(n_major / schedule.batch_size)
-    velocity = {name: np.zeros_like(arr) for name, arr in model.learnable().items()}
+    batch_size, momentum = schedule.batch_size, schedule.momentum
+    steps = math.ceil(n_major / batch_size)
+    # The current blocks (the model's own, read-only), replaced each step.
+    params = model.learnable()
+    velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     epoch_losses: List[float] = []
 
     for epoch in range(schedule.epochs):
         rng = np.random.default_rng([seed, epoch])
-        perms = [rng.permutation(size) for size in sizes]
+        perms = [offset + rng.permutation(size) for offset, size in zip(offsets, sizes)]
         lr = lr_at(schedule, epoch)
         step_losses = []
         for step in range(steps):
-            picks = [
-                offset + _batch_rows(perm, step, schedule.batch_size, size == n_major)
-                for offset, size, perm in zip(offsets, sizes, perms)
-            ]
-            rows = np.concatenate(picks)
+            picks = [_batch_rows(perm, step, batch_size, perm.size == n_major) for perm in perms]
+            rows = picks[0] if len(picks) == 1 else np.concatenate(picks)
             blocks = [(pick.size, weight) for pick, (_, _, weight) in zip(picks, pools)]
             try:
                 loss, grads = model.loss_and_grad(data.features[data_rows[rows]], labels[rows], space, blocks)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} (epoch {epoch}, step {step})") from None
-            new_params = {}
-            for name, value in model.learnable().items():
-                velocity[name] = schedule.momentum * velocity[name] + grads[name]
-                new_params[name] = value - lr * velocity[name]
-            model = model.with_learnable(new_params)
+            for name, v in velocity.items():
+                v *= momentum
+                v += grads[name]
+                params[name] = params[name] - lr * v
+            model = model.with_learnable(params)
             step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
     return model, epoch_losses

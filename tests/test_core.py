@@ -464,8 +464,13 @@ class TestSoftmaxCrossEntropy:
             (_logits((6, 4)), np.zeros((6, 1), dtype=int), None, r"labels must have shape \(6,\), got \(6, 1\)"),
             (_logits((3, 4)), np.array([0, 1, 4]), None, r"label 4 outside \[0, 4\)"),
             (_logits((3, 4)), np.array([0, 1, 2]), [(2, 1.0), (2, 1.0)], "pool blocks cover 4 rows"),
+            (_logits((11, 4)), np.zeros(11, dtype=int), [(11.7, 1.0)], r"pool block 0 has 11.7 rows; a row count must be an integer"),
+            (_logits((11, 4)), np.zeros(11, dtype=int), [(-1, 1.0), (12, 1.0)], "pool block 0 has -1 rows"),
         ],
-        ids=["1-D", "3-D", "float32", "read-only", "short labels", "2-D labels", "label range", "pool rows"],
+        ids=[
+            "1-D", "3-D", "float32", "read-only", "short labels", "2-D labels", "label range", "pool rows",
+            "fractional count", "negative count",
+        ],
     )
     def test_rejected_input_leaves_logits_unchanged(self, S, labels, pools, message):
         before = S.copy()

@@ -10,8 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_core import _whole_matrix_cross_entropy
 
-from plrefine.core import ClassSpace
+from plrefine.core import CE_BLOCK_ROWS, ClassSpace
 from plrefine.probe import LinearProbe
 from plrefine.surrogate import (
     DEFAULT_CTX_SCALE,
@@ -340,15 +341,17 @@ class TestOffsetsAndFirewall:
 
 class TestLogits:
     def test_shape_and_squeeze(self):
+        """A feature matrix gives (n, C); one vector is not squeezed through
+        but refused, by name, on either route."""
         rng = np.random.default_rng(8)
         space = _space(rng, 5, 9)
         Z = _unit_rows(rng, 4, 9)
-        m = init_prompt("textual", 3, 9, seed=0)
-        S = logits(m, Z, space)
-        assert S.shape == (4, 5)
-        one = logits(m, Z[0], space)
-        assert one.shape == (5,)
-        assert np.allclose(one, S[0])
+        for modality in ("textual", "visual"):
+            m = init_prompt(modality, 3, 9, seed=0)
+            assert logits(m, Z, space).shape == (4, 5)
+            for call in (lambda z: logits(m, z, space), lambda z: image_features(m, z)):
+                with pytest.raises(ValueError, match=r"z must be an \(n, d\) feature matrix, got 1-D"):
+                    call(Z[0])
 
     def test_zero_shot_values(self):
         """With ctx = 0 the logits are exactly temperature * cosine."""
@@ -373,7 +376,7 @@ class TestLogits:
         space = ClassSpace(tuple(f"c{j}" for j in range(5)), protos)
         m = init_prompt("textual", 3, d, seed=0, temperature=100.0)
         m = m.with_learnable({"text_ctx": np.zeros_like(m.text_ctx)})
-        S = logits(m, protos[3], space)
+        S = logits(m, protos[3:4], space)[0]
         assert S[3] == 100.0
         assert int(np.argmax(S)) == 3
         assert np.array_equal(S[[0, 1, 2, 4]], np.zeros(4))
@@ -694,3 +697,53 @@ class TestEffectiveMap:
             finally:
                 tracemalloc.stop()
             assert peak < tiled_bytes / 2
+
+
+def _reference_loss_and_grad(model, Z, y, space, pools):
+    """batch_loss_and_grad through plain formulas: whole-matrix norms by
+    np.linalg.norm, the VJP's row sums by np.sum, and test_core's
+    whole-matrix cross-entropy. Every operation is the one the library
+    runs, so the results must agree bit for bit."""
+
+    def shift(mix, ctx, anchors):
+        d = mix.shape[0]
+        A = anchors @ np.einsum("jmk,mk->jk", mix.reshape(d, -1, d), ctx).T + anchors
+        norms = np.linalg.norm(A, axis=1, keepdims=True)
+        return A / norms, norms
+
+    def back(mix, anchors, unit, norms, d_unit):
+        d = mix.shape[0]
+        dA = (d_unit - np.sum(d_unit * unit, axis=1, keepdims=True) * unit) / norms
+        return np.einsum("jmk,jk->mk", mix.reshape(d, -1, d), dA.T @ anchors)
+
+    tau, B = model.temperature, space.base_prototypes
+    Zp, nz = shift(model.vis_mix, model.vis_ctx, Z) if model.vis_ctx is not None else (Z, None)
+    Wp, nw = shift(model.text_mix, model.text_ctx, B) if model.text_ctx is not None else (B, None)
+    loss, G = _whole_matrix_cross_entropy((Zp @ Wp.T) * tau, y, pools)
+    grads = {}
+    if model.text_ctx is not None:
+        grads["text_ctx"] = back(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
+    if model.vis_ctx is not None:
+        grads["vis_ctx"] = back(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))
+    return loss, grads
+
+
+class TestStepBits:
+    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("two_pools", [False, True], ids=["one pool", "two pools"])
+    def test_loss_and_grads_equal_reference_formulas(self, modality, two_pools):
+        """n = 2 * CE_BLOCK_ROWS + 7 rows span three cross-entropy blocks;
+        the two-pool split (3.0, 1.0) falls inside the second block."""
+        n, C, d = 2 * CE_BLOCK_ROWS + 7, 7, 12
+        rng = np.random.default_rng(41)
+        space = _space(rng, C, d)
+        Z = _unit_rows(rng, n, d)
+        y = rng.integers(0, C, size=n)
+        split = CE_BLOCK_ROWS + 30
+        pools = [(split, 3.0), (n - split, 1.0)] if two_pools else None
+        m = init_prompt(modality, 4, d, seed=6, scale=0.3, temperature=20.0)
+        loss, grads = batch_loss_and_grad(m, Z, y, space, pools)
+        expected_loss, expected = _reference_loss_and_grad(m, Z, y, space, pools or [(n, 1.0)])
+        assert loss == expected_loss
+        assert grads.keys() == expected.keys()
+        assert all(np.array_equal(grads[name], expected[name]) for name in expected)

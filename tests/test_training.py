@@ -232,6 +232,33 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < data.features.nbytes / 2
 
+    def test_writes_only_arrays_it_allocated(self, monkeypatch):
+        """The velocity is updated in place, so after a 2-epoch SSL run every
+        gradient that loss_and_grad returned, the input model's ctx blocks
+        and the train set's features read as they did; the returned model's
+        blocks are read-only."""
+        data, space, labeled, pl, weights = _pools(np.random.default_rng(10), "SSL")
+        model = init_prompt("multimodal", 2, 8, seed=1, scale=0.1)
+        ctx_before = {name: block.copy() for name, block in model.learnable().items()}
+        features_before = data.features.copy()
+        returned = []
+        loss_and_grad = PromptModel.loss_and_grad
+
+        def recorded(self, feats, labels, space, pools=None):
+            loss, grads = loss_and_grad(self, feats, labels, space, pools)
+            returned.append((grads, {name: g.copy() for name, g in grads.items()}))
+            return loss, grads
+
+        monkeypatch.setattr(PromptModel, "loss_and_grad", recorded)
+        schedule = TrainSchedule(epochs=2, warmup_epochs=1, batch_size=8)
+        out, _ = train(model, data, space, labeled, pl, weights, schedule, seed=0)
+        assert len(returned) == 6
+        for grads, copies in returned:
+            assert all(np.array_equal(grads[name], copies[name]) for name in copies)
+        assert all(np.array_equal(model.learnable()[name], ctx_before[name]) for name in ctx_before)
+        assert np.array_equal(data.features, features_before)
+        assert not any(block.flags.writeable for block in out.learnable().values())
+
 
 def _pools(rng, paradigm):
     """A 30-row toy task, its 21 top-7 pseudolabels and, for SSL, 6 labeled rows."""
