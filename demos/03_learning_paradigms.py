@@ -1,11 +1,12 @@
 """
-Four learning paradigms over one embedding space
-================================================
+Three learning paradigms over one embedding space
+=================================================
 
-The same training loop serves four data regimes. Each paradigm is a way of
-splitting the train set into a labeled subset and an unlabeled pool, plus a
-pair of loss weights (gamma, lam) balancing labeled cross-entropy against
-pseudolabel cross-entropy.
+The same training loop serves three data regimes: SSL, UL and TRZSL. Each
+paradigm is a way of splitting the train set into a labeled subset and an
+unlabeled pool, plus a pair of loss weights (gamma, lam) balancing labeled
+cross-entropy against pseudolabel cross-entropy. The weight rule also covers
+supervised learning (SL), which has no pool for a strategy to refine.
 """
 
 from dataclasses import replace
@@ -25,8 +26,7 @@ task = synth_generate(SyntheticSpec(C=6, d=24, labeled_per_class=8,
                                     unlabeled_per_class=40, seed=2))
 
 # How each paradigm carves up the same train set.
-for cfg in (ParadigmConfig("SSL", shots_per_class=2), ParadigmConfig("UL"),
-            ParadigmConfig("TRZSL"), ParadigmConfig("SL")):
+for cfg in (ParadigmConfig("SSL", shots_per_class=2), ParadigmConfig("UL"), ParadigmConfig("TRZSL")):
     split = wire_paradigm(cfg, task.train, task.space, seed=0)
     print(f"{cfg.paradigm:>5}: {split.labeled.n:>3} labeled rows, "
           f"{len(split.pool_rows):>3} pool rows, "

@@ -18,7 +18,6 @@ layout changes.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
@@ -131,7 +130,7 @@ def _reject_unknown(given: dict, allowed: set, where: str) -> None:
 
 
 def _names(value, key: str, what: str, allowed: tuple) -> tuple:
-    """One name or a list of names, matched case-insensitively."""
+    """One name or a list of distinct names, matched case-insensitively."""
     items = [value] if isinstance(value, str) else value
     if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
         raise ValueError(f"{key} must be a string or a list of strings, got {value!r}")
@@ -140,7 +139,10 @@ def _names(value, key: str, what: str, allowed: tuple) -> tuple:
     for item in items:
         if item.upper() not in allowed:
             raise ValueError(f"unknown {what} {item!r}; expected one of {allowed}")
-    return tuple(item.upper() for item in items)
+    names = tuple(item.upper() for item in items)
+    if len(set(names)) != len(names):
+        raise ValueError(f"{key} must be distinct, got {value!r}")
+    return names
 
 
 def parse_seed_list(value) -> tuple:
@@ -206,17 +208,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             values[name] = parse(raw[key]) if parse else _typed(key, raw[key], hints[name])
     cfg = ExperimentConfig(**values)
 
+    if not cfg.output_dir:
+        raise ValueError("output_dir must not be empty")
     if not 0.0 <= cfg.threshold_tau < 1.0:
         raise ValueError("threshold_tau must lie in [0, 1)")
-    if "SL" in cfg.paradigms:
-        raise ValueError("paradigms must not include SL: it has no unlabeled pool to pseudolabel")
     # Each paradigm's run settings, so the run configs' own range checks (K, I,
     # prompt_len, temperature, schedule, shots, ...) fire here, not in a run.
     for paradigm in cfg.paradigms:
         cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
     return cfg
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(json.load(fh))

@@ -32,15 +32,15 @@ NORM_TOLERANCE = 1e-5
 CE_BLOCK_ROWS = 128
 
 
-def unit_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Scale vectors to unit L2 norm along ``axis``.
+def unit_normalize(x: np.ndarray) -> np.ndarray:
+    """Scale vectors to unit L2 norm along the last axis.
 
     Raises ValueError("degenerate embedding") if any vector has norm below
     1e-12; a zero vector has no direction and silently keeping it would
     poison every cosine downstream.
     """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=axis, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
         raise ValueError("degenerate embedding: zero-norm vector cannot be normalized")
     return x / norms
@@ -299,35 +299,25 @@ class LabeledSubset:
 
 @dataclass(frozen=True)
 class ParadigmConfig:
-    """Training paradigm plus its loss weights.
+    """Training paradigm plus its labeled shots per class.
 
-    gamma weights the labeled cross-entropy term, lam the pseudolabeled one.
-    Set both, or leave both None to have them derived from pool sizes
-    (paradigm_weights) at each iteration start, the standard behaviour.
+    A round's loss weights are not configured: paradigm_weights derives them
+    from the paradigm and the round's pool sizes. SL is rejected here, as it
+    has no unlabeled pool to pseudolabel.
     """
 
     paradigm: str
     shots_per_class: int = 2
-    gamma: Optional[float] = None
-    lam: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"unknown paradigm {self.paradigm!r}; expected one of {PARADIGMS}")
+        if self.paradigm == "SL":
+            raise ValueError("paradigms must not include SL: it has no unlabeled pool to pseudolabel")
         if self.shots_per_class < 0:
             raise ValueError("shots_per_class must be non-negative")
         if self.paradigm == "SSL" and self.shots_per_class < 1:
             raise ValueError("SSL needs at least one labeled shot per class")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if self.paradigm == "UL" and self.gamma not in (None, 0, 0.0):
-            raise ValueError("UL trains with no labeled term: gamma must be 0")
-        if self.paradigm == "SL" and self.lam not in (None, 0, 0.0):
-            raise ValueError("SL trains with no pseudolabel term: lambda must be 0")
-        if (self.gamma is None) != (self.lam is None):
-            raise ValueError("set gamma and lambda together, or leave both unset")
 
 
 def make_trzsl_split(C: int, seed: int) -> tuple:

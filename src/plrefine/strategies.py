@@ -212,10 +212,8 @@ def wire_paradigm(
     UL    labeled empty, pool = all rows, all classes
     TRZSL labeled = all seen-class rows, pool = unseen-class rows (their
           labels hidden), pseudolabels restricted to unseen classes
-    SL    labeled = shots per class (or every labeled row when shots is 0),
-          pool empty
-    Rows with the unlabeled sentinel cannot be routed by TRZSL/SL and are
-    left out of both sides there.
+    Rows with the unlabeled sentinel cannot be routed by TRZSL and are left
+    out of both sides there.
     """
     all_classes = tuple(range(space.C))
     empty = LabeledSubset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
@@ -233,13 +231,6 @@ def wire_paradigm(
         pool = np.flatnonzero(np.isin(data.labels, unseen)).astype(np.int64)
         labeled = LabeledSubset(seen_rows, data.labels[seen_rows])
         return ParadigmSplit(labeled, pool, tuple(unseen))
-    if cfg.paradigm == "SL":
-        if cfg.shots_per_class > 0:
-            labeled = sample_shots(data, all_classes, cfg.shots_per_class, seed)
-        else:
-            rows = np.flatnonzero(data.labels != UNLABELED).astype(np.int64)
-            labeled = LabeledSubset(rows, data.labels[rows])
-        return ParadigmSplit(labeled, np.array([], dtype=np.int64), ())
     raise ValueError(f"unknown paradigm {cfg.paradigm!r}")
 
 
@@ -249,19 +240,14 @@ def fit_round(
     """Train ``head`` on the split's labeled rows and the pseudolabels ``pl``
     as round i, then evaluate it; returns (model, report, pseudolabel accuracy).
 
-    The loss weights are config's gamma and lambda when set, else the
-    paradigm's weights for the actual pool sizes, else (1, 0) when nothing
-    was pseudolabeled; training is seeded with seed XOR i. TRZSL is evaluated
-    per partition side. Pseudolabel accuracy is None unless pl is non-empty
-    and every pool row has its class.
+    The loss weights are the paradigm's weights for the labeled and
+    pseudolabeled counts, or (1, 0) when nothing was pseudolabeled; training
+    is seeded with seed XOR i. TRZSL is evaluated per partition side.
+    Pseudolabel accuracy is None unless pl is non-empty and every pool row
+    has its class.
     """
     paradigm = config.paradigm
-    if paradigm.gamma is not None:  # ParadigmConfig sets both or neither
-        weights = (paradigm.gamma, paradigm.lam)
-    elif pl.m:
-        weights = paradigm_weights(paradigm.paradigm, split.labeled.n, pl.m)
-    else:
-        weights = (1.0, 0.0)
+    weights = paradigm_weights(paradigm.paradigm, split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
     schedule = config.resolved_schedule()
     model, _ = train(head, task.train, task.space, split.labeled, pl, weights, schedule, seed=config.seed ^ i)
     report = evaluate(model, task.test, task.space, partition_aware=paradigm.paradigm == "TRZSL")

@@ -288,6 +288,17 @@ class TestFailurePaths:
         assert payload["type"] == "ValueError"
         assert not (tmp_path / "runs").exists()
 
+    def test_empty_output_dir_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        """An empty output_dir is rejected at load time; it would otherwise
+        write every cell into the working directory and then fail."""
+        cfg_path = _write_config(tmp_path, output_dir="")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(cfg_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "output_dir" in payload["error"]
+        assert payload["type"] == "ValueError"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize(
         "labeled, unlabeled, shots, cause",
         [

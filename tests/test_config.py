@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plrefine.config import ExperimentConfig, load_config, parse_config, parse_synthetic_spec
+from plrefine.config import parse_config, parse_synthetic_spec
 
 
 def _minimal(**extra):
@@ -41,6 +41,27 @@ class TestParseConfig:
         cfg = parse_config(_minimal(strategies=["grip", "Ifpl"], paradigms=["ssl", "trzsl"]))
         assert cfg.strategies == ("GRIP", "IFPL")
         assert cfg.paradigms == ("SSL", "TRZSL")
+
+    @pytest.mark.parametrize(
+        "key,names",
+        [
+            ("strategies", ["FPL", "FPL"]),
+            ("strategies", ["FPL", "fpl"]),
+            ("strategies", ["GRIP", "IFPL", "Grip"]),
+            ("paradigms", ["UL", "UL"]),
+            ("paradigms", ["UL", "ul"]),
+            ("paradigms", ["SSL", "TRZSL", "ssl"]),
+        ],
+    )
+    def test_duplicate_names_rejected(self, key, names):
+        """A name listed twice, in any case, would run the same cells twice
+        and count them as separate seeds."""
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be distinct, got {names!r}")):
+            parse_config(_minimal(**{key: names}))
+
+    def test_output_dir_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="output_dir must not be empty"):
+            parse_config(_minimal(output_dir=""))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'BOOST'"):
@@ -410,12 +431,3 @@ class TestParseSyntheticSpec:
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="synthetic spec"):
             parse_synthetic_spec([1, 2])
-
-
-class TestLoadConfig:
-    def test_reads_json_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(_minimal()), encoding="utf-8")
-        cfg = load_config(str(path))
-        assert isinstance(cfg, ExperimentConfig)
-        assert cfg.strategies == ("FPL",)

@@ -12,7 +12,6 @@ import pytest
 
 from plrefine.core import (
     CE_BLOCK_ROWS,
-    PARADIGMS,
     UNLABELED,
     ClassSpace,
     EmbeddingSet,
@@ -212,7 +211,7 @@ class TestLabeledSubset:
 
 class TestParadigmConfig:
     def test_known_paradigms(self):
-        for p in PARADIGMS:
+        for p in ("SSL", "UL", "TRZSL"):
             cfg = ParadigmConfig(p)
             assert cfg.paradigm == p
             assert cfg.shots_per_class == 2
@@ -221,30 +220,14 @@ class TestParadigmConfig:
         with pytest.raises(ValueError, match="unknown paradigm 'FSL'"):
             ParadigmConfig("FSL")
 
-    def test_ul_forbids_labeled_weight(self):
-        ParadigmConfig("UL", gamma=0.0, lam=2.5)
-        with pytest.raises(ValueError, match="UL trains with no labeled term: gamma must be 0"):
-            ParadigmConfig("UL", gamma=0.5)
-
-    def test_sl_forbids_pseudo_weight(self):
-        ParadigmConfig("SL", gamma=1.0, lam=0.0)
-        with pytest.raises(ValueError, match="SL trains with no pseudolabel term: lambda must be 0"):
-            ParadigmConfig("SL", lam=0.5)
-
-    def test_weights_come_as_a_pair(self):
-        ParadigmConfig("SSL", gamma=50.0, lam=1.0)
-        with pytest.raises(ValueError, match="set gamma and lambda together"):
-            ParadigmConfig("SSL", gamma=50.0)
-        with pytest.raises(ValueError, match="set gamma and lambda together"):
-            ParadigmConfig("TRZSL", lam=2.0)
+    def test_sl_rejected(self):
+        for shots in (0, 2):
+            with pytest.raises(ValueError, match="must not include SL: it has no unlabeled pool"):
+                ParadigmConfig("SL", shots_per_class=shots)
 
     def test_rejects_negative_knobs(self):
         with pytest.raises(ValueError, match="shots_per_class"):
             ParadigmConfig("SSL", shots_per_class=-1)
-        with pytest.raises(ValueError, match="gamma"):
-            ParadigmConfig("SSL", gamma=-0.1)
-        with pytest.raises(ValueError, match="lambda"):
-            ParadigmConfig("SSL", lam=-0.1)
 
 
 class TestTrzslSplit:

@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plrefine.core import ParadigmConfig, UNLABELED
+from plrefine.core import ParadigmConfig, UNLABELED, paradigm_weights
 from plrefine import strategies
-from plrefine.pseudolabels import effective_k, similarity_matrix, topk_per_class
+from plrefine.pseudolabels import PseudolabelSet, effective_k, similarity_matrix, topk_per_class
 from plrefine.strategies import (
     DEFAULT_PEAK_LR,
     DEFAULT_PROMPT_LEN,
@@ -27,7 +27,7 @@ from plrefine.strategies import (
 )
 from plrefine.surrogate import init_prompt
 from plrefine.synth import SyntheticSpec, synth_generate
-from plrefine.training import TrainSchedule
+from plrefine.training import TrainSchedule, train
 
 
 def _fast(strategy, paradigm, **kw):
@@ -41,6 +41,19 @@ def _fast(strategy, paradigm, **kw):
         I=kw.pop("I", 3),
         **kw,
     )
+
+
+def _record_train_weights(monkeypatch) -> list:
+    """Wrap strategies.train so each call appends (|labeled|, |pseudolabels|,
+    weights) to the returned list."""
+    calls = []
+
+    def recording(head, data, space, labeled, pl, weights, *args, **kw):
+        calls.append((labeled.n, pl.m, weights))
+        return train(head, data, space, labeled, pl, weights, *args, **kw)
+
+    monkeypatch.setattr(strategies, "train", recording)
+    return calls
 
 
 class TestGripK:
@@ -163,16 +176,6 @@ class TestWireParadigm:
         with pytest.raises(ValueError, match="TRZSL requires a partitioned class space"):
             wire_paradigm(ParadigmConfig("TRZSL"), small_task.train, space, seed=0)
 
-    def test_sl_split(self, small_task):
-        split = wire_paradigm(ParadigmConfig("SL", shots_per_class=3), small_task.train, small_task.space, seed=0)
-        assert split.labeled.n == 3 * small_task.space.C
-        assert split.pool_rows.size == 0
-        assert split.pseudolabel_classes == ()
-
-    def test_sl_all_labeled_when_shots_zero(self, small_task):
-        split = wire_paradigm(ParadigmConfig("SL", shots_per_class=0), small_task.train, small_task.space, seed=0)
-        assert split.labeled.n == small_task.train.n
-
 
 @pytest.fixture(scope="module")
 def loop_task():
@@ -283,21 +286,30 @@ class TestRefinementLoops:
         result = run_strategy(_fast("FPL", "SSL", seed=0), loop_task)
         assert result.records[0].n_pseudo > 0
 
-    def test_sl_paradigm_rejected_by_loops(self, loop_task):
-        with pytest.raises(ValueError, match="FPL requires unlabeled data"):
-            run_strategy(_fast("FPL", "SL"), loop_task)
+    @pytest.mark.parametrize("paradigm", ["SSL", "UL", "TRZSL"])
+    def test_every_round_trains_at_the_paradigm_weights(self, loop_task, monkeypatch, paradigm):
+        """Each GRIP round trains at paradigm_weights(paradigm, |L|, |P|) for
+        the labeled subset and pseudolabels that round passes to train."""
+        calls = _record_train_weights(monkeypatch)
+        run_strategy(_fast("GRIP", paradigm, seed=0, I=2), loop_task)
+        split = wire_paradigm(ParadigmConfig(paradigm), loop_task.train, loop_task.space, seed=0)
+        assert len(calls) == 2
+        for n_labeled, n_pseudo, weights in calls:
+            assert n_labeled == split.labeled.n and n_pseudo > 0
+            assert weights == paradigm_weights(paradigm, n_labeled, n_pseudo)
+
+    def test_round_without_pseudolabels_trains_on_the_labeled_term_alone(self, loop_task, monkeypatch):
+        calls = _record_train_weights(monkeypatch)
+        cfg = _fast("FPL", "SSL", seed=0)
+        split = wire_paradigm(cfg.paradigm, loop_task.train, loop_task.space, seed=0)
+        nothing = PseudolabelSet(np.array([], dtype=np.uint64), np.array([], dtype=np.int64), np.array([]), 0)
+        strategies.fit_round(cfg, loop_task, split, cfg.base_prompt(loop_task.space.d), nothing, 1)
+        assert calls == [(split.labeled.n, 0, (1.0, 0.0))]
 
     def test_dedup_prevents_repeated_ids(self, loop_task):
         cfg = _fast("FPL", "UL", dedup_pseudolabels=True, K=40)
         result = run_strategy(cfg, loop_task)
         assert result.records[0].n_pseudo <= effective_k(40, loop_task.train.n, 6) * 6
-
-    def test_explicit_weight_override_changes_run(self, loop_task):
-        base = _fast("FPL", ParadigmConfig("UL"), seed=1)
-        heavy = _fast("FPL", ParadigmConfig("UL", gamma=0.0, lam=7.0), seed=1)
-        a = run_strategy(base, loop_task)
-        b = run_strategy(heavy, loop_task)
-        assert not np.array_equal(a.final_model.text_ctx, b.final_model.text_ctx)
 
     def test_run_strategy_dispatch(self, loop_task):
         """Each strategy runs its plan: FPL one iteration, IFPL and GRIP I,
