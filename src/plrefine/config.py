@@ -212,6 +212,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ValueError("output_dir must not be empty")
     if not 0.0 <= cfg.threshold_tau < 1.0:
         raise ValueError("threshold_tau must lie in [0, 1)")
+    if cfg.split_seed < 0:
+        raise ValueError(f"split_seed must be non-negative, got {cfg.split_seed}")
     # Each paradigm's run settings, so the run configs' own range checks (K, I,
     # prompt_len, temperature, schedule, shots, ...) fire here, not in a run.
     for paradigm in cfg.paradigms:

@@ -27,38 +27,68 @@ SEEN_FRACTION = 0.62
 
 NORM_TOLERANCE = 1e-5
 
+# Rows per block of row_norms: at d=512 a block's squares take 4 MB.
+NORM_BLOCK_ROWS = 1024
+
 # Rows per pass of softmax_cross_entropy: a block of 128 rows and its exp
 # temporary take 2 MB at C=1000, so the passes over a block hit cache.
 CE_BLOCK_ROWS = 128
 
 
-def unit_normalize(x: np.ndarray) -> np.ndarray:
-    """Scale vectors to unit L2 norm along the last axis.
+def row_norms(mat: np.ndarray) -> np.ndarray:
+    """(n, 1) L2 norms of the rows of a 2-D array; for a C-contiguous array,
+    bit for bit the whole-matrix norms numpy's linear-algebra ``norm`` gives
+    along axis 1.
 
-    Raises ValueError("degenerate embedding") if any vector has norm below
-    1e-12; a zero vector has no direction and silently keeping it would
-    poison every cosine downstream.
+    Taken NORM_BLOCK_ROWS rows at a time, so a pass never holds a second
+    (n, d) array; a row's norm reads that row alone, so its bits do not
+    depend on the blocking. A NaN or inf entry makes its row's norm NaN or
+    inf.
     """
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise ValueError("degenerate embedding: zero-norm vector cannot be normalized")
-    return x / norms
+    norms = np.empty((mat.shape[0], 1))
+    for s in range(0, mat.shape[0], NORM_BLOCK_ROWS):
+        blk = mat[s : s + NORM_BLOCK_ROWS]
+        np.sqrt(np.add.reduce(blk * blk, axis=1, keepdims=True), out=norms[s : s + NORM_BLOCK_ROWS])
+    return norms
+
+
+def normalize_rows(mat: np.ndarray, what: str) -> np.ndarray:
+    """Divide the rows of a writeable 2-D float64 array by their L2 norms in
+    place and return the (n, 1) norms.
+
+    Raises ValueError("degenerate embedding") naming ``what`` if any row has
+    norm below 1e-12; a zero vector has no direction and silently keeping it
+    would poison every cosine downstream.
+    """
+    norms = row_norms(mat)
+    if (norms < 1e-12).any():
+        raise ValueError(f"degenerate embedding: zero-norm {what} cannot be normalized")
+    mat /= norms
+    return norms
+
+
+def unit_normalize(x: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``x`` scaled to unit L2 norm along the last axis;
+    ``x`` itself is never written. A zero vector raises as in normalize_rows.
+    """
+    x = np.array(x, dtype=np.float64, order="C")
+    normalize_rows(x.reshape(-1, x.shape[-1]), "vector")
+    return x
 
 
 def max_norm_drift(mat: np.ndarray) -> float:
     """Largest |‖row‖ − 1| over the rows of a 2-D array; 0.0 when it has no
     rows. A NaN or inf entry gives NaN or inf."""
-    norms = np.linalg.norm(mat, axis=1)
+    norms = row_norms(mat)
     return float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
 
 
 def _check_unit_rows(mat: np.ndarray, name: str) -> None:
     """Raise unless every entry of ``mat`` is finite and every row unit-norm
-    within NORM_TOLERANCE."""
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} must be finite (found NaN or inf)")
+    within NORM_TOLERANCE; a NaN or inf entry shows as a non-finite drift."""
     drift = max_norm_drift(mat)
+    if not math.isfinite(drift):
+        raise ValueError(f"{name} must be finite (found NaN or inf)")
     if drift > NORM_TOLERANCE:
         raise ValueError(
             f"{name} must be unit-normalized within {NORM_TOLERANCE:g} (worst drift {drift:.3g})"
@@ -324,10 +354,13 @@ def make_trzsl_split(C: int, seed: int) -> tuple:
     """Split ``range(C)`` into seen/unseen classes, |seen| = floor(0.62 * C).
 
     The assignment is a seeded permutation, so the same (C, seed) always
-    yields the same split. Both sides are returned sorted.
+    yields the same split; the seed must be non-negative. Both sides are
+    returned sorted.
     """
     if C < 2:
         raise ValueError("transductive split needs at least 2 classes")
+    if seed < 0:
+        raise ValueError(f"transductive split seed must be non-negative, got {seed}")
     n_seen = int(np.floor(SEEN_FRACTION * C))
     if n_seen == 0 or n_seen == C:
         raise ValueError(f"split of {C} classes leaves one side empty")

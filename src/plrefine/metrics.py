@@ -55,8 +55,9 @@ class RobinHoodReport:
     """Per-class accuracy deltas split by the baseline's poor/rich partition.
 
     A class is poor when the baseline's accuracy on it is strictly below the
-    baseline's overall accuracy, rich otherwise. Mean deltas are None for an
-    empty side (e.g. a perfectly uniform baseline has no poor classes).
+    baseline's overall accuracy, rich otherwise; a class without baseline
+    test rows is neither. Mean deltas are None for an empty side (e.g. a
+    perfectly uniform baseline has no poor classes).
     """
 
     poor_classes: tuple
@@ -153,18 +154,21 @@ def zero_shot_report(test: EmbeddingSet, space: ClassSpace, partition_aware: boo
 def robin_hood(baseline: EvalReport, trained: EvalReport) -> RobinHoodReport:
     """Split classes by the baseline into poor/rich and average the deltas.
 
-    Poor means strictly below the baseline's overall accuracy. A positive
-    poor-side mean delta with a small rich-side loss is the redistribution
-    signature; a negative poor-side delta with rich-side gains is the
-    opposite (rich get richer).
+    Poor means strictly below the baseline's overall accuracy. A class with
+    no baseline test rows has no accuracy to compare, so it goes on neither
+    side; per_class_delta still lists every class. A positive poor-side mean
+    delta with a small rich-side loss is the redistribution signature; a
+    negative poor-side delta with rich-side gains is the opposite (rich get
+    richer).
     """
     if len(baseline.per_class) != len(trained.per_class):
         raise ValueError("reports cover different class counts")
     base = np.asarray(baseline.per_class, dtype=np.float64)
     new = np.asarray(trained.per_class, dtype=np.float64)
     delta = new - base
-    poor = tuple(int(c) for c in np.flatnonzero(base < baseline.overall))
-    rich = tuple(int(c) for c in np.flatnonzero(base >= baseline.overall))
+    tested = np.asarray(baseline.support) > 0
+    poor = tuple(int(c) for c in np.flatnonzero(tested & (base < baseline.overall)))
+    rich = tuple(int(c) for c in np.flatnonzero(tested & (base >= baseline.overall)))
     mean_poor = float(delta[list(poor)].mean()) if poor else None
     mean_rich = float(delta[list(rich)].mean()) if rich else None
     return RobinHoodReport(

@@ -28,16 +28,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, frozen_array, softmax_cross_entropy
+from .core import ClassSpace, frozen_array, normalize_rows, softmax_cross_entropy
 
 MODALITIES = ("textual", "visual", "multimodal")
 
 DEFAULT_TEMPERATURE = 100.0
 DEFAULT_CTX_SCALE = 0.02
-
-# Rows per block of _shift_normalize's row norms, so it never holds a second
-# (n, d) array; a row's norm reads that row alone, so its bits are unchanged.
-NORM_BLOCK_ROWS = 1024
 
 # One row per route: the modality that owns it (multimodal models own both),
 # its ctx and mixer fields, and the SeedSequence children that draw them.
@@ -185,14 +181,7 @@ def _shift_normalize(mix: np.ndarray, ctx: np.ndarray, anchors: np.ndarray, what
     E = np.einsum("jmk,mk->jk", mix.reshape(d, -1, d), ctx)
     A = anchors @ E.T
     A += anchors
-    norms = np.empty((A.shape[0], 1))
-    for s in range(0, A.shape[0], NORM_BLOCK_ROWS):
-        blk = A[s : s + NORM_BLOCK_ROWS]
-        np.sqrt(np.add.reduce(blk * blk, axis=1, keepdims=True), out=norms[s : s + NORM_BLOCK_ROWS])
-    if (norms < 1e-12).any():
-        raise ValueError(f"degenerate embedding: {what} collapsed to zero norm")
-    A /= norms
-    return A, norms
+    return A, normalize_rows(A, what)
 
 
 def _shift_normalize_vjp(
@@ -220,7 +209,7 @@ def class_prototypes(model: PromptModel, space: ClassSpace) -> np.ndarray:
     """
     if model.text_ctx is None or not model.text_ctx.any():
         return space.base_prototypes.view()
-    return _shift_normalize(model.text_mix, model.text_ctx, space.base_prototypes, "prototype")[0]
+    return _shift_normalize(model.text_mix, model.text_ctx, space.base_prototypes, "shifted prototype")[0]
 
 
 def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
@@ -239,7 +228,7 @@ def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
         out = z.view()
         out.setflags(write=False)
         return out
-    return _shift_normalize(model.vis_mix, model.vis_ctx, z, "feature")[0]
+    return _shift_normalize(model.vis_mix, model.vis_ctx, z, "shifted feature")[0]
 
 
 def logits(model: PromptModel, z: np.ndarray, space: ClassSpace) -> np.ndarray:
@@ -286,14 +275,14 @@ def batch_loss_and_grad(
     if model.vis_ctx is None:
         Zp = Z
     else:
-        Zp, nz = _shift_normalize(model.vis_mix, model.vis_ctx, Z, "feature")
+        Zp, nz = _shift_normalize(model.vis_mix, model.vis_ctx, Z, "shifted feature")
 
     # Forward: prototype side.
     B = space.base_prototypes
     if model.text_ctx is None:
         Wp = B
     else:
-        Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "prototype")
+        Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype")
 
     S = Zp @ Wp.T
     S *= tau

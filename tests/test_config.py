@@ -63,6 +63,14 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="output_dir must not be empty"):
             parse_config(_minimal(output_dir=""))
 
+    def test_negative_split_seed_rejected(self):
+        """It parsed, and a TRZSL sweep on files then failed inside numpy's
+        permutation, naming neither the key nor the config."""
+        raw = _minimal(paradigms=["TRZSL"], split_seed=-1)
+        raw["task"] = {"train_path": "train.ple", "test_path": "test.ple"}
+        with pytest.raises(ValueError, match=re.escape("split_seed must be non-negative, got -1")):
+            parse_config(raw)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'BOOST'"):
             parse_config(_minimal(strategies=["BOOST"]))

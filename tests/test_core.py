@@ -12,6 +12,7 @@ import pytest
 
 from plrefine.core import (
     CE_BLOCK_ROWS,
+    NORM_BLOCK_ROWS,
     UNLABELED,
     ClassSpace,
     EmbeddingSet,
@@ -19,8 +20,10 @@ from plrefine.core import (
     ParadigmConfig,
     Task,
     make_trzsl_split,
+    normalize_rows,
     paradigm_weights,
     frozen_array,
+    row_norms,
     sample_shots,
     softmax_cross_entropy,
     unit_normalize,
@@ -66,6 +69,50 @@ class TestUnitNormalize:
         x = rng.standard_normal((3, 4, 6))
         u = unit_normalize(x)
         assert np.allclose(np.linalg.norm(u, axis=-1), 1.0)
+
+    def test_returns_a_copy_and_never_writes_its_input(self):
+        rng = np.random.default_rng(2)
+        for shape in ((5, 4), (3, 4, 6), (7,)):
+            x = 3.0 * rng.standard_normal(shape)
+            before = x.copy()
+            x.setflags(write=False)
+            u = unit_normalize(x)
+            assert not np.shares_memory(u, x) and u.flags.writeable
+            assert np.array_equal(x, before)
+            assert u.tobytes() == (before / np.linalg.norm(before, axis=-1, keepdims=True)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, NORM_BLOCK_ROWS - 1, NORM_BLOCK_ROWS, NORM_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("d", [1, 7, 64])
+    def test_row_norms_match_whole_matrix_norm_bitwise(self, n, d):
+        x = 3.0 * np.random.default_rng(n * 100 + d).standard_normal((n, d))
+        norms = row_norms(x)
+        assert norms.shape == (n, 1)
+        assert norms.tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_gives_its_row_a_non_finite_norm(self, bad):
+        x = _unit_rows(np.random.default_rng(3), NORM_BLOCK_ROWS + 5, 6)
+        x[NORM_BLOCK_ROWS + 2, 4] = bad
+        finite = np.isfinite(row_norms(x)[:, 0])
+        assert np.flatnonzero(~finite).tolist() == [NORM_BLOCK_ROWS + 2]
+
+    def test_normalize_rows_divides_its_argument_in_place(self):
+        rng = np.random.default_rng(4)
+        whole = 3.0 * rng.standard_normal((8, 5))
+        before = whole.copy()
+        rows = whole[2:5]  # a view: only these rows of `whole` may change
+        norms = normalize_rows(rows, "row")
+        expected = np.linalg.norm(before[2:5], axis=1, keepdims=True)
+        assert norms.tobytes() == expected.tobytes()
+        assert whole[2:5].tobytes() == (before[2:5] / expected).tobytes()
+        assert np.array_equal(np.delete(whole, [2, 3, 4], axis=0), np.delete(before, [2, 3, 4], axis=0))
+
+    def test_normalize_rows_rejects_a_zero_row_before_writing(self):
+        x = np.ones((3, 4))
+        x[1] = 0.0
+        with pytest.raises(ValueError, match="degenerate embedding: zero-norm row cannot be normalized"):
+            normalize_rows(x, "row")
+        assert np.array_equal(x[[0, 2]], np.ones((2, 4))) and not x[1].any()
 
 
 class TestEmbeddingSet:
@@ -256,6 +303,10 @@ class TestTrzslSplit:
     def test_too_few_classes(self):
         with pytest.raises(ValueError, match="at least 2 classes"):
             make_trzsl_split(1, 0)
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="split seed must be non-negative, got -1"):
+            make_trzsl_split(10, -1)
 
 
 class TestSampleShots:

@@ -322,6 +322,18 @@ class TestRobinHood:
         assert rep.poor_classes == (1,)
         assert rep.rich_classes == (0,)
 
+    def test_class_without_test_rows_is_on_neither_side(self):
+        """Class 2 has no baseline test rows, so its 0.0 accuracy is no
+        evidence of a poor class and must not dilute the poor-side mean."""
+        baseline = self._report(0.6, [0.9, 0.2, 0.0], [10, 10, 0])
+        trained = self._report(0.7, [0.9, 0.5, 0.0], [10, 10, 0])
+        rep = robin_hood(baseline, trained)
+        assert rep.poor_classes == (1,)
+        assert rep.rich_classes == (0,)
+        assert np.isclose(rep.mean_delta_poor, 0.3)
+        assert rep.mean_delta_rich == 0.0
+        assert np.allclose(rep.per_class_delta, [0.0, 0.3, 0.0])
+
     def test_mismatched_reports_rejected(self):
         baseline = self._report(0.5, [0.5, 0.4], [4, 4])
         trained = self._report(0.5, [0.5, 0.5, 0.1], [4, 4, 4])

@@ -1,6 +1,7 @@
 """Sweep execution: cells run in stripes on one task and one zero-shot
 baseline per process, with the same bytes serially and across workers."""
 
+import os
 import re
 from pathlib import Path
 
@@ -123,6 +124,39 @@ def test_workers_never_outnumber_cells(cfg, tmp_path, monkeypatch):
     sweep.run_sweep(cfg, jobs=64, out_dir=str(tmp_path / "jobs64"))
     assert started == [4]
     assert _outputs(tmp_path / "jobs64") == _outputs(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("outer", [None, "3"])
+def test_workers_start_with_one_blas_thread(cfg, tmp_path, monkeypatch, outer):
+    """The workers are started with OPENBLAS_NUM_THREADS=1, and this
+    process's environment is put back afterwards, set or unset."""
+    if outer is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", outer)
+    seen = []
+    real = sweep.ProcessPoolExecutor
+
+    class AskingPool:
+        """The real pool, asked for a worker's setting before the stripes run."""
+
+        def __init__(self, max_workers):
+            self.pool = real(max_workers=max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.pool.__exit__(*exc)
+
+        def map(self, fn, *iterables):
+            seen.append(self.pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result(timeout=120))
+            return self.pool.map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", AskingPool)
+    sweep.run_sweep(cfg, jobs=2, out_dir=str(tmp_path / "jobs2"))
+    assert seen == ["1"]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == outer
 
 
 def _synthetic_task(labeled: int, unlabeled: int):
