@@ -29,11 +29,19 @@ def _test_path_for(path: str) -> str:
     return str(p.with_suffix(".test" + (p.suffix or ".ple")))
 
 
+def _load_json(path: str):
+    """The JSON value in the file at ``path``; a syntax error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path!r} is not valid JSON: {exc}") from None
+
+
 def _read_config(path: str) -> tuple:
     """The config file's raw JSON object and its parsed config, after warning
     when a small synthetic task is left on the 512-d default temperature."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     cfg = parse_config(raw)
     if cfg.synthetic is not None and cfg.synthetic.d <= 64 and "temperature" not in raw:
         print(
@@ -65,8 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_synth(args: argparse.Namespace) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = parse_synthetic_spec(json.load(fh))
+    spec = parse_synthetic_spec(_load_json(args.spec))
     task = synth_generate(spec)
     test_path = _test_path_for(args.out)
     write_ple(args.out, task.train, task.space)

@@ -114,9 +114,12 @@ def read_ple(path: str) -> Tuple[EmbeddingSet, ClassSpace]:
     # A copy, so the loaded set does not keep the whole file buffer alive.
     ids = field("<u8", n).copy()
     names = []
-    for _ in range(C):
-        length = int(field("<u2", 1)[0])
-        names.append(bytes(field("u1", length)).decode("utf-8"))
+    for c in range(C):
+        raw = bytes(field("u1", int(field("<u2", 1)[0])))
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"not a PLE1 file: class name {c} is not valid UTF-8") from None
     prototypes = field("<f4", C * d).astype(np.float64).reshape(C, d)
     if offset != len(buf):
         raise ValueError("not a PLE1 file: trailing bytes after payload")
@@ -130,9 +133,18 @@ def read_ple(path: str) -> Tuple[EmbeddingSet, ClassSpace]:
     return data, space
 
 
+def read_named(path: str, role: str) -> Tuple[EmbeddingSet, ClassSpace]:
+    """read_ple, with a ValueError that names the file: ``cannot read <role>
+    '<path>': `` and then read_ple's own message."""
+    try:
+        return read_ple(path)
+    except ValueError as exc:
+        raise ValueError(f"cannot read {role} {path!r}: {exc}") from exc
+
+
 def inspect_ple(path: str) -> dict:
     """Human-oriented summary of a PLE1 file."""
-    data, space = read_ple(path)
+    data, space = read_named(path, "file")
     return {
         "path": path,
         "n": data.n,

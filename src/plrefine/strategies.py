@@ -1,10 +1,11 @@
 """Training strategies: one-shot and iterative pseudolabel refinement.
 
 All three strategies share one engine, run_strategy. Each iteration scores
-the unlabeled pool (iteration 1 with the run's prompt at ctx = 0, which is
-the zero-shot classifier, later ones with the previously trained model),
-takes the top K per class, recomputes the paradigm weights from the actual
-pool sizes, reinitializes the prompt from seed XOR iteration, and trains.
+the unlabeled pool and takes the top K per class (select_round): iteration 1
+with the run's base prompt, whose ctx = 0 makes it the zero-shot classifier,
+later ones with the previously trained model. It then recomputes the
+paradigm weights from the actual pool sizes, reinitializes the prompt from
+seed XOR iteration, and trains.
 They differ only in the iteration count and the K rule, which
 STRATEGY_PLANS holds:
 
@@ -110,19 +111,14 @@ class StrategyConfig:
         return self.schedule if self.schedule is not None else default_schedule(self.modality)
 
     def base_prompt(self, d: int) -> PromptModel:
-        """The run's initial prompt: ctx drawn from the seed, frozen mixers.
+        """The run's zero-shot head: ctx = 0 exactly, so it scores as the
+        base prototypes do, and frozen mixers drawn from the seed.
 
-        Build it once per run; later prompts only redraw ctx from it
-        (reinit_ctx), which keeps the mixers without drawing them again.
+        Build it once per run; every trained prompt starts from it with ctx
+        redrawn (reinit_ctx), which keeps the mixers without drawing them again.
         """
         return init_prompt(
-            self.modality,
-            self.resolved_prompt_len(),
-            d,
-            self.seed,
-            scale=self.init_scale,
-            spread=self.init_spread,
-            temperature=self.temperature,
+            self.modality, self.resolved_prompt_len(), d, self.seed, scale=0.0, temperature=self.temperature
         )
 
 
@@ -171,9 +167,6 @@ class IterationRecord:
 class RunResult:
     """Full outcome of one strategy run."""
 
-    strategy: str
-    paradigm: str
-    seed: int
     records: tuple
     final_report: EvalReport
     final_model: PromptModel
@@ -223,15 +216,14 @@ def wire_paradigm(
         return ParadigmSplit(labeled, pool, all_classes)
     if cfg.paradigm == "UL":
         return ParadigmSplit(empty, np.arange(data.n, dtype=np.int64), all_classes)
-    if cfg.paradigm == "TRZSL":
-        if space.partition is None:
-            raise ValueError("TRZSL requires a partitioned class space")
-        seen, unseen = space.partition
-        seen_rows = np.flatnonzero(np.isin(data.labels, seen)).astype(np.int64)
-        pool = np.flatnonzero(np.isin(data.labels, unseen)).astype(np.int64)
-        labeled = LabeledSubset(seen_rows, data.labels[seen_rows])
-        return ParadigmSplit(labeled, pool, tuple(unseen))
-    raise ValueError(f"unknown paradigm {cfg.paradigm!r}")
+    # TRZSL, the one paradigm left (ParadigmConfig admits no other).
+    if space.partition is None:
+        raise ValueError("TRZSL requires a partitioned class space")
+    seen, unseen = space.partition
+    seen_rows = np.flatnonzero(np.isin(data.labels, seen)).astype(np.int64)
+    pool = np.flatnonzero(np.isin(data.labels, unseen)).astype(np.int64)
+    labeled = LabeledSubset(seen_rows, data.labels[seen_rows])
+    return ParadigmSplit(labeled, pool, tuple(unseen))
 
 
 def fit_round(
@@ -246,43 +238,47 @@ def fit_round(
     Pseudolabel accuracy is None unless pl is non-empty and every pool row
     has its class.
     """
-    paradigm = config.paradigm
-    weights = paradigm_weights(paradigm.paradigm, split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
+    weights = paradigm_weights(config.paradigm.paradigm, split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
     schedule = config.resolved_schedule()
     model, _ = train(head, task.train, task.space, split.labeled, pl, weights, schedule, seed=config.seed ^ i)
-    report = evaluate(model, task.test, task.space, partition_aware=paradigm.paradigm == "TRZSL")
+    report = evaluate(model, task.test, task.space, partition_aware=config.paradigm.paradigm == "TRZSL")
     scored = pl.m and not np.any(task.train.labels[split.pool_rows] == UNLABELED)
     return model, report, pseudolabel_accuracy(pl, task.train) if scored else None
+
+
+def select_round(
+    config: StrategyConfig, split: ParadigmSplit, pool: tuple, model: PromptModel, space, i: int
+) -> PseudolabelSet:
+    """Round i's pseudolabels: each of the split's pseudolabel classes takes
+    its top k rows of ``pool`` (the split's (features, ids)) under ``model``,
+    with k from config.strategy's quota rule.
+
+    The scored sides are passed inline, not bound to locals, so the scored
+    pool is freed when selection returns.
+    """
+    classes = split.pseudolabel_classes
+    k = STRATEGY_PLANS[config.strategy][1](config, i, int(split.pool_rows.size), len(classes))
+    return topk_from_features(image_features(model, pool[0]), class_prototypes(model, space), k, classes, pool[1])
 
 
 def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     """Run config.strategy with the iteration count and quota rule of its plan.
 
-    FPL makes a single pseudolabeling pass with the base prototypes and a
-    single training; IFPL refines for I iterations at the same quota; GRIP
-    grows the quota each iteration until the last one pseudolabels (nearly)
-    the entire pool.
+    FPL makes a single pseudolabeling pass with the base prompt (the
+    zero-shot head) and a single training; IFPL refines for I iterations at
+    the same quota; GRIP grows the quota each iteration until the last one
+    pseudolabels (nearly) the entire pool.
     """
-    iterate, k_rule = STRATEGY_PLANS[config.strategy]
-    iterations = config.I if iterate else 1
-    space = task.space
-    split = wire_paradigm(config.paradigm, task.train, space, config.seed)
+    iterations = config.I if STRATEGY_PLANS[config.strategy][0] else 1
+    split = wire_paradigm(config.paradigm, task.train, task.space, config.seed)
     if split.pool_rows.size == 0:
         raise ValueError(f"{config.strategy} requires unlabeled data")
 
-    pool_feats, pool_ids = split.pool(task.train)
-    classes = split.pseudolabel_classes
-    base = config.base_prompt(space.d)
-
+    pool = split.pool(task.train)
+    base = model = config.base_prompt(task.space.d)
     records = []
-    # The scored sides are passed inline, not bound to locals, so a round's
-    # scored pool is freed before that round trains.
-    model = base.with_learnable({name: np.zeros_like(ctx) for name, ctx in base.learnable().items()})
     for i in range(1, iterations + 1):
-        k = k_rule(config, i, int(split.pool_rows.size), len(classes))
-        pl = topk_from_features(
-            image_features(model, pool_feats), class_prototypes(model, space), k, classes, pool_ids
-        )
+        pl = select_round(config, split, pool, model, task.space, i)
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
         fresh = reinit_ctx(base, config.seed ^ i, scale=config.init_scale, spread=config.init_spread)
@@ -298,12 +294,4 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
                 unseen_accuracy=report.unseen_accuracy,
             )
         )
-    return RunResult(
-        strategy=config.strategy,
-        paradigm=config.paradigm.paradigm,
-        seed=config.seed,
-        records=tuple(records),
-        final_report=report,
-        final_model=model,
-    )
-
+    return RunResult(records=tuple(records), final_report=report, final_model=model)

@@ -23,7 +23,7 @@ differences; everything is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -167,12 +167,11 @@ def reinit_ctx(model: PromptModel, seed: int, scale: float = DEFAULT_CTX_SCALE, 
     """
     sigma = _ctx_sigma(scale, spread)
     rngs = [np.random.default_rng(kid) for kid in np.random.SeedSequence(seed).spawn(2)]
-    updates = {
+    return model.with_learnable({
         ctx_name: rngs[ctx_kid].normal(0.0, sigma, size=getattr(model, ctx_name).shape)
         for _, ctx_name, _, ctx_kid, _ in _ROUTES
         if getattr(model, ctx_name) is not None
-    }
-    return replace(model, **updates)
+    })
 
 
 def _shift_normalize(mix: np.ndarray, ctx: np.ndarray, anchors: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, ExperimentConfig
 from .core import Task, make_trzsl_split
-from .fileio import read_ple, replacing
+from .fileio import read_named, replacing
 from .metrics import (
     EvalReport,
     robin_hood,
@@ -34,8 +34,7 @@ from .metrics import (
     zero_shot_report,
 )
 from .probe import init_linear_probe
-from .pseudolabels import effective_k, topk_per_class
-from .strategies import fit_round, run_strategy, wire_paradigm
+from .strategies import fit_round, run_strategy, select_round, wire_paradigm
 from .surrogate import reinit_ctx
 from .synth import synth_generate
 
@@ -56,7 +55,8 @@ TRACE_COLUMNS = (
 
 
 def load_task(cfg: ExperimentConfig) -> Task:
-    """Materialize the task: generate synthetically or read PLE1 files.
+    """Materialize the task: generate synthetically or read PLE1 files (a
+    file that cannot be read is named in the error, with its role).
 
     The two files must hold the same class space: names, order and
     prototypes. A transductive paradigm needs a class partition; file-based
@@ -66,8 +66,8 @@ def load_task(cfg: ExperimentConfig) -> Task:
     if cfg.synthetic is not None:
         task = synth_generate(cfg.synthetic)
     else:
-        train_set, space = read_ple(cfg.train_path)
-        test_set, test_space = read_ple(cfg.test_path)
+        train_set, space = read_named(cfg.train_path, "train file")
+        test_set, test_space = read_named(cfg.test_path, "test file")
         protos = (space.base_prototypes, test_space.base_prototypes)
         for c in range(max(space.C, test_space.C)):
             names = [repr(s.class_names[c]) if c < s.C else "absent" for s in (space, test_space)]
@@ -219,7 +219,10 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
 
     All four trainings start from the same shots-per-class labeled subset and
     the same zero-shot scores; each trained head is compared against the
-    zero-shot baseline with the poor/rich redistribution report. Writes
+    zero-shot baseline with the poor/rich redistribution report. The top-K
+    pseudolabels are an FPL run's round 1 (select_round with the base
+    prompt), and the prompt head trains as that round does, so the
+    prompt/top-K cell is the FPL/SSL run at the first seed. Writes
     <out>/robinhood.json and returns its payload.
     """
     task, baseline = _prepared(cfg, ("SSL",))
@@ -227,21 +230,17 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     # One pseudolabeling pass and one training per head, as in an FPL run.
     run_cfg = cfg.run_config("FPL", "SSL", seed)
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
-    pool_feats, pool_ids = split.pool(task.train)
-    # Row-major on purpose: softmax_rows' row sums over this S feed the
+    pool = split.pool(task.train)
+    base = run_cfg.base_prompt(task.space.d)
+    # Row-major on purpose: softmax_rows' row sums over these scores feed the
     # threshold pseudolabels pinned in robinhood.json.
-    S = pool_feats @ task.space.base_prototypes.T
-    probs = softmax_rows(cfg.temperature * S)
-
-    classes = split.pseudolabel_classes
-    k = effective_k(cfg.K, int(split.pool_rows.size), len(classes))
+    probs = softmax_rows(cfg.temperature * (pool[0] @ task.space.base_prototypes.T))
     pseudolabel_sets = {
-        "topk": topk_per_class(S, k, classes, pool_ids),
+        "topk": select_round(run_cfg, split, pool, base, task.space, 1),
         # Nothing may cross the threshold; that head trains on the shots alone.
-        "threshold": threshold_pseudolabels(probs, cfg.threshold_tau, pool_ids),
+        "threshold": threshold_pseudolabels(probs, cfg.threshold_tau, pool[1]),
     }
 
-    base = run_cfg.base_prompt(task.space.d)
     comparisons: dict = {}
     for head_name in ("prompt", "linear_probe"):
         comparisons[head_name] = {}

@@ -29,7 +29,13 @@ TEST_FRACTION = 0.25
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Shape and noise parameters of one synthetic task."""
+    """Shape and noise parameters of one synthetic task.
+
+    labeled_per_class and unlabeled_per_class only set the train rows per
+    class (their sum): every synthetic train row carries its true label, and
+    paradigm wiring decides what training sees (SSL's shots come from
+    ParadigmConfig.shots_per_class).
+    """
 
     C: int = 10
     d: int = 32

@@ -332,6 +332,36 @@ class TestFailurePaths:
         }
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command", ["run", "robinhood", "gen-synth"])
+    def test_json_syntax_error_names_the_file(self, tmp_path, capsys, command):
+        """A config or spec file that is not JSON fails with its path ahead
+        of the parser's message, as a ValueError."""
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": 1,', encoding="utf-8")
+        argv = [command, str(path)] + ([str(tmp_path / "out.ple")] if command == "gen-synth" else [])
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {
+            "error": f"{str(path)!r} is not valid JSON: Expecting property name enclosed in double quotes:"
+            " line 1 column 22 (char 21)",
+            "type": "ValueError",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_inspect_names_a_truncated_file(self, tmp_path, capsys):
+        out = tmp_path / "data.ple"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"C": 3, "d": 8, "unlabeled_per_class": 4}))
+        assert main(["gen-synth", str(spec_path), str(out)]) == 0
+        out.write_bytes(out.read_bytes()[:50])
+        capsys.readouterr()
+        assert main(["inspect", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {
+            "error": f"cannot read file {str(out)!r}: not a PLE1 file: truncated payload",
+            "type": "ValueError",
+        }
+
     def test_inspect_rejects_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.ple"
         path.write_bytes(b"garbage")

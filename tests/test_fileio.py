@@ -196,6 +196,23 @@ class TestReadErrors:
         with pytest.raises(ValueError, match="label 3 out of range for C=3"):
             read_ple(str(path))
 
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_class_name_not_utf8(self, tmp_path, bad):
+        """A name whose bytes do not decode raises a plain ValueError naming
+        the class, not the UnicodeDecodeError of the codec."""
+        rng = np.random.default_rng(8)
+        data, space = _sample(rng, n=6, d=5, C=3)
+        path = tmp_path / "name.ple"
+        write_ple(str(path), data, space)
+        raw = bytearray(path.read_bytes())
+        at = 18 + (4 * data.d + 4 + 8) * data.n + sum(2 + len(n) for n in space.class_names[:bad]) + 2
+        raw[at] = 0xFF  # first byte of name `bad`
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as caught:
+            read_ple(str(path))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"not a PLE1 file: class name {bad} is not valid UTF-8"
+
 
 class TestFuzz:
     """Seeded byte-level damage to a C=5, d=8 file. Truncated and random

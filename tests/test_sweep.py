@@ -288,6 +288,32 @@ def test_test_file_from_another_class_space_is_rejected(tmp_path, test_file_of, 
         sweep.load_task(parse_config(raw))
 
 
+@pytest.mark.parametrize("role", ["train", "test"])
+def test_unreadable_task_file_is_named_with_its_role(tmp_path, role):
+    """A .ple file that read_ple rejects fails the load with its role and
+    path before read_ple's own message."""
+    task = synth_generate(SyntheticSpec(C=3, d=8, unlabeled_per_class=4))
+    paths = {"train_path": str(tmp_path / "train.ple"), "test_path": str(tmp_path / "test.ple")}
+    write_ple(paths["train_path"], task.train, task.space)
+    write_ple(paths["test_path"], task.test, task.space)
+    cut = Path(paths[f"{role}_path"])
+    cut.write_bytes(cut.read_bytes()[:50])
+    raw = {"schema_version": 1, "task": paths, "strategies": ["FPL"], "paradigms": ["UL"], "seeds": [0]}
+    with pytest.raises(ValueError) as caught:
+        sweep.load_task(parse_config(raw))
+    assert str(caught.value) == f"cannot read {role} file {str(cut)!r}: not a PLE1 file: truncated payload"
+
+
+def test_prompt_topk_cell_is_fpl_round_one(cfg):
+    """The scenario's top-K arm is FPL's first round: its prompt/top-K cell
+    selects and trains as an FPL/SSL run at the first seed does."""
+    cell = sweep.run_comparison_scenario(cfg)["comparisons"]["prompt"]["topk"]
+    fpl = strategies.run_strategy(cfg.run_config("FPL", "SSL", cfg.seeds[0]), sweep.load_task(cfg))
+    assert cell["n_pseudolabels"] == fpl.records[0].n_pseudo
+    assert cell["pseudolabel_accuracy"] == fpl.records[0].pseudolabel_accuracy
+    assert cell["report"] == fpl.final_report.to_dict()
+
+
 def test_empty_threshold_cell_trains_on_the_shots_alone(tmp_path):
     """At temperature 1 no pool row's softmax confidence crosses tau = 0.95,
     so both heads' threshold cells hold no pseudolabels, report no
