@@ -18,11 +18,20 @@ effective map E[j, k] = sum_m mix[j, m*d + k] * ctx[m, k] and shifts by
 anchors @ E.T: O(n*d^2 + M*d^2) per call, with no (n, M*d) temporary.
 
 Gradients are derived by hand so they can be cross-checked against finite
-differences; everything is float64.
+differences; everything is float64. A multimodal loss call runs its visual
+route on a worker thread while the caller runs the textual one, with numpy's
+OpenBLAS held to one thread meanwhile; each route makes the same numpy calls
+on the same arrays as it would inline, so the bits do not change.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -238,6 +247,118 @@ def logits(model: PromptModel, z: np.ndarray, space: ClassSpace) -> np.ndarray:
     return S
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy's matrix
+    products run on, or None where no such library is found.
+
+    The symbols are looked up through numpy's own extension module: dlsym on
+    that handle searches only the module and the libraries it loaded, so
+    another OpenBLAS in the process (scipy ships its own) is never the one
+    found. scipy-openblas builds prefix the names, ILP64 builds add 64_.
+    """
+    core = "numpy.core" if np.__version__.startswith("1.") else "numpy._core"
+    try:
+        lib = ctypes.CDLL(importlib.import_module(f"{core}._multiarray_umath").__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Context manager holding numpy's OpenBLAS at one thread while any
+    two-route loss call is inside it, so its two routes run side by side
+    instead of against a BLAS worker spinning on the other core. The count
+    found on the first entry is restored when the last call leaves, on an
+    exception too, so calls from several threads nest. A no-op where no
+    OpenBLAS is found."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved = 0
+
+    def __enter__(self) -> None:
+        threads = _openblas_threads()
+        with self.lock:
+            if self.depth == 0 and threads is not None:
+                self.saved = threads[0]()
+                threads[1](1)
+            self.depth += 1
+
+    def __exit__(self, *exc) -> None:
+        threads = _openblas_threads()
+        with self.lock:
+            self.depth -= 1
+            if self.depth == 0 and threads is not None:
+                threads[1](self.saved)
+
+
+_blas_cap = _OneBlasThread()
+_route_worker: Optional[ThreadPoolExecutor] = None
+
+
+def _visual_route_worker() -> ThreadPoolExecutor:
+    """The persistent one-thread executor that runs a two-route call's visual
+    route, started on first use."""
+    global _route_worker
+    if _route_worker is None:
+        _route_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="plrefine-visual-route")
+    return _route_worker
+
+
+def _start_over_after_fork() -> None:
+    # A forked child has none of its parent's threads: the worker and any
+    # call inside the cap are gone, so it starts a worker of its own and
+    # restores the BLAS count such a call had lowered.
+    global _blas_cap, _route_worker
+    threads = _openblas_threads() if _blas_cap.depth else None
+    if threads is not None:
+        threads[1](_blas_cap.saved)
+    _blas_cap, _route_worker = _OneBlasThread(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_over_after_fork)
+
+
+def _two_route_loss_and_grad(
+    model: PromptModel, Z: np.ndarray, labels: np.ndarray, B: np.ndarray, pools
+) -> Tuple[float, Dict[str, np.ndarray]]:
+    """batch_loss_and_grad's passes for a model with both routes: the visual
+    route's forward and backward run on the worker while this thread runs the
+    textual route's, each with the numpy calls the routes make inline."""
+    tau = model.temperature
+    worker = _visual_route_worker()
+    visual = worker.submit(_shift_normalize, model.vis_mix, model.vis_ctx, Z, "shifted feature")
+    try:
+        Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype")
+    finally:
+        # Collected first, so a visual error wins as when the visual route ran first.
+        Zp, nz = visual.result()
+
+    S = Zp @ Wp.T
+    S *= tau
+    loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
+
+    visual = worker.submit(lambda: _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp)))
+    try:
+        text_grad = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
+    finally:
+        vis_grad = visual.result()
+    return loss, {"text_ctx": text_grad, "vis_ctx": vis_grad}
+
+
 def batch_loss_and_grad(
     model: PromptModel,
     feats: np.ndarray,
@@ -255,7 +376,10 @@ def batch_loss_and_grad(
     The logits are built in one fresh (n, C) buffer that the cross-entropy
     overwrites with dL/dS, so a call allocates one (n, C) matrix; feats, the
     prototypes and the model are never written. A non-finite loss or
-    gradient raises rather than propagating.
+    gradient raises rather than propagating. A model with both routes runs
+    its visual route on a worker thread while the calling thread runs the
+    textual one, with numpy's OpenBLAS held to one thread for the call; the
+    bits are those of running the routes in turn.
 
     Backward pass, for reference: with P the softmax and Y one-hot,
     G = w (P - Y)/n_b on a block of n_b rows and weight w is dL/dS, so
@@ -269,29 +393,30 @@ def batch_loss_and_grad(
     if Z.ndim != 2 or labels.shape != (Z.shape[0],):
         raise ValueError("feats must be (n, d) with one label per row")
     tau = model.temperature
-
-    # Forward: image side.
-    if model.vis_ctx is None:
-        Zp = Z
-    else:
-        Zp, nz = _shift_normalize(model.vis_mix, model.vis_ctx, Z, "shifted feature")
-
-    # Forward: prototype side.
     B = space.base_prototypes
-    if model.text_ctx is None:
-        Wp = B
+
+    if model.vis_ctx is not None and model.text_ctx is not None:
+        with _blas_cap:
+            loss, grads = _two_route_loss_and_grad(model, Z, labels, B, pools)
     else:
-        Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype")
+        # Forward: the one route's side; the other side passes through.
+        if model.vis_ctx is None:
+            Zp = Z
+        else:
+            Zp, nz = _shift_normalize(model.vis_mix, model.vis_ctx, Z, "shifted feature")
+        if model.text_ctx is None:
+            Wp = B
+        else:
+            Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype")
 
-    S = Zp @ Wp.T
-    S *= tau
-    loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
+        S = Zp @ Wp.T
+        S *= tau
+        loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
 
-    grads = {}
-    if model.text_ctx is not None:
-        grads["text_ctx"] = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
-    if model.vis_ctx is not None:
-        grads["vis_ctx"] = _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))
+        if model.text_ctx is not None:
+            grads = {"text_ctx": _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))}
+        else:
+            grads = {"vis_ctx": _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))}
     if not all(np.isfinite(g).all() for g in grads.values()):
         raise FloatingPointError("numerical overflow in gradient computation")
     return loss, grads

@@ -7,7 +7,9 @@ batches stacked in pool order with one (row count, weight) block per pool, so
 the unified objective gamma * CE(labeled) + lambda * CE(pseudolabeled) is one
 forward and one backward pass. The loop is strictly deterministic: epoch
 shuffles come from an RNG seeded with (seed, epoch), pools are visited in a
-fixed order, and all math is float64 on a single thread.
+fixed order, and all math is float64. A multimodal prompt's loss call runs
+its two routes on two threads (surrogate.batch_loss_and_grad), each with the
+numpy calls it makes inline, so the bits are those of a single thread.
 """
 
 from __future__ import annotations

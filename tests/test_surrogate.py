@@ -6,14 +6,23 @@ a textual prompt can never move image features and a visual prompt can never
 move prototypes.
 """
 
+import ctypes
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_core import _whole_matrix_cross_entropy
 
-from plrefine.core import CE_BLOCK_ROWS, ClassSpace
+from plrefine import surrogate
+from plrefine.core import CE_BLOCK_ROWS, ClassSpace, EmbeddingSet, LabeledSubset
 from plrefine.probe import LinearProbe
+from plrefine.pseudolabels import PseudolabelSet
 from plrefine.surrogate import (
     DEFAULT_CTX_SCALE,
     DEFAULT_TEMPERATURE,
@@ -26,6 +35,7 @@ from plrefine.surrogate import (
     logits,
     reinit_ctx,
 )
+from plrefine.training import TrainSchedule, train
 
 
 def _unit_rows(rng, n, d):
@@ -747,3 +757,255 @@ class TestStepBits:
         assert loss == expected_loss
         assert grads.keys() == expected.keys()
         assert all(np.array_equal(grads[name], expected[name]) for name in expected)
+
+
+class _InlineWorker:
+    """Stands in for the visual-route worker: runs each task at once on the
+    calling thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set), with its count set to 2 for the test and
+    put back after it; skips where no OpenBLAS is found."""
+    threads = surrogate._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's OpenBLAS thread control was not found")
+    get, put = threads
+    original = get()
+    put(2)
+    yield get, put
+    put(original)
+
+
+def _degenerate_route_model(d, textual, visual, seed=5):
+    """A multimodal model whose chosen routes map every anchor to zero:
+    with M = 1, ctx = 1 and mix = -I the effective map is -I."""
+    rng = np.random.default_rng(seed)
+    sides = {}
+    for name, degenerate in (("text", textual), ("vis", visual)):
+        sides[f"{name}_ctx"] = np.ones((1, d)) if degenerate else 0.3 * rng.standard_normal((1, d))
+        sides[f"{name}_mix"] = -np.eye(d) if degenerate else rng.standard_normal((d, d)) / np.sqrt(d)
+    return PromptModel("multimodal", 10.0, **sides)
+
+
+def _multimodal_call(seed=43, n=40, C=6, d=8):
+    rng = np.random.default_rng(seed)
+    space = _space(rng, C, d)
+    Z = _unit_rows(rng, n, d)
+    y = rng.integers(0, C, size=n)
+    model = init_prompt("multimodal", 3, d, seed=seed, scale=0.3, temperature=20.0)
+    return model, Z, y, space
+
+
+def _on_visual_worker():
+    return threading.current_thread().name.startswith("plrefine-visual-route")
+
+
+def _same_bits(got, expected):
+    """Two (loss, grads) results hold the same loss and gradient bits."""
+    return got[0] == expected[0] and got[1].keys() == expected[1].keys() and all(
+        np.array_equal(got[1][k], v) for k, v in expected[1].items()
+    )
+
+
+class TestConcurrentRoutes:
+    """A multimodal loss call runs its visual route on a worker thread under
+    one OpenBLAS thread; the bits, errors and the caller's BLAS count are
+    those of running the routes in turn."""
+
+    def test_train_equals_inline_routes(self, monkeypatch):
+        """A 2-epoch multimodal SSL train over a labeled and a pseudolabeled
+        pool: each epoch's first step stacks 300 rows, past 2 * CE_BLOCK_ROWS."""
+        n, C, d = 400, 7, 12
+        assert 300 > 2 * CE_BLOCK_ROWS
+        rng = np.random.default_rng(44)
+        space = _space(rng, C, d)
+        classes = rng.integers(0, C, size=n)
+        data = EmbeddingSet(_unit_rows(rng, n, d), classes, np.arange(n, dtype=np.uint64))
+        labeled = LabeledSubset(np.arange(150), classes[:150])
+        pseudo = PseudolabelSet(data.ids[150:], classes[150:], np.zeros(n - 150), k_used=n - 150)
+        schedule = TrainSchedule(epochs=2, warmup_epochs=1, batch_size=150, peak_lr=0.5)
+        model = init_prompt("multimodal", 4, d, seed=8, scale=0.3, temperature=20.0)
+
+        def run():
+            return train(model, data, space, labeled, pseudo, (3.0, 1.0), schedule, seed=2)
+
+        submitted = []
+        worker = surrogate._visual_route_worker()
+        real_submit = worker.submit
+        monkeypatch.setattr(worker, "submit", lambda *a: submitted.append(1) or real_submit(*a))
+        threaded, threaded_losses = run()
+        monkeypatch.setattr(surrogate, "_visual_route_worker", _InlineWorker)
+        inline, inline_losses = run()
+        assert len(submitted) == 2 * 2 * 2  # two tasks per step, two steps per epoch
+        assert np.array_equal(threaded_losses, inline_losses)
+        assert all(np.array_equal(threaded.learnable()[k], v) for k, v in inline.learnable().items())
+        assert threaded.learnable().keys() == {"text_ctx", "vis_ctx"}
+
+    @pytest.mark.parametrize("modality", ["textual", "visual"])
+    def test_one_route_calls_never_touch_the_worker(self, modality, monkeypatch):
+        _, Z, y, space = _multimodal_call()
+        model = init_prompt(modality, 3, 8, seed=4, scale=0.3)
+        expected = batch_loss_and_grad(model, Z, y, space)
+
+        def refuse(*args):
+            raise AssertionError("a one-route call used the visual-route worker or the BLAS cap")
+
+        monkeypatch.setattr(surrogate._visual_route_worker(), "submit", refuse)
+        monkeypatch.setattr(surrogate, "_visual_route_worker", refuse)
+        monkeypatch.setattr(surrogate, "_blas_cap", None)
+        assert _same_bits(batch_loss_and_grad(model, Z, y, space), expected)
+
+    def test_blas_count_is_one_inside_and_restored_after(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        model, Z, y, space = _multimodal_call()
+        seen = []
+        shift = surrogate._shift_normalize
+
+        def spy(*args):
+            seen.append((_on_visual_worker(), get()))
+            return shift(*args)
+
+        monkeypatch.setattr(surrogate, "_shift_normalize", spy)
+        batch_loss_and_grad(model, Z, y, space)
+        assert sorted(seen) == [(False, 1), (True, 1)]
+        assert get() == 2
+
+    @pytest.mark.parametrize(
+        "textual, visual, what",
+        [(True, False, "shifted prototype"), (False, True, "shifted feature"), (True, True, "shifted feature")],
+        ids=["textual", "visual", "both"],
+    )
+    def test_degenerate_route_error_and_count_restored(self, blas_threads, textual, visual, what):
+        """Where both routes degenerate, the visual error wins, as when the
+        visual route ran first; the BLAS count is back either way."""
+        get, _ = blas_threads
+        _, Z, y, space = _multimodal_call()
+        model = _degenerate_route_model(8, textual, visual)
+        with pytest.raises(ValueError) as info:
+            batch_loss_and_grad(model, Z, y, space)
+        assert str(info.value) == f"degenerate embedding: zero-norm {what} cannot be normalized"
+        assert get() == 2
+
+    @pytest.mark.parametrize("stage", ["_shift_normalize", "_shift_normalize_vjp"], ids=["forward", "backward"])
+    def test_worker_error_keeps_its_type_and_the_next_call_works(self, blas_threads, stage, monkeypatch):
+        get, _ = blas_threads
+        model, Z, y, space = _multimodal_call()
+        expected = _reference_loss_and_grad(model, Z, y, space, [(Z.shape[0], 1.0)])
+        real = getattr(surrogate, stage)
+
+        def failing(*args):
+            if _on_visual_worker():
+                raise LookupError("visual route failed")
+            return real(*args)
+
+        monkeypatch.setattr(surrogate, stage, failing)
+        with pytest.raises(LookupError) as info:
+            batch_loss_and_grad(model, Z, y, space)
+        assert type(info.value) is LookupError and str(info.value) == "visual route failed"
+        assert get() == 2
+        monkeypatch.setattr(surrogate, stage, real)
+        assert _same_bits(batch_loss_and_grad(model, Z, y, space), expected)
+
+    def test_no_openblas_found_gives_the_same_bytes(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        model, Z, y, space = _multimodal_call()
+        expected = batch_loss_and_grad(model, Z, y, space)
+        seen = []
+        ce = surrogate.softmax_cross_entropy
+        monkeypatch.setattr(surrogate, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(surrogate, "softmax_cross_entropy", lambda *a: seen.append(get()) or ce(*a))
+        assert _same_bits(batch_loss_and_grad(model, Z, y, space), expected)
+        assert seen == [2]  # nothing was capped
+
+    def test_lookup_takes_numpys_own_openblas(self):
+        """Where numpy ships an OpenBLAS, the set function found lives in it,
+        and it moves that library's count and not another copy's (scipy's)."""
+        numpy_dir = Path(np.__file__).resolve().parent
+        shipped = [*numpy_dir.glob(".libs/*openblas*"), *numpy_dir.parent.glob("numpy.libs/*openblas*")]
+        libc = ctypes.CDLL(None)
+        if not shipped or not hasattr(libc, "dladdr"):
+            pytest.skip("numpy ships no OpenBLAS here, or dladdr cannot name a symbol's library")
+        assert surrogate._openblas_threads() is not None
+        get, put = surrogate._openblas_threads()
+
+        class DlInfo(ctypes.Structure):
+            _fields_ = [("fname", ctypes.c_char_p), ("fbase", ctypes.c_void_p), ("sname", ctypes.c_char_p), ("saddr", ctypes.c_void_p)]
+
+        libc.dladdr.argtypes, libc.dladdr.restype = (ctypes.c_void_p, ctypes.POINTER(DlInfo)), ctypes.c_int
+        info = DlInfo()
+        assert libc.dladdr(ctypes.cast(put, ctypes.c_void_p), ctypes.byref(info))
+        assert Path(os.fsdecode(info.fname)).resolve() in [p.resolve() for p in shipped]
+
+        fblas = pytest.importorskip("scipy.linalg._fblas")
+        other = ctypes.CDLL(fblas.__file__)
+        names = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
+        if not all(hasattr(other, name) for name in names):
+            pytest.skip("scipy does not ship its own OpenBLAS here")
+        other_get, other_set = (getattr(other, name) for name in names)
+        other_get.argtypes, other_get.restype = (), ctypes.c_int
+        other_set.argtypes, other_set.restype = (ctypes.c_int,), None
+        counts = get(), other_get()
+        try:
+            other_set(2)
+            put(1)
+            assert (get(), other_get()) == (1, 2)
+            put(2)
+            other_set(1)
+            assert (get(), other_get()) == (2, 1)
+        finally:
+            put(counts[0])
+            other_set(counts[1])
+
+    def test_concurrent_callers_restore_the_count(self, blas_threads):
+        """Six threads make two-route calls at once, with a
+        short switch interval: every result keeps its bits, and the count
+        the first call found is back when the last one ends."""
+        get, _ = blas_threads
+        model, Z, y, space = _multimodal_call()
+        expected = batch_loss_and_grad(model, Z, y, space)
+        results = []
+
+        def calls():
+            for _ in range(20):
+                results.append(batch_loss_and_grad(model, Z, y, space))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 120
+        assert all(_same_bits(result, expected) for result in results)
+        assert get() == 2 and surrogate._blas_cap.depth == 0
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+    def test_forked_child_gets_a_worker_of_its_own(self):
+        """A child forked after the parent's worker started has no copy of
+        that thread; its own two-route call must still finish."""
+        model, Z, y, space = _multimodal_call()
+        expected = batch_loss_and_grad(model, Z, y, space)
+
+        def child():
+            os._exit(0 if _same_bits(batch_loss_and_grad(model, Z, y, space), expected) else 3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("the forked child's two-route call did not finish")
+        assert proc.exitcode == 0

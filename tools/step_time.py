@@ -15,6 +15,11 @@ call takes one batch as a single pool. ``--toy`` runs one tiny shape instead,
 in well under a second. All inputs come from a fixed seed; the timings are
 of whatever machine runs the script.
 
+The table goes to stdout. One line on stderr names the BLAS setting the
+multimodal rows ran at: the OpenBLAS thread count read inside a two-route
+(multimodal) loss call, or ``not found`` where the surrogate finds no
+OpenBLAS of numpy's to hold at one thread.
+
 The package is imported from ``src/`` next to this directory, so the numbers
 describe the checkout the script sits in.
 """
@@ -28,6 +33,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from plrefine import surrogate  # noqa: E402
 from plrefine.core import ClassSpace, EmbeddingSet  # noqa: E402
 from plrefine.pseudolabels import PseudolabelSet  # noqa: E402
 from plrefine.surrogate import MODALITIES, batch_loss_and_grad, init_prompt  # noqa: E402
@@ -71,11 +77,30 @@ def time_shape(C: int, d: int, M: int, batch: int, repeats: int, loss_calls: int
     return out
 
 
+def blas_threads_in_two_route_call() -> str:
+    """The OpenBLAS thread count read inside a multimodal loss call, or
+    "not found"."""
+    threads = surrogate._openblas_threads()
+    if threads is None:
+        return "not found"
+    rng = np.random.default_rng(0)
+    space = ClassSpace(("a", "b"), _unit_rows(rng, 2, 4))
+    seen = []
+    cross_entropy = surrogate.softmax_cross_entropy
+    surrogate.softmax_cross_entropy = lambda *args: seen.append(threads[0]()) or cross_entropy(*args)
+    try:
+        batch_loss_and_grad(init_prompt("multimodal", 1, 4, seed=0), _unit_rows(rng, 3, 4), np.zeros(3, int), space)
+    finally:
+        surrogate.softmax_cross_entropy = cross_entropy
+    return str(seen[0])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--toy", action="store_true", help="one tiny shape and few repeats")
     args = parser.parse_args(argv)
     shapes, repeats, loss_calls = (TOY_SHAPES, 2, 2) if args.toy else (SHAPES, REPEATS, LOSS_CALLS)
+    print(f"OpenBLAS threads inside a multimodal loss call: {blas_threads_in_two_route_call()}", file=sys.stderr)
     print(f"{'shape':<12} {'modality':<11} {'train step µs':>14} {'loss+grad µs':>13}")
     for name, (C, d, M, batch) in shapes.items():
         for modality, (step_us, loss_us) in time_shape(C, d, M, batch, repeats, loss_calls).items():
