@@ -275,6 +275,14 @@ def _openblas_threads():
     return None
 
 
+def one_blas_thread() -> None:
+    """Set numpy's OpenBLAS to one thread for the rest of this process; a
+    no-op where none is found. Each --jobs sweep worker runs it as it starts."""
+    threads = _openblas_threads()
+    if threads is not None:
+        threads[1](1)
+
+
 class _OneBlasThread:
     """Context manager holding numpy's OpenBLAS at one thread while any
     two-route loss call is inside it, so its two routes run side by side
@@ -304,28 +312,22 @@ class _OneBlasThread:
                 threads[1](self.saved)
 
 
-_blas_cap = _OneBlasThread()
-_route_worker: Optional[ThreadPoolExecutor] = None
-
-
-def _visual_route_worker() -> ThreadPoolExecutor:
-    """The persistent one-thread executor that runs a two-route call's visual
-    route, started on first use."""
-    global _route_worker
-    if _route_worker is None:
-        _route_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="plrefine-visual-route")
-    return _route_worker
+# The one-thread executor that runs a two-route call's visual route. An
+# executor starts its thread on the first submit, so importing this module
+# starts none.
+_new_route_worker = functools.partial(ThreadPoolExecutor, max_workers=1, thread_name_prefix="plrefine-visual-route")
+_blas_cap, _route_worker = _OneBlasThread(), _new_route_worker()
 
 
 def _start_over_after_fork() -> None:
     # A forked child has none of its parent's threads: the worker and any
-    # call inside the cap are gone, so it starts a worker of its own and
+    # call inside the cap are gone, so it takes a worker of its own and
     # restores the BLAS count such a call had lowered.
     global _blas_cap, _route_worker
     threads = _openblas_threads() if _blas_cap.depth else None
     if threads is not None:
         threads[1](_blas_cap.saved)
-    _blas_cap, _route_worker = _OneBlasThread(), None
+    _blas_cap, _route_worker = _OneBlasThread(), _new_route_worker()
 
 
 if hasattr(os, "register_at_fork"):
@@ -339,8 +341,7 @@ def _two_route_loss_and_grad(
     route's forward and backward run on the worker while this thread runs the
     textual route's, each with the numpy calls the routes make inline."""
     tau = model.temperature
-    worker = _visual_route_worker()
-    visual = worker.submit(_shift_normalize, model.vis_mix, model.vis_ctx, Z, "shifted feature")
+    visual = _route_worker.submit(_shift_normalize, model.vis_mix, model.vis_ctx, Z, "shifted feature")
     try:
         Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype")
     finally:
@@ -351,7 +352,7 @@ def _two_route_loss_and_grad(
     S *= tau
     loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
 
-    visual = worker.submit(lambda: _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp)))
+    visual = _route_worker.submit(lambda: _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp)))
     try:
         text_grad = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
     finally:

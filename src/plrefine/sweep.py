@@ -9,7 +9,6 @@ invocations except for the "generated_at" timestamp.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import datetime
@@ -35,13 +34,12 @@ from .metrics import (
 )
 from .probe import init_linear_probe
 from .strategies import fit_round, run_strategy, select_round, wire_paradigm
-from .surrogate import reinit_ctx
+from .surrogate import one_blas_thread, reinit_ctx
 from .synth import synth_generate
 
-# Sweep workers are fresh interpreters, not forks: numpy's OpenBLAS sizes its
-# thread pool when it is loaded, so only a process started under
-# _one_blas_thread runs one BLAS thread, and --jobs workers then do not
-# fight over the cores.
+# Sweep workers are fresh interpreters, not forks: the parent may hold the
+# visual-route worker thread and OpenBLAS's threads, and forking a process
+# that holds threads is not safe.
 ProcessPoolExecutor = functools.partial(futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
 
 TRACE_COLUMNS = (
@@ -176,28 +174,14 @@ def _write_json(out: str, name: str, cfg: ExperimentConfig, body: dict) -> dict:
     return payload
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """OPENBLAS_NUM_THREADS=1 for the processes started inside the block;
-    this process's BLAS is already loaded and keeps its threads."""
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None) -> dict:
     """Execute every (strategy, paradigm, seed) cell and write the outputs.
 
     Writes <out>/<strategy>_<paradigm>_seed<k>/trace.csv per run and a single
     <out>/result.json; returns the result.json payload. ``jobs`` > 1 runs
     min(jobs, cells) worker processes, each on a stripe of every workers-th
-    cell and with one BLAS thread; a serial sweep keeps its BLAS threads.
+    cell and with numpy's OpenBLAS set to one thread as it starts; a serial
+    sweep keeps its BLAS threads.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -206,7 +190,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
     workers = min(jobs, len(cells))
     if workers > 1:
         stripes = [cells[w::workers] for w in range(workers)]
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=one_blas_thread) as pool:
             parts = list(pool.map(_run_cells, [cfg] * workers, stripes, [out] * workers))
         runs = [parts[i % workers][i // workers] for i in range(len(cells))]
     else:

@@ -769,20 +769,6 @@ class _InlineWorker:
         return future
 
 
-@pytest.fixture
-def blas_threads():
-    """numpy's OpenBLAS (get, set), with its count set to 2 for the test and
-    put back after it; skips where no OpenBLAS is found."""
-    threads = surrogate._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy's OpenBLAS thread control was not found")
-    get, put = threads
-    original = get()
-    put(2)
-    yield get, put
-    put(original)
-
-
 def _degenerate_route_model(d, textual, visual, seed=5):
     """A multimodal model whose chosen routes map every anchor to zero:
     with M = 1, ctx = 1 and mix = -I the effective map is -I."""
@@ -837,11 +823,11 @@ class TestConcurrentRoutes:
             return train(model, data, space, labeled, pseudo, (3.0, 1.0), schedule, seed=2)
 
         submitted = []
-        worker = surrogate._visual_route_worker()
+        worker = surrogate._route_worker
         real_submit = worker.submit
         monkeypatch.setattr(worker, "submit", lambda *a: submitted.append(1) or real_submit(*a))
         threaded, threaded_losses = run()
-        monkeypatch.setattr(surrogate, "_visual_route_worker", _InlineWorker)
+        monkeypatch.setattr(surrogate, "_route_worker", _InlineWorker())
         inline, inline_losses = run()
         assert len(submitted) == 2 * 2 * 2  # two tasks per step, two steps per epoch
         assert np.array_equal(threaded_losses, inline_losses)
@@ -857,8 +843,7 @@ class TestConcurrentRoutes:
         def refuse(*args):
             raise AssertionError("a one-route call used the visual-route worker or the BLAS cap")
 
-        monkeypatch.setattr(surrogate._visual_route_worker(), "submit", refuse)
-        monkeypatch.setattr(surrogate, "_visual_route_worker", refuse)
+        monkeypatch.setattr(surrogate._route_worker, "submit", refuse)
         monkeypatch.setattr(surrogate, "_blas_cap", None)
         assert _same_bits(batch_loss_and_grad(model, Z, y, space), expected)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plrefine import strategies, sweep
+from plrefine import strategies, surrogate, sweep
 from plrefine.cli import main
 from plrefine.config import parse_config
 from plrefine.core import UNLABELED, ClassSpace, EmbeddingSet
@@ -107,7 +107,8 @@ def test_workers_never_outnumber_cells(cfg, tmp_path, monkeypatch):
     class InlinePool:
         """Runs the stripes in this process and records the pool size."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            # The initializer is not run: inline, it would cap this process.
             started.append(max_workers)
 
         def __enter__(self):
@@ -126,22 +127,31 @@ def test_workers_never_outnumber_cells(cfg, tmp_path, monkeypatch):
     assert _outputs(tmp_path / "jobs64") == _outputs(tmp_path / "serial")
 
 
+def _blas_count():
+    """numpy's OpenBLAS thread count in this process, or None where no
+    OpenBLAS is found."""
+    threads = surrogate._openblas_threads()
+    return None if threads is None else threads[0]()
+
+
 @pytest.mark.parametrize("outer", [None, "3"])
 def test_workers_start_with_one_blas_thread(cfg, tmp_path, monkeypatch, outer):
-    """The workers are started with OPENBLAS_NUM_THREADS=1, and this
-    process's environment is put back afterwards, set or unset."""
+    """A spawned worker runs numpy's OpenBLAS at one thread whatever
+    OPENBLAS_NUM_THREADS it inherits, and this process keeps its own count
+    and its OPENBLAS_NUM_THREADS, set or unset."""
     if outer is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", outer)
+    before = _blas_count()
     seen = []
     real = sweep.ProcessPoolExecutor
 
     class AskingPool:
-        """The real pool, asked for a worker's setting before the stripes run."""
+        """The real pool, asked for a worker's BLAS count before the stripes run."""
 
-        def __init__(self, max_workers):
-            self.pool = real(max_workers=max_workers)
+        def __init__(self, max_workers, initializer):
+            self.pool = real(max_workers=max_workers, initializer=initializer)
 
         def __enter__(self):
             return self
@@ -150,13 +160,15 @@ def test_workers_start_with_one_blas_thread(cfg, tmp_path, monkeypatch, outer):
             return self.pool.__exit__(*exc)
 
         def map(self, fn, *iterables):
-            seen.append(self.pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result(timeout=120))
+            seen.append(self.pool.submit(_blas_count).result(timeout=120))
             return self.pool.map(fn, *iterables)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", AskingPool)
     sweep.run_sweep(cfg, jobs=2, out_dir=str(tmp_path / "jobs2"))
-    assert seen == ["1"]
     assert os.environ.get("OPENBLAS_NUM_THREADS") == outer
+    assert _blas_count() == before
+    # Where no OpenBLAS is found there is no count to check.
+    assert seen == [None if before is None else 1]
 
 
 def _synthetic_task(labeled: int, unlabeled: int):
