@@ -121,11 +121,12 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     weight) pair per block; the loss is the sum over blocks of weight times
     the block's mean cross-entropy, and each block's rows of dL/dS carry the
     same scale. None is one block of weight 1 over all n rows. A count must
-    be an integer of at least 1 (a float such as 11.0 is refused), the counts
-    must sum to n, and a weight must be finite and non-negative. Labels must
-    lie in [0, C). The log-sum-exp is max-shifted and grouped as
-    (shift - label logit) + log-sum, so uniform logits give exactly ln(C); a
-    non-finite loss raises rather than propagating.
+    be an integer of at least 1 (a float such as 11.0 or a bool is refused),
+    the counts must sum to n, and a weight must be finite and non-negative.
+    Labels must be of an integer dtype (float or bool labels are refused,
+    not truncated) and lie in [0, C). The log-sum-exp is max-shifted and
+    grouped as (shift - label logit) + log-sum, so uniform logits give
+    exactly ln(C); a non-finite loss raises rather than propagating.
 
     S is consumed: dL/dS is written over it and returned as G, so a loss
     call holds one (n, C) matrix instead of three. S must be a writeable 2-D
@@ -146,11 +147,13 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if n == 0:
         raise ValueError("empty batch")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class indices, got a {labels.dtype} array")
     if pools is None:
         pools = ((n, 1.0),)
     for block, (count, weight) in enumerate(pools):
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            shown = "no" if count == 0 else count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            shown = count if isinstance(count, bool) or count != 0 else "no"
             raise ValueError(f"pool block {block} has {shown} rows; a row count must be an integer of at least 1")
         if not (math.isfinite(weight) and weight >= 0):
             raise ValueError(f"pool weight {weight} must be finite and non-negative")

@@ -135,7 +135,10 @@ def evaluate(model, test: EmbeddingSet, space: ClassSpace, partition_aware: bool
     """Score a model (anything with .scores(feats, space)) on a test set.
 
     The model scores one block of test rows per call, so a call holds one
-    block's scores, not the whole (n, C) matrix.
+    block's scores, not the whole (n, C) matrix. Each block's scores come
+    from its own matrix product, and OpenBLAS need not give it the bits of
+    those rows of the whole product, so a near-tie between two top classes
+    can resolve differently from a whole-matrix run.
     """
     feats = test.features
     preds = np.empty(feats.shape[0], dtype=np.int64)

@@ -39,7 +39,7 @@ class LinearProbe:
         """Softmax cross-entropy over all C classes, weighted per ``pools``
         block as in core.softmax_cross_entropy, and its W gradient."""
         Z = np.asarray(feats, dtype=np.float64)
-        loss, G = softmax_cross_entropy(Z @ self.W.T, np.asarray(labels, dtype=np.int64), pools)
+        loss, G = softmax_cross_entropy(Z @ self.W.T, labels, pools)
         return loss, {"W": G.T @ Z}
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:

@@ -18,14 +18,18 @@ effective map E[j, k] = sum_m mix[j, m*d + k] * ctx[m, k] and shifts by
 anchors @ E.T: O(n*d^2 + M*d^2) per call, with no (n, M*d) temporary.
 
 Gradients are derived by hand so they can be cross-checked against finite
-differences; everything is float64. A multimodal loss call runs its visual
-route on a worker thread while the caller runs the textual one, with numpy's
-OpenBLAS held to one thread meanwhile; each route makes the same numpy calls
-on the same arrays as it would inline, so the bits do not change.
+differences; everything is float64. Every modality's loss call runs one
+body: forward, cross-entropy, backward. The textual route runs on the
+calling thread; the visual route's passes run on a worker thread, with
+numpy's OpenBLAS held to one thread meanwhile, only when the model has both
+routes, and as plain calls otherwise, so textual and visual prompts never
+touch the worker or the cap. Each route makes the same numpy calls on the
+same arrays either way, so the bits do not change.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib
@@ -193,13 +197,17 @@ def _shift_normalize(mix: np.ndarray, ctx: np.ndarray, anchors: np.ndarray, what
 
 
 def _shift_normalize_vjp(
-    mix: np.ndarray, anchors: np.ndarray, unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray
+    mix: np.ndarray, anchors: np.ndarray, unit: np.ndarray, norms: np.ndarray, tau: float, G: np.ndarray, other: np.ndarray
 ) -> np.ndarray:
-    """ctx gradient (M, d) of _shift_normalize, given dL/d(unit rows).
+    """ctx gradient (M, d) of _shift_normalize, for logits tau * unit @ other.T
+    with dL/d(logits) = G (the cross-entropy's G for the visual route, G.T
+    for the textual one).
 
-    Back through u = a/|a| (Jacobian (I - u u^T)/|a|) to dA, then
-    dE = dA^T anchors and dctx[m, k] = sum_j mix[j, m*d + k] * dE[j, k].
+    dL/d(unit rows) is tau * G @ other; back through u = a/|a| (Jacobian
+    (I - u u^T)/|a|) to dA, then dE = dA^T anchors and
+    dctx[m, k] = sum_j mix[j, m*d + k] * dE[j, k].
     """
+    d_unit = tau * (G @ other)
     dA = (d_unit - np.add.reduce(d_unit * unit, axis=1, keepdims=True) * unit) / norms
     d = mix.shape[0]
     return np.einsum("jmk,jk->mk", mix.reshape(d, -1, d), dA.T @ anchors)
@@ -334,30 +342,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_over_after_fork)
 
 
-def _two_route_loss_and_grad(
-    model: PromptModel, Z: np.ndarray, labels: np.ndarray, B: np.ndarray, pools
-) -> Tuple[float, Dict[str, np.ndarray]]:
-    """batch_loss_and_grad's passes for a model with both routes: the visual
-    route's forward and backward run on the worker while this thread runs the
-    textual route's, each with the numpy calls the routes make inline."""
-    tau = model.temperature
-    visual = _route_worker.submit(_shift_normalize, model.vis_mix, model.vis_ctx, Z, "shifted feature")
-    try:
-        Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype")
-    finally:
-        # Collected first, so a visual error wins as when the visual route ran first.
-        Zp, nz = visual.result()
+def _call(fn, *args):
+    # How a one-route loss call runs its visual route: at once, on this thread.
+    return fn(*args)
 
-    S = Zp @ Wp.T
-    S *= tau
-    loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
 
-    visual = _route_worker.submit(lambda: _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp)))
-    try:
-        text_grad = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))
-    finally:
-        vis_grad = visual.result()
-    return loss, {"text_ctx": text_grad, "vis_ctx": vis_grad}
+_no_cap = contextlib.nullcontext()
 
 
 def batch_loss_and_grad(
@@ -370,17 +360,23 @@ def batch_loss_and_grad(
     """Softmax cross-entropy over all C classes plus analytic ctx gradients.
 
     Returns (loss, grads) with one gradient per learnable ctx block, keyed
-    like PromptModel.learnable(). Labels must lie in [0, C); the loss is
+    like PromptModel.learnable(). Labels must be of an integer dtype (float
+    or bool labels are refused, not truncated) and lie in [0, C); the loss is
     core.softmax_cross_entropy with its ``pools`` block list (consecutive
     (row count, weight) blocks of feats; None is the plain mean), so several
     weighted pools share one forward pass and one backward pass per route.
     The logits are built in one fresh (n, C) buffer that the cross-entropy
     overwrites with dL/dS, so a call allocates one (n, C) matrix; feats, the
     prototypes and the model are never written. A non-finite loss or
-    gradient raises rather than propagating. A model with both routes runs
-    its visual route on a worker thread while the calling thread runs the
-    textual one, with numpy's OpenBLAS held to one thread for the call; the
-    bits are those of running the routes in turn.
+    gradient raises rather than propagating.
+
+    One body serves every modality. A model with both routes runs its
+    visual route's forward and backward on a worker thread while the calling
+    thread runs the textual one, with numpy's OpenBLAS held to one thread
+    for the call; a one-route model runs its route as plain calls, without
+    the worker or the cap. Either way the bits are those of running the
+    routes in turn, and an error of the visual route wins over one of the
+    textual route, as when the visual route ran first.
 
     Backward pass, for reference: with P the softmax and Y one-hot,
     G = w (P - Y)/n_b on a block of n_b rows and weight w is dL/dS, so
@@ -390,34 +386,35 @@ def batch_loss_and_grad(
     dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
     """
     Z = np.asarray(feats, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if Z.ndim != 2 or labels.shape != (Z.shape[0],):
+    if Z.ndim != 2 or np.shape(labels) != (Z.shape[0],):
         raise ValueError("feats must be (n, d) with one label per row")
-    tau = model.temperature
-    B = space.base_prototypes
-
-    if model.vis_ctx is not None and model.text_ctx is not None:
-        with _blas_cap:
-            loss, grads = _two_route_loss_and_grad(model, Z, labels, B, pools)
-    else:
-        # Forward: the one route's side; the other side passes through.
-        if model.vis_ctx is None:
-            Zp = Z
-        else:
-            Zp, nz = _shift_normalize(model.vis_mix, model.vis_ctx, Z, "shifted feature")
-        if model.text_ctx is None:
-            Wp = B
-        else:
-            Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype")
+    tau, B = model.temperature, space.base_prototypes
+    vis, text = model.vis_ctx is not None, model.text_ctx is not None
+    # The visual route's passes go through run: the worker, under the cap,
+    # when the model has both routes, a plain call otherwise. Its result is
+    # collected before a textual error propagates. A side without a route
+    # passes through and gets no gradient.
+    both = vis and text
+    run = _route_worker.submit if both else _call
+    with _blas_cap if both else _no_cap:
+        visual = run(_shift_normalize, model.vis_mix, model.vis_ctx, Z, "shifted feature") if vis else (Z, None)
+        try:
+            Wp, nw = _shift_normalize(model.text_mix, model.text_ctx, B, "shifted prototype") if text else (B, None)
+        finally:
+            Zp, nz = visual.result() if both else visual
 
         S = Zp @ Wp.T
         S *= tau
         loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
 
-        if model.text_ctx is not None:
-            grads = {"text_ctx": _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau * (G.T @ Zp))}
-        else:
-            grads = {"vis_ctx": _shift_normalize_vjp(model.vis_mix, Z, Zp, nz, tau * (G @ Wp))}
+        grads = {}
+        visual = run(_shift_normalize_vjp, model.vis_mix, Z, Zp, nz, tau, G, Wp) if vis else None
+        try:
+            if text:
+                grads["text_ctx"] = _shift_normalize_vjp(model.text_mix, B, Wp, nw, tau, G.T, Zp)
+        finally:
+            if vis:
+                grads["vis_ctx"] = visual.result() if both else visual
     if not all(np.isfinite(g).all() for g in grads.values()):
         raise FloatingPointError("numerical overflow in gradient computation")
     return loss, grads

@@ -500,10 +500,13 @@ class TestSoftmaxCrossEntropy:
             (_logits((3, 4)), np.array([0, 1, 2]), [(2, 1.0), (2, 1.0)], "pool blocks cover 4 rows"),
             (_logits((11, 4)), np.zeros(11, dtype=int), [(11.7, 1.0)], r"pool block 0 has 11.7 rows; a row count must be an integer"),
             (_logits((11, 4)), np.zeros(11, dtype=int), [(-1, 1.0), (12, 1.0)], "pool block 0 has -1 rows"),
+            (_logits((2, 4)), np.array([1.7, 0.2]), None, "labels must be integer class indices, got a float64 array"),
+            (_logits((2, 4)), np.array([True, False]), None, "labels must be integer class indices, got a bool array"),
+            (_logits((2, 4)), np.zeros(2, dtype=int), [(True, 1.0), (1, 1.0)], "pool block 0 has True rows; a row count must be an integer"),
         ],
         ids=[
             "1-D", "3-D", "float32", "read-only", "short labels", "2-D labels", "label range", "pool rows",
-            "fractional count", "negative count",
+            "fractional count", "negative count", "float labels", "bool labels", "bool count",
         ],
     )
     def test_rejected_input_leaves_logits_unchanged(self, S, labels, pools, message):

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
@@ -498,6 +499,19 @@ class TestBatchLossAndGrad:
             else:
                 LinearProbe(np.ones((5, 8))).loss_and_grad(Z, labels, space)
 
+    @pytest.mark.parametrize("head", ["prompt", "linear_probe"])
+    def test_float_labels_refused_not_truncated(self, head):
+        """[1.7, 0.2] would train as [1, 0] if cast; both heads refuse it."""
+        rng = np.random.default_rng(17)
+        space = _space(rng, 5, 8)
+        Z = _unit_rows(rng, 2, 8)
+        labels = np.array([1.7, 0.2])
+        with pytest.raises(ValueError, match="labels must be integer class indices, got a float64 array"):
+            if head == "prompt":
+                batch_loss_and_grad(init_prompt("textual", 3, 8, seed=0), Z, labels, space)
+            else:
+                LinearProbe(np.ones((5, 8))).loss_and_grad(Z, labels, space)
+
     def test_empty_batch(self):
         rng = np.random.default_rng(18)
         space = _space(rng, 4, 8)
@@ -896,6 +910,32 @@ class TestConcurrentRoutes:
         assert type(info.value) is LookupError and str(info.value) == "visual route failed"
         assert get() == 2
         monkeypatch.setattr(surrogate, stage, real)
+        assert _same_bits(batch_loss_and_grad(model, Z, y, space), expected)
+
+    def test_calling_thread_backward_error_waits_for_the_visual_route(self, blas_threads, monkeypatch):
+        """A textual VJP error reaches the caller only once the visual VJP,
+        still running on the worker, has finished."""
+        get, _ = blas_threads
+        model, Z, y, space = _multimodal_call()
+        expected = _reference_loss_and_grad(model, Z, y, space, [(Z.shape[0], 1.0)])
+        real = surrogate._shift_normalize_vjp
+        finished = []
+
+        def vjp(*args):
+            if not _on_visual_worker():
+                raise ArithmeticError("textual route failed")
+            time.sleep(0.05)
+            grad = real(*args)
+            finished.append(True)
+            return grad
+
+        monkeypatch.setattr(surrogate, "_shift_normalize_vjp", vjp)
+        with pytest.raises(ArithmeticError) as info:
+            batch_loss_and_grad(model, Z, y, space)
+        assert finished == [True]
+        assert type(info.value) is ArithmeticError and str(info.value) == "textual route failed"
+        assert get() == 2
+        monkeypatch.setattr(surrogate, "_shift_normalize_vjp", real)
         assert _same_bits(batch_loss_and_grad(model, Z, y, space), expected)
 
     def test_no_openblas_found_gives_the_same_bytes(self, blas_threads, monkeypatch):
