@@ -30,7 +30,6 @@ from .surrogate import (
     class_prototypes,
     image_features,
     init_prompt,
-    logits,
     reinit_ctx,
 )
 from .probe import LinearProbe, init_linear_probe

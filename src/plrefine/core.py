@@ -95,6 +95,18 @@ def _check_unit_rows(mat: np.ndarray, name: str) -> None:
         )
 
 
+def float_matrix(x, name: str, cols: Optional[int] = None) -> np.ndarray:
+    """``x`` as a 2-D float64 array, not copied when it already is one.
+
+    Raises ValueError naming ``name`` and the shape given when ``x`` is not
+    2-D, or when ``cols`` is given and ``x`` has another number of columns.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or cols not in (None, x.shape[1]):
+        raise ValueError(f"{name} must be a 2-D matrix{'' if cols is None else f' of {cols} columns'}, got shape {x.shape}")
+    return x
+
+
 def frozen_array(arr, dtype=None) -> np.ndarray:
     """Read-only C-contiguous ``arr`` (cast to ``dtype`` when given).
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, UNLABELED, json_form
+from .core import ClassSpace, EmbeddingSet, UNLABELED, float_matrix, json_form
 from .probe import LinearProbe
 from .pseudolabels import PseudolabelSet
 
@@ -185,7 +185,7 @@ def robin_hood(baseline: EvalReport, trained: EvalReport) -> RobinHoodReport:
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift; used to turn scores into confidences."""
-    S = np.asarray(scores, dtype=np.float64)
+    S = float_matrix(scores, "scores")
     shift = S.max(axis=1, keepdims=True)
     e = np.exp(S - shift)
     return e / e.sum(axis=1, keepdims=True)
@@ -200,10 +200,10 @@ def threshold_pseudolabels(P: np.ndarray, tau: float, ids: Sequence[int]) -> Pse
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must lie in [0, 1), got {tau}")
-    P = np.asarray(P, dtype=np.float64)
+    P = float_matrix(P, "P")
     ids = np.asarray(ids, dtype=np.uint64)
-    if P.ndim != 2 or ids.shape != (P.shape[0],):
-        raise ValueError("P must be (n, C) with one id per row")
+    if ids.shape != (P.shape[0],):
+        raise ValueError(f"ids must hold one id per row of P, got shape {ids.shape} for {P.shape[0]} rows")
     if P.size and (P.min() < -1e-9 or P.max() > 1.0 + 1e-9):
         raise ValueError("P must hold probabilities in [0, 1]")
     conf = P.max(axis=1)

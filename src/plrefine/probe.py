@@ -12,20 +12,18 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, frozen_array, softmax_cross_entropy
+from .core import ClassSpace, float_matrix, frozen_array, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
 class LinearProbe:
-    """Logits are feats @ W.T; W starts at zero and is fully trainable."""
+    """Logits are feats @ W.T; W starts at zero and is fully trainable.
+    feats must be an (n, d) matrix with d the width of W."""
 
     W: np.ndarray
 
     def __post_init__(self) -> None:
-        W = frozen_array(self.W, np.float64)
-        if W.ndim != 2:
-            raise ValueError("W must be a (C, d) matrix")
-        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "W", frozen_array(float_matrix(self.W, "W")))
 
     def learnable(self) -> Dict[str, np.ndarray]:
         return {"W": self.W}
@@ -38,12 +36,12 @@ class LinearProbe:
     ) -> Tuple[float, Dict[str, np.ndarray]]:
         """Softmax cross-entropy over all C classes, weighted per ``pools``
         block as in core.softmax_cross_entropy, and its W gradient."""
-        Z = np.asarray(feats, dtype=np.float64)
+        Z = float_matrix(feats, "feats", self.W.shape[1])
         loss, G = softmax_cross_entropy(Z @ self.W.T, labels, pools)
         return loss, {"W": G.T @ Z}
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:
-        return np.asarray(feats, dtype=np.float64) @ self.W.T
+        return float_matrix(feats, "feats", self.W.shape[1]) @ self.W.T
 
 
 def init_linear_probe(C: int, d: int) -> LinearProbe:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UNLABELED, EmbeddingSet, frozen_array
+from .core import UNLABELED, EmbeddingSet, float_matrix, frozen_array
 
 SCORE_TOLERANCE = 1e-6
 
@@ -80,12 +80,8 @@ def similarity_matrix(images: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     (C, n) product, so each class's scores are one contiguous row of
     ``S.T``, which is how :func:`topk_per_class` reads them.
     """
-    images = np.asarray(images, dtype=np.float64)
-    prototypes = np.asarray(prototypes, dtype=np.float64)
-    if images.ndim != 2 or prototypes.ndim != 2 or images.shape[1] != prototypes.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: images {images.shape} vs prototypes {prototypes.shape}"
-        )
+    prototypes = float_matrix(prototypes, "prototypes")
+    images = float_matrix(images, "images", prototypes.shape[1])
     return (prototypes @ images.T).T
 
 
@@ -140,10 +136,10 @@ def topk_per_class(
     :class:`PseudolabelSet` rejects it with ``ValueError``. A NaN in a
     class outside ``class_subset`` is never read.
     """
-    S = np.asarray(S, dtype=np.float64)
+    S = float_matrix(S, "S")
     ids = np.asarray(ids, dtype=np.uint64)
-    if S.ndim != 2 or ids.shape != (S.shape[0],):
-        raise ValueError("S must be (n, C) with one id per row")
+    if ids.shape != (S.shape[0],):
+        raise ValueError(f"ids must hold one id per row of S, got shape {ids.shape} for {S.shape[0]} rows")
     cols = _checked_subset(S.shape[0], S.shape[1], k, class_subset)
     rows = np.concatenate(
         [
@@ -174,11 +170,11 @@ def topk_from_features(
     one, and the BLAS does not promise the same bits: OpenBLAS can move a
     few cells of the pool's last rows by an ulp (seen at n=777 and n=2500).
     """
-    images = np.asarray(images, dtype=np.float64)
-    prototypes = np.asarray(prototypes, dtype=np.float64)
+    prototypes = float_matrix(prototypes, "prototypes")
+    images = float_matrix(images, "images", prototypes.shape[1])
     ids = np.asarray(ids, dtype=np.uint64)
-    if images.ndim != 2 or prototypes.ndim != 2 or ids.shape != (images.shape[0],):
-        raise ValueError("images must be (n, d) and prototypes (C, d), with one id per image row")
+    if ids.shape != (images.shape[0],):
+        raise ValueError(f"ids must hold one id per image row, got shape {ids.shape} for {images.shape[0]} rows")
     cols = _checked_subset(images.shape[0], prototypes.shape[0], k, class_subset)
     parts = []
     for start in range(0, cols.size, CLASS_BLOCK):

@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, frozen_array, normalize_rows, softmax_cross_entropy
+from .core import ClassSpace, float_matrix, frozen_array, normalize_rows, softmax_cross_entropy
 
 MODALITIES = ("textual", "visual", "multimodal")
 
@@ -127,8 +127,11 @@ class PromptModel:
         return batch_loss_and_grad(self, feats, labels, space, pools)
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:
-        """Temperature-scaled cosine scores against all C classes."""
-        return logits(self, feats, space)
+        """Temperature-scaled cosine scores (n, C) of an (n, space.d) feature
+        matrix against all C classes; other input raises ValueError."""
+        S = image_features(self, float_matrix(feats, "feats", space.d)) @ class_prototypes(self, space).T
+        S *= self.temperature
+        return S
 
 
 def _ctx_sigma(scale: float, spread: str) -> float:
@@ -237,22 +240,12 @@ def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
     view of the float64 input rather than a copy of it. A z that is not 2-D
     (one vector included) raises ValueError.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"z must be an (n, d) feature matrix, got {z.ndim}-D input")
+    z = float_matrix(z, "z")
     if model.vis_ctx is None or not model.vis_ctx.any():
         out = z.view()
         out.setflags(write=False)
         return out
     return _shift_normalize(model.vis_mix, model.vis_ctx, z, "shifted feature")[0]
-
-
-def logits(model: PromptModel, z: np.ndarray, space: ClassSpace) -> np.ndarray:
-    """Temperature-scaled cosine logits (n, C) of a feature matrix z over all
-    C classes; z is checked as in image_features."""
-    S = image_features(model, z) @ class_prototypes(model, space).T
-    S *= model.temperature
-    return S
 
 
 @functools.cache
@@ -360,8 +353,9 @@ def batch_loss_and_grad(
     """Softmax cross-entropy over all C classes plus analytic ctx gradients.
 
     Returns (loss, grads) with one gradient per learnable ctx block, keyed
-    like PromptModel.learnable(). Labels must be of an integer dtype (float
-    or bool labels are refused, not truncated) and lie in [0, C); the loss is
+    like PromptModel.learnable(). feats must be an (n, space.d) matrix with
+    one label per row. Labels must be of an integer dtype (float or bool
+    labels are refused, not truncated) and lie in [0, C); the loss is
     core.softmax_cross_entropy with its ``pools`` block list (consecutive
     (row count, weight) blocks of feats; None is the plain mean), so several
     weighted pools share one forward pass and one backward pass per route.
@@ -385,9 +379,9 @@ def batch_loss_and_grad(
     the shift to dE = dA^T anchors, and through the effective map to
     dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
     """
-    Z = np.asarray(feats, dtype=np.float64)
-    if Z.ndim != 2 or np.shape(labels) != (Z.shape[0],):
-        raise ValueError("feats must be (n, d) with one label per row")
+    Z = float_matrix(feats, "feats", space.d)
+    if np.shape(labels) != (Z.shape[0],):
+        raise ValueError(f"labels must have shape ({Z.shape[0]},), got {np.shape(labels)}")
     tau, B = model.temperature, space.base_prototypes
     vis, text = model.vis_ctx is not None, model.text_ctx is not None
     # The visual route's passes go through run: the worker, under the cap,

@@ -205,8 +205,10 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     the same zero-shot scores; each trained head is compared against the
     zero-shot baseline with the poor/rich redistribution report. The top-K
     pseudolabels are an FPL run's round 1 (select_round with the base
-    prompt), and the prompt head trains as that round does, so the
-    prompt/top-K cell is the FPL/SSL run at the first seed. Writes
+    prompt), and the prompt head trains as that round does. The scenario
+    never deduplicates, so the prompt/top-K cell is the FPL/SSL run at the
+    first seed with dedup_pseudolabels off. The threshold pseudolabels come
+    from the softmax of the base prompt's scores. Writes
     <out>/robinhood.json and returns its payload.
     """
     task, baseline = _prepared(cfg, ("SSL",))
@@ -216,9 +218,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
     pool = split.pool(task.train)
     base = run_cfg.base_prompt(task.space.d)
-    # Row-major on purpose: softmax_rows' row sums over these scores feed the
-    # threshold pseudolabels pinned in robinhood.json.
-    probs = softmax_rows(cfg.temperature * (pool[0] @ task.space.base_prototypes.T))
+    probs = softmax_rows(base.scores(pool[0], task.space))
     pseudolabel_sets = {
         "topk": select_round(run_cfg, split, pool, base, task.space, 1),
         # Nothing may cross the threshold; that head trains on the shots alone.

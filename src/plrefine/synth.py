@@ -54,8 +54,8 @@ class SyntheticSpec:
             raise ValueError("per-class counts must be non-negative")
         if self.labeled_per_class + self.unlabeled_per_class < 1:
             raise ValueError("each class needs at least one train example")
-        if self.sigma < 0 or self.delta < 0:
-            raise ValueError("noise scales must be non-negative")
+        if not (0 <= self.sigma < np.inf and 0 <= self.delta < np.inf):
+            raise ValueError("noise scales must be finite and non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -40,8 +40,8 @@ class TrainSchedule:
             raise ValueError("epoch counts must be non-negative")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ValueError("warmup_epochs must be smaller than epochs")
-        if self.warmup_lr <= 0 or self.peak_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.warmup_lr < math.inf and 0 < self.peak_lr < math.inf):
+            raise ValueError("learning rates must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 <= self.momentum < 1.0:
@@ -102,8 +102,8 @@ def train(
     and the loss trace is empty.
     """
     gamma, lam = float(weights[0]), float(weights[1])
-    if gamma < 0 or lam < 0:
-        raise ValueError("loss weights must be non-negative")
+    if not (0 <= gamma < math.inf and 0 <= lam < math.inf):
+        raise ValueError(f"loss weights must be finite and non-negative, got ({gamma}, {lam})")
     if seed < 0:
         raise ValueError("seed must be non-negative")
 

@@ -44,6 +44,16 @@ def test_learnable_round_trip():
 def test_rejects_non_matrix():
     with pytest.raises(ValueError):
         LinearProbe(np.zeros(4))
+    rng = np.random.default_rng(2)
+    space = _space(rng, 3, 5)
+    probe = LinearProbe(rng.standard_normal((3, 5)))
+    Z = _unit_rows(rng, 4, 5)
+    calls = (lambda z: probe.scores(z, space), lambda z: probe.loss_and_grad(z, np.zeros(len(z), dtype=np.int64), space))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"feats must be a 2-D matrix of 5 columns, got shape \(5,\)"):
+            call(Z[0])
+        with pytest.raises(ValueError, match=r"feats must be a 2-D matrix of 5 columns, got shape \(4, 4\)"):
+            call(Z[:, :4])
 
 
 def test_gradient_matches_finite_differences():

@@ -61,7 +61,7 @@ class TestSimilarityMatrix:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"images must be a 2-D matrix of 4 columns, got shape \(3, 5\)"):
             similarity_matrix(_unit_rows(rng, 3, 5), _unit_rows(rng, 2, 4))
 
 
@@ -480,9 +480,9 @@ class TestTopkFromFeatures:
         X, P = _unit_rows(rng, 8, 4), _unit_rows(rng, 6, 4)
         with pytest.raises(ValueError, match="one id per image row"):
             topk_from_features(X, P, 1, (0,), np.arange(7, dtype=np.uint64))
-        with pytest.raises(ValueError, match="prototypes \\(C, d\\)"):
+        with pytest.raises(ValueError, match=r"prototypes must be a 2-D matrix, got shape \(4,\)"):
             topk_from_features(X, P[0], 1, (0,), np.arange(8, dtype=np.uint64))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"images must be a 2-D matrix of 3 columns, got shape \(8, 4\)"):
             topk_from_features(X, P[:, :3], 1, (0,), np.arange(8, dtype=np.uint64))
 
     def test_holds_one_class_block_of_scores(self):

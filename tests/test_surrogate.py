@@ -33,7 +33,6 @@ from plrefine.surrogate import (
     class_prototypes,
     image_features,
     init_prompt,
-    logits,
     reinit_ctx,
 )
 from plrefine.training import TrainSchedule, train
@@ -353,16 +352,21 @@ class TestOffsetsAndFirewall:
 class TestLogits:
     def test_shape_and_squeeze(self):
         """A feature matrix gives (n, C); one vector is not squeezed through
-        but refused, by name, on either route."""
+        but refused, by name, on either route, and so is a matrix of the
+        wrong width."""
         rng = np.random.default_rng(8)
         space = _space(rng, 5, 9)
         Z = _unit_rows(rng, 4, 9)
         for modality in ("textual", "visual"):
             m = init_prompt(modality, 3, 9, seed=0)
-            assert logits(m, Z, space).shape == (4, 5)
-            for call in (lambda z: logits(m, z, space), lambda z: image_features(m, z)):
-                with pytest.raises(ValueError, match=r"z must be an \(n, d\) feature matrix, got 1-D"):
+            assert m.scores(Z, space).shape == (4, 5)
+            scores = lambda z: m.scores(z, space)
+            for call, name in ((scores, r"feats must be a 2-D matrix of 9 columns"), (lambda z: image_features(m, z), r"z must be a 2-D matrix")):
+                with pytest.raises(ValueError, match=name + r", got shape \(9,\)"):
                     call(Z[0])
+            for call in (scores, lambda z: batch_loss_and_grad(m, z, np.zeros(4, dtype=np.int64), space)):
+                with pytest.raises(ValueError, match=r"feats must be a 2-D matrix of 9 columns, got shape \(4, 8\)"):
+                    call(Z[:, :8])
 
     def test_zero_shot_values(self):
         """With ctx = 0 the logits are exactly temperature * cosine."""
@@ -371,14 +375,17 @@ class TestLogits:
         Z = _unit_rows(rng, 4, 9)
         m = init_prompt("textual", 3, 9, seed=0, temperature=30.0)
         m = m.with_learnable({"text_ctx": np.zeros_like(m.text_ctx)})
-        assert np.allclose(logits(m, Z, space), 30.0 * (Z @ space.base_prototypes.T))
+        assert np.allclose(m.scores(Z, space), 30.0 * (Z @ space.base_prototypes.T))
 
     def test_scores_equals_full_subset(self):
+        """A multimodal head scores as its textual route does on the
+        features its visual route shifted, bit for bit."""
         rng = np.random.default_rng(11)
         space = _space(rng, 5, 9)
         Z = _unit_rows(rng, 4, 9)
         m = init_prompt("multimodal", 3, 9, seed=0)
-        assert np.array_equal(m.scores(Z, space), logits(m, Z, space))
+        text = PromptModel("textual", m.temperature, text_ctx=m.text_ctx, text_mix=m.text_mix)
+        assert np.array_equal(m.scores(Z, space), text.scores(image_features(m, Z), space))
 
     def test_feature_on_prototype_maxes_its_class(self):
         """A feature sitting on prototype 3 scores temperature * 1 there."""
@@ -387,7 +394,7 @@ class TestLogits:
         space = ClassSpace(tuple(f"c{j}" for j in range(5)), protos)
         m = init_prompt("textual", 3, d, seed=0, temperature=100.0)
         m = m.with_learnable({"text_ctx": np.zeros_like(m.text_ctx)})
-        S = logits(m, protos[3:4], space)[0]
+        S = m.scores(protos[3:4], space)[0]
         assert S[3] == 100.0
         assert int(np.argmax(S)) == 3
         assert np.array_equal(S[[0, 1, 2, 4]], np.zeros(4))
@@ -404,8 +411,8 @@ class TestLogits:
                 text_ctx=base.text_ctx,
                 text_mix=base.text_mix,
             )
-            a = logits(base, Z, space)
-            b = logits(other, Z, space)
+            a = base.scores(Z, space)
+            b = other.scores(Z, space)
             assert np.array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
 
 
@@ -432,7 +439,7 @@ class TestBatchLossAndGrad:
         space = _space(rng, 5, 8)
         Z = _unit_rows(rng, 1, 8)
         m = init_prompt("textual", 3, 8, seed=6, temperature=20.0)
-        S = logits(m, Z, space)[0]
+        S = m.scores(Z, space)[0]
         label = 2
         margins = S[label] - np.delete(S, label)
         expected = np.log1p(np.sum(np.exp(-margins)))
@@ -458,7 +465,7 @@ class TestBatchLossAndGrad:
         Z = _unit_rows(rng, 9, 8)
         y = rng.integers(0, 4, size=9)
         m = init_prompt("textual", 3, 8, seed=3)
-        S = logits(m, Z, space)
+        S = m.scores(Z, space)
         P = np.exp(S - S.max(axis=1, keepdims=True))
         P /= P.sum(axis=1, keepdims=True)
         manual = -np.mean(np.log(P[np.arange(9), y]))

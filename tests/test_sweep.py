@@ -1,6 +1,7 @@
 """Sweep execution: cells run in stripes on one task and one zero-shot
 baseline per process, with the same bytes serially and across workers."""
 
+import dataclasses
 import os
 import re
 from pathlib import Path
@@ -13,7 +14,7 @@ from plrefine.cli import main
 from plrefine.config import parse_config
 from plrefine.core import UNLABELED, ClassSpace, EmbeddingSet
 from plrefine.fileio import write_ple
-from plrefine.metrics import evaluate
+from plrefine.metrics import evaluate, softmax_rows, threshold_pseudolabels
 from plrefine.probe import init_linear_probe
 from plrefine.pseudolabels import PseudolabelSet
 from plrefine.strategies import wire_paradigm
@@ -324,6 +325,44 @@ def test_prompt_topk_cell_is_fpl_round_one(cfg):
     assert cell["n_pseudolabels"] == fpl.records[0].n_pseudo
     assert cell["pseudolabel_accuracy"] == fpl.records[0].pseudolabel_accuracy
     assert cell["report"] == fpl.final_report.to_dict()
+
+
+def test_scenario_never_deduplicates(cfg):
+    """dedup_pseudolabels leaves the scenario's comparisons as they are,
+    though it changes FPL's round 1 on this task: the prompt/top-K cell is
+    the FPL/SSL run with dedup off only."""
+    dedup = dataclasses.replace(cfg, dedup_pseudolabels=True)
+    comparisons = sweep.run_comparison_scenario(cfg)["comparisons"]
+    assert sweep.run_comparison_scenario(dedup)["comparisons"] == comparisons
+    fpl = strategies.run_strategy(dedup.run_config("FPL", "SSL", dedup.seeds[0]), sweep.load_task(dedup))
+    assert fpl.records[0].n_pseudo < comparisons["prompt"]["topk"]["n_pseudolabels"]
+
+
+def test_threshold_arm_thresholds_the_base_prompt_softmax(cfg, monkeypatch):
+    """Both heads' threshold cells train on the rows whose softmax of the
+    base prompt's pool scores crosses threshold_tau."""
+    trained_on = []
+    real = sweep.fit_round
+
+    def recording(run_cfg, task, split, head, pl, i):
+        trained_on.append(pl)
+        return real(run_cfg, task, split, head, pl, i)
+
+    monkeypatch.setattr(sweep, "fit_round", recording)
+    sweep.run_comparison_scenario(cfg)
+
+    task = sweep.load_task(cfg)
+    run_cfg = cfg.run_config("FPL", "SSL", cfg.seeds[0])
+    feats, ids = wire_paradigm(run_cfg.paradigm, task.train, task.space, cfg.seeds[0]).pool(task.train)
+    probs = softmax_rows(run_cfg.base_prompt(task.space.d).scores(feats, task.space))
+    expected = threshold_pseudolabels(probs, cfg.threshold_tau, ids)
+    assert 0 < expected.m < ids.size
+    # fit_round runs per head, top-K then threshold.
+    assert len(trained_on) == 4
+    for pl in trained_on[1::2]:
+        assert pl.k_used == expected.k_used
+        for name in ("example_ids", "classes", "scores"):
+            assert np.array_equal(getattr(pl, name), getattr(expected, name))
 
 
 def test_empty_threshold_cell_trains_on_the_shots_alone(tmp_path):

@@ -24,8 +24,9 @@ class TestSyntheticSpec:
             SyntheticSpec(labeled_per_class=-1)
         with pytest.raises(ValueError, match="at least one train example"):
             SyntheticSpec(labeled_per_class=0, unlabeled_per_class=0)
-        with pytest.raises(ValueError, match="noise scales"):
-            SyntheticSpec(sigma=-0.1)
+        for scales in ({"sigma": -0.1}, {"sigma": np.nan}, {"delta": np.nan}, {"sigma": np.inf}):
+            with pytest.raises(ValueError, match="noise scales"):
+                SyntheticSpec(**scales)
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(seed=-1)
 

@@ -45,8 +45,9 @@ class TestTrainSchedule:
             TrainSchedule(epochs=-1)
         with pytest.raises(ValueError, match="warmup_epochs must be smaller"):
             TrainSchedule(epochs=5, warmup_epochs=5)
-        with pytest.raises(ValueError, match="positive"):
-            TrainSchedule(peak_lr=0.0)
+        for lrs in ({"peak_lr": 0.0}, {"peak_lr": np.nan}, {"warmup_lr": np.nan}, {"peak_lr": np.inf}):
+            with pytest.raises(ValueError, match="positive"):
+                TrainSchedule(**lrs)
         with pytest.raises(ValueError, match="batch"):
             TrainSchedule(batch_size=0)
         with pytest.raises(ValueError, match="momentum"):
@@ -197,9 +198,10 @@ class TestTrain:
         space = _space(rng, 3, 8)
         labeled = LabeledSubset(np.arange(30), labels)
         model = init_prompt("textual", 2, 8, seed=0)
-        with pytest.raises(ValueError, match="non-negative"):
-            train(model, data, space, labeled, None, (-1.0, 0.0),
-                  TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
+        for weights in ((-1.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)):
+            with pytest.raises(ValueError, match="non-negative"):
+                train(model, data, space, labeled, None, weights,
+                      TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
 
     def test_batch_size_larger_than_pool(self):
         rng = np.random.default_rng(7)
