@@ -107,6 +107,29 @@ def float_matrix(x, name: str, cols: Optional[int] = None) -> np.ndarray:
     return x
 
 
+def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64) -> np.ndarray:
+    """``x`` as a 1-D array of ``dtype`` (labels, rows, ids or class indices),
+    returned as it is, with no copy and no pass, when it already is one.
+
+    Values are refused, not cast: ValueError naming ``name`` when ``x`` is
+    not 1-D, when ``n`` is given and ``x`` has another length, when a
+    non-empty ``x`` is not of an integer dtype (float and bool included), or
+    when ``dtype`` is unsigned and ``x`` holds a negative value. A list is
+    typed by numpy's inference, which makes ``[1, 2**63]`` float64, so ids
+    at or above 2**63 must come as a uint64 array.
+    """
+    if isinstance(x, np.ndarray) and x.dtype == dtype and x.ndim == 1 and n in (None, x.size):
+        return x
+    x = np.asarray(x)
+    if x.ndim != 1 or n not in (None, x.size):
+        raise ValueError(f"{name} must have shape ({'n' if n is None else n},), got {x.shape}")
+    if x.size and x.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer indices, got a {x.dtype} array")
+    if np.dtype(dtype).kind == "u" and x.dtype.kind == "i" and x.size and x.min() < 0:
+        raise ValueError(f"{name} must be non-negative, got {int(x.min())}")
+    return x.astype(dtype, copy=False)
+
+
 def frozen_array(arr, dtype=None) -> np.ndarray:
     """Read-only C-contiguous ``arr`` (cast to ``dtype`` when given).
 
@@ -135,10 +158,11 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     same scale. None is one block of weight 1 over all n rows. A count must
     be an integer of at least 1 (a float such as 11.0 or a bool is refused),
     the counts must sum to n, and a weight must be finite and non-negative.
-    Labels must be of an integer dtype (float or bool labels are refused,
-    not truncated) and lie in [0, C). The log-sum-exp is max-shifted and
-    grouped as (shift - label logit) + log-sum, so uniform logits give
-    exactly ln(C); a non-finite loss raises rather than propagating.
+    Labels go through index_vector, so they must be of an integer dtype
+    (float or bool labels are refused, not truncated), and lie in [0, C).
+    The log-sum-exp is max-shifted and grouped as (shift - label logit) +
+    log-sum, so uniform logits give exactly ln(C); a non-finite loss raises
+    rather than propagating.
 
     S is consumed: dL/dS is written over it and returned as G, so a loss
     call holds one (n, C) matrix instead of three. S must be a writeable 2-D
@@ -154,13 +178,9 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     if not S.flags.writeable:
         raise ValueError("logits S must be writeable: dL/dS is written over it")
     n, C = S.shape
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    labels = index_vector(labels, "labels", n)
     if n == 0:
         raise ValueError("empty batch")
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integer class indices, got a {labels.dtype} array")
     if pools is None:
         pools = ((n, 1.0),)
     for block, (count, weight) in enumerate(pools):
@@ -213,6 +233,9 @@ class EmbeddingSet:
     features : (n, d) float64, every row unit-norm within 1e-5
     labels   : (n,) int64, class index or UNLABELED (-1)
     ids      : (n,) uint64, unique stable example ids
+
+    Labels and ids go through index_vector: a float or bool label or id, or
+    a negative id, is refused with ValueError, not cast.
     """
 
     features: np.ndarray
@@ -224,11 +247,8 @@ class EmbeddingSet:
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty (n, d) matrix")
         _check_unit_rows(feats, "features")
-        labels = np.asarray(self.labels, dtype=np.int64)
-        ids = np.asarray(self.ids, dtype=np.uint64)
-        n = feats.shape[0]
-        if labels.shape != (n,) or ids.shape != (n,):
-            raise ValueError("labels and ids must both have shape (n,)")
+        labels = index_vector(self.labels, "labels", feats.shape[0])
+        ids = index_vector(self.ids, "ids", feats.shape[0], np.uint64)
         if np.any(labels < UNLABELED):
             raise ValueError("labels must be class indices or the sentinel -1")
         order = np.argsort(ids)
@@ -283,6 +303,7 @@ class ClassSpace:
     base_prototypes : (C, d) float64, unit rows; the zero-shot classifier.
     partition       : (seen, unseen) class-index tuples, disjoint and jointly
                       covering range(C); None outside the transductive setting.
+                      A side of floats or bools is refused, not cast.
     """
 
     class_names: tuple
@@ -297,8 +318,8 @@ class ClassSpace:
         _check_unit_rows(protos, "base_prototypes")
         part = self.partition
         if part is not None:
-            seen = tuple(sorted(int(c) for c in part[0]))
-            unseen = tuple(sorted(int(c) for c in part[1]))
+            seen = tuple(sorted(index_vector(part[0], "partition seen side").tolist()))
+            unseen = tuple(sorted(index_vector(part[1], "partition unseen side").tolist()))
             combined = sorted(seen + unseen)
             if combined != list(range(len(names))) or not seen or not unseen:
                 raise ValueError(
@@ -320,16 +341,17 @@ class ClassSpace:
 
 @dataclass(frozen=True)
 class LabeledSubset:
-    """Row positions into an EmbeddingSet plus the labels training may see."""
+    """Row positions into an EmbeddingSet plus the labels training may see.
+
+    Both go through index_vector: float or bool rows or labels are refused
+    with ValueError, not cast."""
 
     rows: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if rows.shape != labels.shape or rows.ndim != 1:
-            raise ValueError("rows and labels must be 1-d arrays of equal length")
+        rows = index_vector(self.rows, "rows")
+        labels = index_vector(self.labels, "labels", rows.size)
         if rows.size and np.unique(rows).size != rows.size:
             raise ValueError("rows must be unique")
         if np.any(labels < 0):
@@ -389,22 +411,23 @@ def sample_shots(data: EmbeddingSet, classes: Sequence[int], shots: int, seed: i
     """Draw ``shots`` labeled rows per class without replacement.
 
     Raises if any requested class has fewer than ``shots`` labeled rows; the
-    error names the class so a bad dataset is easy to spot.
+    error names the class so a bad dataset is easy to spot. ``classes`` must
+    be integer indices: a float class is refused, not truncated.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
     rng = np.random.default_rng(seed)
     rows: list = []
     labels: list = []
-    for c in classes:
-        candidates = np.flatnonzero(data.labels == int(c))
+    for c in index_vector(classes, "classes").tolist():
+        candidates = np.flatnonzero(data.labels == c)
         if candidates.size < shots:
             raise ValueError(
-                f"class {int(c)} has only {candidates.size} labeled rows, need {shots}"
+                f"class {c} has only {candidates.size} labeled rows, need {shots}"
             )
         picked = rng.permutation(candidates)[:shots]
         rows.extend(int(r) for r in picked)
-        labels.extend([int(c)] * shots)
+        labels.extend([c] * shots)
     return LabeledSubset(np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64))
 
 

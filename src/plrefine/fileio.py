@@ -12,9 +12,9 @@ Layout, in order, everything little-endian:
     base_prototypes  C * d float32, row-major
 
 Values are float64 in memory and float32 on disk. On read, row norms are
-checked: drift up to 1e-5 is kept as stored (so write -> read -> write is
-byte-identical), drift in (1e-5, 1e-3] is re-normalized, anything worse is an
-error.
+checked: drift up to core.NORM_TOLERANCE (1e-5), the most EmbeddingSet
+accepts, is kept as stored (so write -> read -> write is byte-identical),
+drift in (1e-5, 1e-3] is re-normalized, anything worse is an error.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, max_norm_drift, unit_normalize
+from .core import NORM_TOLERANCE, ClassSpace, EmbeddingSet, max_norm_drift, unit_normalize
 
 MAGIC = b"PLE1"
 VERSION = 1
 
-KEEP_DRIFT = 1e-5
 MAX_DRIFT = 1e-3
 
 
@@ -79,7 +78,7 @@ def _check_norms(mat: np.ndarray, what: str) -> np.ndarray:
     drift = max_norm_drift(mat)
     if drift > MAX_DRIFT:
         raise ValueError(f"{what} norm drift {drift:.3g} exceeds {MAX_DRIFT}")
-    if drift > KEEP_DRIFT:
+    if drift > NORM_TOLERANCE:
         return unit_normalize(mat)
     return mat
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, UNLABELED, float_matrix, json_form
+from .core import ClassSpace, EmbeddingSet, UNLABELED, float_matrix, index_vector, json_form
 from .probe import LinearProbe
 from .pseudolabels import PseudolabelSet
 
@@ -196,14 +196,13 @@ def threshold_pseudolabels(P: np.ndarray, tau: float, ids: Sequence[int]) -> Pse
 
     Every row whose max probability strictly exceeds tau is assigned its
     argmax class; there is no per-class cap, so the returned set's k_used is
-    just the largest per-class count. tau must lie in [0, 1).
+    just the largest per-class count. tau must lie in [0, 1). ``ids`` holds
+    one id per row of P; float, bool or negative ids are refused, not cast.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must lie in [0, 1), got {tau}")
     P = float_matrix(P, "P")
-    ids = np.asarray(ids, dtype=np.uint64)
-    if ids.shape != (P.shape[0],):
-        raise ValueError(f"ids must hold one id per row of P, got shape {ids.shape} for {P.shape[0]} rows")
+    ids = index_vector(ids, "ids", P.shape[0], np.uint64)
     if P.size and (P.min() < -1e-9 or P.max() > 1.0 + 1e-9):
         raise ValueError("P must hold probabilities in [0, 1]")
     conf = P.max(axis=1)

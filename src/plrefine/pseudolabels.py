@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UNLABELED, EmbeddingSet, float_matrix, frozen_array
+from .core import UNLABELED, EmbeddingSet, float_matrix, frozen_array, index_vector
 
 SCORE_TOLERANCE = 1e-6
 
@@ -35,7 +35,9 @@ class PseudolabelSet:
     """Pseudolabel assignments: parallel arrays of (example_id, class, score).
 
     k_used is the per-class cap actually applied; no class may hold more than
-    k_used entries. Scores are finite cosine-scale values in [-1, 1].
+    k_used entries. Scores are finite cosine-scale values in [-1, 1]. Ids
+    and classes go through index_vector: float or bool ids or classes, and
+    negative ids, are refused with ValueError, not cast.
     """
 
     example_ids: np.ndarray
@@ -44,11 +46,11 @@ class PseudolabelSet:
     k_used: int
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.example_ids, dtype=np.uint64)
-        classes = np.asarray(self.classes, dtype=np.int64)
+        ids = index_vector(self.example_ids, "example_ids", dtype=np.uint64)
+        classes = index_vector(self.classes, "classes", ids.size)
         scores = np.asarray(self.scores, dtype=np.float64)
-        if not (ids.shape == classes.shape == scores.shape) or ids.ndim != 1:
-            raise ValueError("example_ids, classes and scores must be 1-d and parallel")
+        if scores.shape != ids.shape:
+            raise ValueError(f"scores must have shape {ids.shape}, got {scores.shape}")
         if np.any(classes < 0):
             raise ValueError("pseudolabel classes must be non-negative indices")
         if not np.all(np.isfinite(scores)):
@@ -109,7 +111,9 @@ def topk_per_class(
     Ties are broken toward the lower example id, which makes the output
     invariant to row permutations of S (as long as ids move with their rows).
     Entries are emitted class by class in subset order, each class sorted by
-    descending score then ascending id.
+    descending score then ascending id. ``ids`` (one per row of S) and
+    ``class_subset`` go through index_vector: float or bool entries, and
+    negative ids, are refused with ValueError, not cast.
 
     Cost: one compare pass over the n·C scores, a partition of the n·C /
     ``SAMPLE_STRIDE`` sampled scores, then exact selection over each class's
@@ -137,9 +141,7 @@ def topk_per_class(
     class outside ``class_subset`` is never read.
     """
     S = float_matrix(S, "S")
-    ids = np.asarray(ids, dtype=np.uint64)
-    if ids.shape != (S.shape[0],):
-        raise ValueError(f"ids must hold one id per row of S, got shape {ids.shape} for {S.shape[0]} rows")
+    ids = index_vector(ids, "ids", S.shape[0], np.uint64)
     cols = _checked_subset(S.shape[0], S.shape[1], k, class_subset)
     rows = np.concatenate(
         [
@@ -172,9 +174,7 @@ def topk_from_features(
     """
     prototypes = float_matrix(prototypes, "prototypes")
     images = float_matrix(images, "images", prototypes.shape[1])
-    ids = np.asarray(ids, dtype=np.uint64)
-    if ids.shape != (images.shape[0],):
-        raise ValueError(f"ids must hold one id per image row, got shape {ids.shape} for {images.shape[0]} rows")
+    ids = index_vector(ids, "ids", images.shape[0], np.uint64)
     cols = _checked_subset(images.shape[0], prototypes.shape[0], k, class_subset)
     parts = []
     for start in range(0, cols.size, CLASS_BLOCK):
@@ -191,12 +191,12 @@ def _checked_subset(n: int, C: int, k: int, class_subset: Sequence[int]) -> np.n
         raise ValueError("k must be at least 1")
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available unlabeled rows")
-    subset = [int(c) for c in class_subset]
-    if not subset:
+    subset = index_vector(class_subset, "class_subset")
+    if not subset.size:
         raise ValueError("class_subset must be non-empty")
-    if min(subset) < 0 or max(subset) >= C:
+    if subset.min() < 0 or subset.max() >= C:
         raise ValueError("class_subset indices must fall within the score columns")
-    return np.array(subset, dtype=np.int64)
+    return subset
 
 
 def _topk_rows(ST: np.ndarray, cols: np.ndarray, k: int, ids: np.ndarray) -> np.ndarray:

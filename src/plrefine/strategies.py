@@ -133,9 +133,6 @@ class ParadigmSplit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pool_rows", frozen_array(self.pool_rows, np.int64))
-        object.__setattr__(
-            self, "pseudolabel_classes", tuple(int(c) for c in self.pseudolabel_classes)
-        )
 
     def pool(self, data: EmbeddingSet) -> tuple:
         """The pool's (features, ids) in the train set ``data``: its own
@@ -223,7 +220,7 @@ def wire_paradigm(
     seen_rows = np.flatnonzero(np.isin(data.labels, seen)).astype(np.int64)
     pool = np.flatnonzero(np.isin(data.labels, unseen)).astype(np.int64)
     labeled = LabeledSubset(seen_rows, data.labels[seen_rows])
-    return ParadigmSplit(labeled, pool, tuple(unseen))
+    return ParadigmSplit(labeled, pool, unseen)
 
 
 def fit_round(

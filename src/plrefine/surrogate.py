@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, float_matrix, frozen_array, normalize_rows, softmax_cross_entropy
+from .core import ClassSpace, float_matrix, frozen_array, index_vector, normalize_rows, softmax_cross_entropy
 
 MODALITIES = ("textual", "visual", "multimodal")
 
@@ -63,9 +63,10 @@ class PromptModel:
     """Learnable context vectors plus frozen mixing maps.
 
     text_ctx / text_mix exist for textual and multimodal models, vis_ctx /
-    vis_mix for visual and multimodal ones; the unused side is None. The
-    mixing maps are part of the frozen "encoder" and must never change during
-    a run, only the ctx blocks are trainable.
+    vis_mix for visual and multimodal ones; the unused side is None, and a
+    multimodal model's two routes share one width d. The mixing maps are
+    part of the frozen "encoder" and must never change during a run, only
+    the ctx blocks are trainable.
     """
 
     modality: str
@@ -83,8 +84,7 @@ class PromptModel:
             present = self.modality in (side, "multimodal")
             if any(present != (getattr(self, name) is not None) for name in (ctx_name, mix_name)):
                 raise ValueError(f"{side} side must be present exactly for {side}/multimodal models")
-        for _, ctx_name, mix_name, *_ in _ROUTES:
-            if getattr(self, ctx_name) is not None:
+            if present:
                 ctx = frozen_array(getattr(self, ctx_name), np.float64)
                 mix = frozen_array(getattr(self, mix_name), np.float64)
                 object.__setattr__(self, ctx_name, ctx)
@@ -92,6 +92,9 @@ class PromptModel:
                 m, d = ctx.shape
                 if mix.shape != (d, m * d):
                     raise ValueError(f"{mix_name} must be (d, M*d) for {ctx_name} of shape (M, d)")
+                # A multimodal model's textual route, frozen first, sets d.
+                if d != (ctx if self.text_ctx is None else self.text_ctx).shape[1]:
+                    raise ValueError(f"the textual and visual routes must share one width d, got {self.text_ctx.shape[1]} and {d}")
 
     # --- generic trainable-model interface (shared with the linear probe) ---
 
@@ -237,10 +240,11 @@ def image_features(model: PromptModel, z: np.ndarray) -> np.ndarray:
     Visual/multimodal models shift every feature by its own mixed offset
     (the context modulated by that feature) and re-normalize; textual models
     (and a zero context) pass features through unchanged, as a read-only
-    view of the float64 input rather than a copy of it. A z that is not 2-D
-    (one vector included) raises ValueError.
+    view of the float64 input rather than a copy of it. A z that is not a
+    2-D matrix of the model's width d (one vector included) raises
+    ValueError.
     """
-    z = float_matrix(z, "z")
+    z = float_matrix(z, "z", (model.text_mix if model.vis_mix is None else model.vis_mix).shape[0])
     if model.vis_ctx is None or not model.vis_ctx.any():
         out = z.view()
         out.setflags(write=False)
@@ -354,11 +358,12 @@ def batch_loss_and_grad(
 
     Returns (loss, grads) with one gradient per learnable ctx block, keyed
     like PromptModel.learnable(). feats must be an (n, space.d) matrix with
-    one label per row. Labels must be of an integer dtype (float or bool
-    labels are refused, not truncated) and lie in [0, C); the loss is
-    core.softmax_cross_entropy with its ``pools`` block list (consecutive
-    (row count, weight) blocks of feats; None is the plain mean), so several
-    weighted pools share one forward pass and one backward pass per route.
+    one label per row. Labels go through core.index_vector before the
+    forward pass, so float or bool labels are refused, not truncated; they
+    must lie in [0, C). The loss is core.softmax_cross_entropy with its
+    ``pools`` block list (consecutive (row count, weight) blocks of feats;
+    None is the plain mean), so several weighted pools share one forward
+    pass and one backward pass per route.
     The logits are built in one fresh (n, C) buffer that the cross-entropy
     overwrites with dL/dS, so a call allocates one (n, C) matrix; feats, the
     prototypes and the model are never written. A non-finite loss or
@@ -380,8 +385,7 @@ def batch_loss_and_grad(
     dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
     """
     Z = float_matrix(feats, "feats", space.d)
-    if np.shape(labels) != (Z.shape[0],):
-        raise ValueError(f"labels must have shape ({Z.shape[0]},), got {np.shape(labels)}")
+    labels = index_vector(labels, "labels", Z.shape[0])
     tau, B = model.temperature, space.base_prototypes
     vis, text = model.vis_ctx is not None, model.text_ctx is not None
     # The visual route's passes go through run: the worker, under the cap,

@@ -181,6 +181,13 @@ class TestEmbeddingSet:
         ids = np.array([1, 1, 2], dtype=np.uint64)
         with pytest.raises(ValueError, match="ids must be unique"):
             EmbeddingSet(feats, np.zeros(3, dtype=np.int64), ids)
+        # Ids that are not unsigned integers are refused, not truncated or wrapped.
+        for bad, match in (
+            ([0.5, 1.5, 2.5], "ids must be integer indices, got a float64 array"),
+            (np.array([0, -1, 2]), "ids must be non-negative, got -1"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                EmbeddingSet(feats, np.zeros(3, dtype=np.int64), bad)
 
     def test_rejects_labels_below_sentinel(self):
         rng = np.random.default_rng(7)
@@ -188,6 +195,10 @@ class TestEmbeddingSet:
         labels = np.array([0, -2, 1], dtype=np.int64)
         with pytest.raises(ValueError, match="sentinel"):
             EmbeddingSet(feats, labels, np.arange(3, dtype=np.uint64))
+        # [0.9, 1.7, 2.2] would store [0, 1, 2] if cast.
+        for bad, kind in (([0.9, 1.7, 2.2], "float64"), ([True, False, True], "bool")):
+            with pytest.raises(ValueError, match=f"labels must be integer indices, got a {kind} array"):
+                EmbeddingSet(feats, bad, np.arange(3, dtype=np.uint64))
 
     def test_sentinel_label_allowed(self):
         rng = np.random.default_rng(8)
@@ -227,6 +238,10 @@ class TestClassSpace:
         protos = _unit_rows(rng, 4, 5)
         names = ("a", "b", "c", "d")
         ClassSpace(names, protos, partition=((0, 2), (1, 3)))  # valid
+        with pytest.raises(ValueError, match="partition seen side must be integer indices, got a float64 array"):
+            ClassSpace(names, protos, partition=((0.2, 2.0), (1, 3)))
+        with pytest.raises(ValueError, match="partition unseen side must be integer indices, got a float64 array"):
+            ClassSpace(names, protos, partition=((0, 2), (1.0, 3.9)))
         bad = [
             ((0, 1), (2,)),        # misses class 3
             ((0, 1, 2, 3), ()),    # one side empty
@@ -246,10 +261,14 @@ class TestLabeledSubset:
     def test_rejects_duplicate_rows(self):
         with pytest.raises(ValueError, match="rows must be unique"):
             LabeledSubset(np.array([1, 1]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="rows must be integer indices, got a float64 array"):
+            LabeledSubset(np.array([1.5, 2.5]), np.array([0, 1]))
 
     def test_rejects_sentinel_labels(self):
         with pytest.raises(ValueError, match="sentinel"):
             LabeledSubset(np.array([0, 1]), np.array([0, UNLABELED]))
+        with pytest.raises(ValueError, match="labels must be integer indices, got a bool array"):
+            LabeledSubset(np.array([0, 1]), np.array([True, False]))
 
     def test_empty_subset_allowed(self):
         sub = LabeledSubset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
@@ -340,6 +359,9 @@ class TestSampleShots:
         data = EmbeddingSet(feats, labels, np.arange(4, dtype=np.uint64))
         with pytest.raises(ValueError, match="class 1 has only 1 labeled rows, need 2"):
             sample_shots(data, range(2), 2, seed=0)
+        # Class 0.9 would draw class 0's rows if cast.
+        with pytest.raises(ValueError, match="classes must be integer indices, got a float64 array"):
+            sample_shots(data, [0.9], 1, seed=0)
 
     def test_sentinel_rows_never_sampled(self):
         rng = np.random.default_rng(16)
@@ -500,8 +522,8 @@ class TestSoftmaxCrossEntropy:
             (_logits((3, 4)), np.array([0, 1, 2]), [(2, 1.0), (2, 1.0)], "pool blocks cover 4 rows"),
             (_logits((11, 4)), np.zeros(11, dtype=int), [(11.7, 1.0)], r"pool block 0 has 11.7 rows; a row count must be an integer"),
             (_logits((11, 4)), np.zeros(11, dtype=int), [(-1, 1.0), (12, 1.0)], "pool block 0 has -1 rows"),
-            (_logits((2, 4)), np.array([1.7, 0.2]), None, "labels must be integer class indices, got a float64 array"),
-            (_logits((2, 4)), np.array([True, False]), None, "labels must be integer class indices, got a bool array"),
+            (_logits((2, 4)), np.array([1.7, 0.2]), None, "labels must be integer indices, got a float64 array"),
+            (_logits((2, 4)), np.array([True, False]), None, "labels must be integer indices, got a bool array"),
             (_logits((2, 4)), np.zeros(2, dtype=int), [(True, 1.0), (1, 1.0)], "pool block 0 has True rows; a row count must be an integer"),
         ],
         ids=[

@@ -1,6 +1,8 @@
 """tools/fingerprint_outputs.py runs every benchmark workload's toy shapes
-and prints the same map of output files to hashes from any work dir."""
+and prints the same map of output files to hashes from any work dir, with
+the map's own sha256 on stderr."""
 
+import hashlib
 import json
 import os
 import re
@@ -18,6 +20,7 @@ def _fingerprint(work_dir, env=None):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.splitlines()[-1] == f"map sha256 {hashlib.sha256(proc.stdout.encode()).hexdigest()}"
     return json.loads(proc.stdout)
 
 

@@ -410,6 +410,8 @@ class TestThresholdPseudolabels:
         ids = np.array([0], dtype=np.uint64)
         with pytest.raises(ValueError, match="probab"):
             threshold_pseudolabels(np.array([[1.2, -0.2]]), 0.5, ids)
+        with pytest.raises(ValueError, match="ids must be integer indices, got a float64 array"):
+            threshold_pseudolabels(np.array([[0.9, 0.1]]), 0.5, [0.5])
 
     def test_size_monotone_in_tau(self):
         rng = np.random.default_rng(9)

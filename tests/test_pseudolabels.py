@@ -459,6 +459,7 @@ class TestTopkFromFeatures:
             (3, (-1,), "class_subset indices must fall within the score columns"),
             (9, (0,), "k=9 exceeds the 8 available unlabeled rows"),
             (0, (0,), "k must be at least 1"),
+            (3, (0.5, 1.0), "class_subset must be integer indices, got a float64 array"),
         ],
     )
     def test_errors_match_topk_per_class_before_any_scoring(self, monkeypatch, k, subset, match):
@@ -478,8 +479,13 @@ class TestTopkFromFeatures:
     def test_shape_errors(self):
         rng = np.random.default_rng(37)
         X, P = _unit_rows(rng, 8, 4), _unit_rows(rng, 6, 4)
-        with pytest.raises(ValueError, match="one id per image row"):
+        with pytest.raises(ValueError, match=r"ids must have shape \(8,\), got \(7,\)"):
             topk_from_features(X, P, 1, (0,), np.arange(7, dtype=np.uint64))
+        # Float ids are refused by both selectors, not truncated to other ids.
+        with pytest.raises(ValueError, match="ids must be integer indices, got a float64 array"):
+            topk_from_features(X, P, 1, (0,), np.arange(8) + 0.5)
+        with pytest.raises(ValueError, match="ids must be integer indices, got a float64 array"):
+            topk_per_class(similarity_matrix(X, P), 1, (0,), np.arange(8) + 0.5)
         with pytest.raises(ValueError, match=r"prototypes must be a 2-D matrix, got shape \(4,\)"):
             topk_from_features(X, P[0], 1, (0,), np.arange(8, dtype=np.uint64))
         with pytest.raises(ValueError, match=r"images must be a 2-D matrix of 3 columns, got shape \(8, 4\)"):
@@ -508,6 +514,11 @@ class TestPseudolabelSet:
         scores = np.array([0.5, 0.4, 0.3])
         with pytest.raises(ValueError, match="class 0 holds 3 entries, cap is 2"):
             PseudolabelSet(ids, classes, scores, k_used=2)
+        # [0.9, 1.7, 2.2] would count as classes [0, 1, 2] if cast; -1 would wrap to 2**64 - 1.
+        with pytest.raises(ValueError, match="classes must be integer indices, got a float64 array"):
+            PseudolabelSet(ids, np.array([0.9, 1.7, 2.2]), scores, k_used=2)
+        with pytest.raises(ValueError, match="example_ids must be non-negative, got -1"):
+            PseudolabelSet(np.array([1, -1, 3]), np.array([0, 1, 2]), scores, k_used=2)
 
     def test_score_range_enforced(self):
         ids = np.array([1], dtype=np.uint64)

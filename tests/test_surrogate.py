@@ -202,6 +202,16 @@ class TestPromptModelContainer:
                 text_ctx=m.text_ctx,
                 text_mix=np.zeros((6, 6)),
             )
+        # Each route is well formed on its own, but their widths differ.
+        with pytest.raises(ValueError, match="routes must share one width d, got 4 and 6"):
+            PromptModel(
+                modality="multimodal",
+                temperature=100.0,
+                text_ctx=np.zeros((2, 4)),
+                vis_ctx=np.zeros((2, 6)),
+                text_mix=np.zeros((4, 8)),
+                vis_mix=np.zeros((6, 12)),
+            )
 
 
 class TestRouteRules:
@@ -352,8 +362,8 @@ class TestOffsetsAndFirewall:
 class TestLogits:
     def test_shape_and_squeeze(self):
         """A feature matrix gives (n, C); one vector is not squeezed through
-        but refused, by name, on either route, and so is a matrix of the
-        wrong width."""
+        but refused, by name and width, on either route, and so is a matrix
+        of the wrong width."""
         rng = np.random.default_rng(8)
         space = _space(rng, 5, 9)
         Z = _unit_rows(rng, 4, 9)
@@ -361,12 +371,14 @@ class TestLogits:
             m = init_prompt(modality, 3, 9, seed=0)
             assert m.scores(Z, space).shape == (4, 5)
             scores = lambda z: m.scores(z, space)
-            for call, name in ((scores, r"feats must be a 2-D matrix of 9 columns"), (lambda z: image_features(m, z), r"z must be a 2-D matrix")):
+            for call, name in ((scores, r"feats must be a 2-D matrix of 9 columns"), (lambda z: image_features(m, z), r"z must be a 2-D matrix of 9 columns")):
                 with pytest.raises(ValueError, match=name + r", got shape \(9,\)"):
                     call(Z[0])
             for call in (scores, lambda z: batch_loss_and_grad(m, z, np.zeros(4, dtype=np.int64), space)):
                 with pytest.raises(ValueError, match=r"feats must be a 2-D matrix of 9 columns, got shape \(4, 8\)"):
                     call(Z[:, :8])
+            with pytest.raises(ValueError, match=r"z must be a 2-D matrix of 9 columns, got shape \(4, 8\)"):
+                image_features(m, np.ones((4, 8)))
 
     def test_zero_shot_values(self):
         """With ctx = 0 the logits are exactly temperature * cosine."""
@@ -513,7 +525,7 @@ class TestBatchLossAndGrad:
         space = _space(rng, 5, 8)
         Z = _unit_rows(rng, 2, 8)
         labels = np.array([1.7, 0.2])
-        with pytest.raises(ValueError, match="labels must be integer class indices, got a float64 array"):
+        with pytest.raises(ValueError, match="labels must be integer indices, got a float64 array"):
             if head == "prompt":
                 batch_loss_and_grad(init_prompt("textual", 3, 8, seed=0), Z, labels, space)
             else:

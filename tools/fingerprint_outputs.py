@@ -10,6 +10,8 @@ of that output file: ``result.json``, ``robinhood.json`` (calib) and every
 the unit's directory wherever the config echo names it, so two checkouts that
 print the same map wrote the same bytes even from different work dirs.
 ``--toy`` runs the workloads' toy shapes, which take well under a second.
+The sha256 of the printed map (stdout, final newline included) goes to
+stderr as ``map sha256 <hex>``, so two checkouts compare by one digest.
 
 The package is imported from ``src/`` next to this directory, so the map
 describes the checkout the script sits in. Exit code 0 unless a unit raised.
@@ -52,7 +54,9 @@ def main(argv=None) -> int:
     parser.add_argument("work_dir", help="directory for the inputs and outputs of every unit")
     parser.add_argument("--toy", action="store_true", help="run the workloads' toy shapes")
     args = parser.parse_args(argv)
-    print(json.dumps(fingerprint(args.work_dir, args.toy), indent=2, sort_keys=True))
+    text = json.dumps(fingerprint(args.work_dir, args.toy), indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    print(f"map sha256 {hashlib.sha256(text.encode()).hexdigest()}", file=sys.stderr)
     return 0
 
 
