@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
-from .core import PARADIGMS, ParadigmConfig, json_form
+from .core import PARADIGMS, ParadigmConfig, int_scalar, json_form
 from .strategies import STRATEGIES, StrategyConfig, default_schedule
 from .synth import SyntheticSpec
 from .training import TrainSchedule
@@ -148,9 +148,7 @@ def _names(value, key: str, what: str, allowed: tuple) -> tuple:
 def parse_seed_list(value) -> tuple:
     """Seeds as a tuple of distinct non-negative ints (one int is a list of one)."""
     items = value if isinstance(value, list) else [value]
-    seeds = tuple(_typed("seeds", s, int) for s in items)
-    if any(s < 0 for s in seeds):
-        raise ValueError("seeds must be non-negative")
+    seeds = tuple(int_scalar(s, "seeds") for s in items)
     if not seeds:
         raise ValueError("seeds list must not be empty")
     if len(set(seeds)) != len(seeds):
@@ -212,8 +210,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ValueError("output_dir must not be empty")
     if not 0.0 <= cfg.threshold_tau < 1.0:
         raise ValueError("threshold_tau must lie in [0, 1)")
-    if cfg.split_seed < 0:
-        raise ValueError(f"split_seed must be non-negative, got {cfg.split_seed}")
+    int_scalar(cfg.split_seed, "split_seed")
     # Each paradigm's run settings, so the run configs' own range checks (K, I,
     # prompt_len, temperature, schedule, shots, ...) fire here, not in a run.
     for paradigm in cfg.paradigms:

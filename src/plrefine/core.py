@@ -130,6 +130,21 @@ def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64) -> np.nd
     return x.astype(dtype, copy=False)
 
 
+def int_scalar(x, name: str, lo: int = 0) -> int:
+    """``x`` as a Python int (a count, quota, seed or size), once it is a
+    Python or numpy integer of at least ``lo``.
+
+    Values are refused, not cast: ValueError naming ``name`` when ``x`` is a
+    bool, a float (2.0 included) or any other non-integer, or lies below
+    ``lo``.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if x < lo:
+        raise ValueError(f"{name} must be {f'at least {lo}' if lo else 'non-negative'}, got {x}")
+    return int(x)
+
+
 def frozen_array(arr, dtype=None) -> np.ndarray:
     """Read-only C-contiguous ``arr`` (cast to ``dtype`` when given).
 
@@ -344,7 +359,7 @@ class LabeledSubset:
     """Row positions into an EmbeddingSet plus the labels training may see.
 
     Both go through index_vector: float or bool rows or labels are refused
-    with ValueError, not cast."""
+    with ValueError, not cast, and so is a negative row."""
 
     rows: np.ndarray
     labels: np.ndarray
@@ -352,6 +367,8 @@ class LabeledSubset:
     def __post_init__(self) -> None:
         rows = index_vector(self.rows, "rows")
         labels = index_vector(self.labels, "labels", rows.size)
+        if rows.size and rows.min() < 0:
+            raise ValueError(f"rows must be non-negative, got {int(rows.min())}")
         if rows.size and np.unique(rows).size != rows.size:
             raise ValueError("rows must be unique")
         if np.any(labels < 0):
@@ -370,7 +387,8 @@ class ParadigmConfig:
 
     A round's loss weights are not configured: paradigm_weights derives them
     from the paradigm and the round's pool sizes. SL is rejected here, as it
-    has no unlabeled pool to pseudolabel.
+    has no unlabeled pool to pseudolabel. shots_per_class goes through
+    int_scalar: a float or bool count is refused, not cast.
     """
 
     paradigm: str
@@ -381,8 +399,7 @@ class ParadigmConfig:
             raise ValueError(f"unknown paradigm {self.paradigm!r}; expected one of {PARADIGMS}")
         if self.paradigm == "SL":
             raise ValueError("paradigms must not include SL: it has no unlabeled pool to pseudolabel")
-        if self.shots_per_class < 0:
-            raise ValueError("shots_per_class must be non-negative")
+        int_scalar(self.shots_per_class, "shots_per_class")
         if self.paradigm == "SSL" and self.shots_per_class < 1:
             raise ValueError("SSL needs at least one labeled shot per class")
 
@@ -391,13 +408,12 @@ def make_trzsl_split(C: int, seed: int) -> tuple:
     """Split ``range(C)`` into seen/unseen classes, |seen| = floor(0.62 * C).
 
     The assignment is a seeded permutation, so the same (C, seed) always
-    yields the same split; the seed must be non-negative. Both sides are
-    returned sorted.
+    yields the same split; the seed must be a non-negative integer. Both
+    sides are returned sorted.
     """
     if C < 2:
         raise ValueError("transductive split needs at least 2 classes")
-    if seed < 0:
-        raise ValueError(f"transductive split seed must be non-negative, got {seed}")
+    int_scalar(seed, "transductive split seed")
     n_seen = int(np.floor(SEEN_FRACTION * C))
     if n_seen == 0 or n_seen == C:
         raise ValueError(f"split of {C} classes leaves one side empty")
@@ -412,10 +428,10 @@ def sample_shots(data: EmbeddingSet, classes: Sequence[int], shots: int, seed: i
 
     Raises if any requested class has fewer than ``shots`` labeled rows; the
     error names the class so a bad dataset is easy to spot. ``classes`` must
-    be integer indices: a float class is refused, not truncated.
+    be integer indices and ``shots`` a non-negative integer: a float class
+    or count is refused, not truncated.
     """
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
+    int_scalar(shots, "shots")
     rng = np.random.default_rng(seed)
     rows: list = []
     labels: list = []

@@ -12,7 +12,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, float_matrix, frozen_array, softmax_cross_entropy
+from .core import ClassSpace, float_matrix, frozen_array, int_scalar, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,4 @@ class LinearProbe:
 
 def init_linear_probe(C: int, d: int) -> LinearProbe:
     """Zero-initialized probe: the first forward pass is a uniform softmax."""
-    if C < 1 or d < 1:
-        raise ValueError("C and d must be positive")
-    return LinearProbe(np.zeros((C, d)))
+    return LinearProbe(np.zeros((int_scalar(C, "C", 1), int_scalar(d, "d", 1))))

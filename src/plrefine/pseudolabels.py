@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UNLABELED, EmbeddingSet, float_matrix, frozen_array, index_vector
+from .core import UNLABELED, EmbeddingSet, float_matrix, frozen_array, index_vector, int_scalar
 
 SCORE_TOLERANCE = 1e-6
 
@@ -34,10 +34,11 @@ SAMPLE_STRIDE = 16
 class PseudolabelSet:
     """Pseudolabel assignments: parallel arrays of (example_id, class, score).
 
-    k_used is the per-class cap actually applied; no class may hold more than
-    k_used entries. Scores are finite cosine-scale values in [-1, 1]. Ids
-    and classes go through index_vector: float or bool ids or classes, and
-    negative ids, are refused with ValueError, not cast.
+    k_used is the per-class cap actually applied, a non-negative integer; no
+    class may hold more than k_used entries. Scores are finite cosine-scale
+    values in [-1, 1]. Ids and classes go through index_vector: float or
+    bool ids or classes, and negative ids, are refused with ValueError, not
+    cast.
     """
 
     example_ids: np.ndarray
@@ -57,8 +58,7 @@ class PseudolabelSet:
             raise ValueError("scores must be finite (found NaN or inf)")
         if scores.size and np.max(np.abs(scores)) > 1.0 + SCORE_TOLERANCE:
             raise ValueError("scores must be cosine-scale values in [-1, 1]")
-        if self.k_used < 0:
-            raise ValueError("k_used must be non-negative")
+        int_scalar(self.k_used, "k_used")
         if classes.size:
             counts = np.bincount(classes)
             if counts.max() > self.k_used:
@@ -91,13 +91,11 @@ def effective_k(requested_k: int, n_unlabeled: int, C: int) -> int:
     """Per-class quota that the unlabeled pool can actually sustain.
 
     min(requested_k, floor(n_unlabeled / C)), but never below 1: a pool
-    smaller than the class count still yields one pseudolabel per class.
+    smaller than the class count still yields one pseudolabel per class. All
+    three must be integers of at least 1: a float or bool is refused, not cast.
     """
-    if requested_k < 1:
-        raise ValueError("requested_k must be at least 1")
-    if n_unlabeled < 1 or C < 1:
-        raise ValueError("n_unlabeled and C must be positive")
-    return max(1, min(int(requested_k), n_unlabeled // C))
+    k = int_scalar(requested_k, "requested_k", 1)
+    return max(1, min(k, int_scalar(n_unlabeled, "n_unlabeled", 1) // int_scalar(C, "C", 1)))
 
 
 def topk_per_class(
@@ -187,8 +185,7 @@ def topk_from_features(
 
 def _checked_subset(n: int, C: int, k: int, class_subset: Sequence[int]) -> np.ndarray:
     """``class_subset`` as an index array, once k and the subset fit n rows and C classes."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    int_scalar(k, "k", 1)
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available unlabeled rows")
     subset = index_vector(class_subset, "class_subset")

@@ -31,6 +31,8 @@ from .core import (
     Task,
     UNLABELED,
     frozen_array,
+    index_vector,
+    int_scalar,
     json_form,
     paradigm_weights,
     sample_shots,
@@ -70,7 +72,11 @@ def default_schedule(modality: str, **overrides) -> TrainSchedule:
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Everything one run needs: strategy, paradigm, surrogate and schedule."""
+    """Everything one run needs: strategy, paradigm, surrogate and schedule.
+
+    K, I, seed and a given prompt_len go through int_scalar: a float or bool
+    is refused, not cast.
+    """
 
     strategy: str
     paradigm: ParadigmConfig
@@ -89,18 +95,15 @@ class StrategyConfig:
         if self.strategy not in STRATEGY_PLANS:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         check_modality(self.modality)
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        if self.I < 1:
-            raise ValueError("I must be at least 1")
-        if self.prompt_len is not None and self.prompt_len < 1:
-            raise ValueError(f"prompt_len must be at least 1, got {self.prompt_len}")
+        int_scalar(self.K, "K", 1)
+        int_scalar(self.I, "I", 1)
+        if self.prompt_len is not None:
+            int_scalar(self.prompt_len, "prompt_len", 1)
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not self.init_scale >= 0:
             raise ValueError(f"init_scale must be non-negative, got {self.init_scale}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        int_scalar(self.seed, "seed")
         if self.init_spread not in ("std", "variance"):
             raise ValueError("init_spread must be 'std' or 'variance'")
 
@@ -125,14 +128,20 @@ class StrategyConfig:
 @dataclass(frozen=True)
 class ParadigmSplit:
     """What a paradigm exposes to training: labeled rows, the unlabeled pool
-    (row positions into the train set), and the classes pseudolabels may use."""
+    (row positions into the train set), and the classes pseudolabels may use.
+
+    pool_rows goes through index_vector: float, bool or negative rows are
+    refused with ValueError, not cast."""
 
     labeled: LabeledSubset
     pool_rows: np.ndarray
     pseudolabel_classes: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pool_rows", frozen_array(self.pool_rows, np.int64))
+        rows = index_vector(self.pool_rows, "pool_rows")
+        if rows.size and rows.min() < 0:
+            raise ValueError(f"pool_rows must be non-negative, got {int(rows.min())}")
+        object.__setattr__(self, "pool_rows", frozen_array(rows))
 
     def pool(self, data: EmbeddingSet) -> tuple:
         """The pool's (features, ids) in the train set ``data``: its own

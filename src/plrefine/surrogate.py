@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, float_matrix, frozen_array, index_vector, normalize_rows, softmax_cross_entropy
+from .core import ClassSpace, float_matrix, frozen_array, index_vector, int_scalar, normalize_rows, softmax_cross_entropy
 
 MODALITIES = ("textual", "visual", "multimodal")
 
@@ -166,8 +166,7 @@ def init_prompt(
     magnitude comparable across prompt lengths.
     """
     check_modality(modality)
-    if M < 1 or d < 1:
-        raise ValueError("M and d must be positive")
+    M, d = int_scalar(M, "M", 1), int_scalar(d, "d", 1)
     sigma = _ctx_sigma(scale, spread)
     rngs = [np.random.default_rng(kid) for kid in np.random.SeedSequence(seed).spawn(4)]
     sides: Dict[str, np.ndarray] = {}

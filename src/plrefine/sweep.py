@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import SCHEMA_VERSION, ExperimentConfig
-from .core import Task, make_trzsl_split
+from .core import Task, int_scalar, make_trzsl_split
 from .fileio import read_named, replacing
 from .metrics import (
     EvalReport,
@@ -183,8 +183,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
     cell and with numpy's OpenBLAS set to one thread as it starts; a serial
     sweep keeps its BLAS threads.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    int_scalar(jobs, "jobs", 1)
     out = out_dir or cfg.output_dir
     cells = list(itertools.product(cfg.strategies, cfg.paradigms, cfg.seeds))
     workers = min(jobs, len(cells))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, Task, json_form, make_trzsl_split, unit_normalize
+from .core import ClassSpace, EmbeddingSet, Task, int_scalar, json_form, make_trzsl_split, unit_normalize
 
 TEST_FRACTION = 0.25
 
@@ -34,7 +34,8 @@ class SyntheticSpec:
     labeled_per_class and unlabeled_per_class only set the train rows per
     class (their sum): every synthetic train row carries its true label, and
     paradigm wiring decides what training sees (SSL's shots come from
-    ParadigmConfig.shots_per_class).
+    ParadigmConfig.shots_per_class). The integer fields go through
+    int_scalar: a float or bool is refused, not cast.
     """
 
     C: int = 10
@@ -46,18 +47,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.C < 2:
-            raise ValueError("need at least 2 classes")
-        if self.d < 2:
-            raise ValueError("need at least 2 dimensions")
-        if self.labeled_per_class < 0 or self.unlabeled_per_class < 0:
-            raise ValueError("per-class counts must be non-negative")
+        for name, lo in (("C", 2), ("d", 2), ("labeled_per_class", 0), ("unlabeled_per_class", 0), ("seed", 0)):
+            int_scalar(getattr(self, name), name, lo)
         if self.labeled_per_class + self.unlabeled_per_class < 1:
             raise ValueError("each class needs at least one train example")
         if not (0 <= self.sigma < np.inf and 0 <= self.delta < np.inf):
             raise ValueError("noise scales must be finite and non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         return json_form(self)

@@ -20,13 +20,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import EmbeddingSet, LabeledSubset
+from .core import EmbeddingSet, LabeledSubset, int_scalar
 from .pseudolabels import PseudolabelSet
 
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Warmup at a flat lr, then half-cosine decay from peak_lr to zero."""
+    """Warmup at a flat lr, then half-cosine decay from peak_lr to zero.
+
+    epochs, warmup_epochs and batch_size go through int_scalar: a float or
+    bool is refused, not cast.
+    """
 
     epochs: int = 150
     warmup_epochs: int = 5
@@ -36,14 +40,13 @@ class TrainSchedule:
     momentum: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise ValueError("epoch counts must be non-negative")
+        int_scalar(self.epochs, "epochs")
+        int_scalar(self.warmup_epochs, "warmup_epochs")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ValueError("warmup_epochs must be smaller than epochs")
         if not (0 < self.warmup_lr < math.inf and 0 < self.peak_lr < math.inf):
             raise ValueError("learning rates must be finite and positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        int_scalar(self.batch_size, "batch_size", 1)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
 
@@ -104,8 +107,7 @@ def train(
     gamma, lam = float(weights[0]), float(weights[1])
     if not (0 <= gamma < math.inf and 0 <= lam < math.inf):
         raise ValueError(f"loss weights must be finite and non-negative, got ({gamma}, {lam})")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    int_scalar(seed, "seed")
 
     # (data rows, labels, weight) per active pool. Pool order is fixed
     # (labeled first) so the RNG stream is reproducible.

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from plrefine.config import parse_config, parse_synthetic_spec
+from plrefine.config import parse_config, parse_seed_list, parse_synthetic_spec
+from plrefine.core import ParadigmConfig
+from plrefine.strategies import StrategyConfig
 
 
 def _minimal(**extra):
@@ -162,10 +164,26 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             parse_config(_minimal(**{key: value}))
 
-    @pytest.mark.parametrize("seeds", [[True], [0, 1.5], ["3"]])
+    @pytest.mark.parametrize("seeds", [[True], [0, 1.5], ["3"], [2.0], [0, 2.5]])
     def test_seeds_not_coerced(self, seeds):
         with pytest.raises(ValueError, match="seeds must be an integer"):
             parse_config(_minimal(seeds=seeds))
+        with pytest.raises(ValueError, match="seeds must be an integer"):
+            parse_seed_list(seeds)
+
+    def test_json_and_library_callers_get_one_message(self):
+        """The JSON loader and a caller building the run settings directly
+        refuse a float K, or a bool seed, with the same words."""
+        message = re.escape("K must be an integer, got 2.5")
+        with pytest.raises(ValueError, match=message):
+            parse_config(_minimal(K=2.5))
+        with pytest.raises(ValueError, match=message):
+            StrategyConfig("FPL", ParadigmConfig("UL"), K=2.5)
+        message = re.escape("seeds must be an integer, got True")
+        with pytest.raises(ValueError, match=message):
+            parse_config(_minimal(seeds=[True]))
+        with pytest.raises(ValueError, match=message):
+            parse_seed_list([True])
 
     @pytest.mark.parametrize(
         "key, value, message",

@@ -5,6 +5,7 @@ The weight and split rules are checked against exact rational arithmetic
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from plrefine.core import (
     normalize_rows,
     paradigm_weights,
     frozen_array,
+    int_scalar,
     row_norms,
     sample_shots,
     softmax_cross_entropy,
@@ -263,6 +265,9 @@ class TestLabeledSubset:
             LabeledSubset(np.array([1, 1]), np.array([0, 1]))
         with pytest.raises(ValueError, match="rows must be integer indices, got a float64 array"):
             LabeledSubset(np.array([1.5, 2.5]), np.array([0, 1]))
+        # Row -1 would train on the last row of the train set.
+        with pytest.raises(ValueError, match="rows must be non-negative, got -1"):
+            LabeledSubset(np.array([-1, 2]), np.array([0, 1]))
 
     def test_rejects_sentinel_labels(self):
         with pytest.raises(ValueError, match="sentinel"):
@@ -294,6 +299,39 @@ class TestParadigmConfig:
     def test_rejects_negative_knobs(self):
         with pytest.raises(ValueError, match="shots_per_class"):
             ParadigmConfig("SSL", shots_per_class=-1)
+        for bad in (2.0, 2.5, True, -1):
+            with pytest.raises(ValueError, match="^shots_per_class must be "):
+                ParadigmConfig("UL", shots_per_class=bad)
+        # True used to draw one shot per class.
+        with pytest.raises(ValueError, match="shots_per_class must be an integer, got True"):
+            ParadigmConfig("SSL", shots_per_class=True)
+
+
+class TestIntScalar:
+    @pytest.mark.parametrize("x", [0, 7, np.int64(7), np.uint8(3), np.int32(0)])
+    def test_integers_come_back_as_python_ints(self, x):
+        out = int_scalar(x, "n")
+        assert type(out) is int and out == x
+
+    @pytest.mark.parametrize("x", [2.0, 2.5, True, False, np.bool_(True), np.float64(3.0), "3", None, np.array(3)])
+    def test_non_integers_refused_not_cast(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {x!r}")):
+            int_scalar(x, "n")
+
+    def test_minimum(self):
+        assert int_scalar(2, "C", lo=2) == 2
+        assert int_scalar(np.uint64(0), "seed") == 0
+        with pytest.raises(ValueError, match=re.escape("C must be at least 2, got 1")):
+            int_scalar(1, "C", lo=2)
+        with pytest.raises(ValueError, match=re.escape("k must be at least 1, got 0")):
+            int_scalar(np.int64(0), "k", lo=1)
+        with pytest.raises(ValueError, match=re.escape("seed must be non-negative, got -1")):
+            int_scalar(-1, "seed")
+
+    def test_not_a_package_export(self):
+        import plrefine
+
+        assert not hasattr(plrefine, "int_scalar")
 
 
 class TestTrzslSplit:
@@ -326,6 +364,9 @@ class TestTrzslSplit:
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="split seed must be non-negative, got -1"):
             make_trzsl_split(10, -1)
+        for bad in (2.0, 2.5, True):
+            with pytest.raises(ValueError, match="^transductive split seed must be an integer"):
+                make_trzsl_split(10, bad)
 
 
 class TestSampleShots:
@@ -362,6 +403,9 @@ class TestSampleShots:
         # Class 0.9 would draw class 0's rows if cast.
         with pytest.raises(ValueError, match="classes must be integer indices, got a float64 array"):
             sample_shots(data, [0.9], 1, seed=0)
+        for bad in (2.0, 2.5, True, -1):
+            with pytest.raises(ValueError, match="^shots must be "):
+                sample_shots(data, range(2), bad, seed=0)
 
     def test_sentinel_rows_never_sampled(self):
         rng = np.random.default_rng(16)

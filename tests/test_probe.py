@@ -33,6 +33,14 @@ def test_scores_are_affine_free_dot_products():
     assert np.allclose(probe.scores(Z, space), Z @ W.T)
 
 
+def test_sizes_must_be_positive_integers():
+    for name in ("C", "d"):
+        for bad in (2.0, 2.5, True, 0):
+            sizes = {"C": 3, "d": 4, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                init_linear_probe(sizes["C"], sizes["d"])
+
+
 def test_learnable_round_trip():
     probe = init_linear_probe(3, 4)
     params = probe.learnable()

@@ -79,6 +79,17 @@ class TestEffectiveK:
         assert effective_k(7, 70, 10) == 7
         assert effective_k(8, 70, 10) == 7
 
+    def test_arguments_must_be_positive_integers(self):
+        for at, name in enumerate(("requested_k", "n_unlabeled", "C")):
+            for bad in (2.0, 2.5, True, 0):
+                args = [16, 100, 10]
+                args[at] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    effective_k(*args)
+        # A numpy quota comes back as a Python int.
+        k = effective_k(np.int64(3), 100, 10)
+        assert type(k) is int and k == 3
+
 
 class TestTopkPerClass:
     def test_matches_brute_force_on_seeded_grid(self):
@@ -459,6 +470,9 @@ class TestTopkFromFeatures:
             (3, (-1,), "class_subset indices must fall within the score columns"),
             (9, (0,), "k=9 exceeds the 8 available unlabeled rows"),
             (0, (0,), "k must be at least 1"),
+            (2.0, (0,), r"k must be an integer, got 2\.0"),
+            (2.5, (0,), r"k must be an integer, got 2\.5"),
+            (True, (0,), "k must be an integer, got True"),
             (3, (0.5, 1.0), "class_subset must be integer indices, got a float64 array"),
         ],
     )
@@ -519,6 +533,9 @@ class TestPseudolabelSet:
             PseudolabelSet(ids, np.array([0.9, 1.7, 2.2]), scores, k_used=2)
         with pytest.raises(ValueError, match="example_ids must be non-negative, got -1"):
             PseudolabelSet(np.array([1, -1, 3]), np.array([0, 1, 2]), scores, k_used=2)
+        for bad in (2.0, 2.5, True, -1):
+            with pytest.raises(ValueError, match="^k_used must be "):
+                PseudolabelSet(ids, np.array([0, 1, 2]), scores, k_used=bad)
 
     def test_score_range_enforced(self):
         ids = np.array([1], dtype=np.uint64)

@@ -6,6 +6,7 @@ checked for bit-level reinitialization semantics (FPL is literally the first
 IFPL iteration, and every iteration restarts from a fresh seeded prompt).
 """
 
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -13,12 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plrefine.core import ParadigmConfig, UNLABELED, paradigm_weights
+from plrefine.core import LabeledSubset, ParadigmConfig, UNLABELED, paradigm_weights
 from plrefine import strategies
 from plrefine.pseudolabels import PseudolabelSet, effective_k, similarity_matrix, topk_per_class
 from plrefine.strategies import (
     DEFAULT_PEAK_LR,
     DEFAULT_PROMPT_LEN,
+    ParadigmSplit,
     StrategyConfig,
     default_schedule,
     grip_k,
@@ -138,6 +140,23 @@ class TestDefaults:
         for scale in (-0.02, float("nan")):
             with pytest.raises(ValueError, match="init_scale must be non-negative, got"):
                 StrategyConfig("FPL", ParadigmConfig("UL"), init_scale=scale)
+        for name, lo in (("K", 1), ("I", 1), ("prompt_len", 1), ("seed", 0)):
+            for bad in (2.0, 2.5, True, lo - 1):
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    StrategyConfig("FPL", ParadigmConfig("UL"), **{name: bad})
+        # K=2.5 used to train with a quota of 2, and K=True with 1.
+        with pytest.raises(ValueError, match=re.escape("K must be an integer, got 2.5")):
+            StrategyConfig("FPL", ParadigmConfig("UL"), K=2.5)
+        with pytest.raises(ValueError, match="K must be an integer, got True"):
+            StrategyConfig("FPL", ParadigmConfig("UL"), K=True)
+
+    def test_numpy_integer_settings_run_as_python_ints(self, small_task):
+        """A numpy integer is an integer: the run and its records are the
+        ones of the same Python int."""
+        wide = run_strategy(_fast("IFPL", "SSL", K=np.int64(3), I=np.int32(2), seed=np.uint8(4)), small_task)
+        plain = run_strategy(_fast("IFPL", "SSL", K=3, I=2, seed=4), small_task)
+        assert [r.to_dict() for r in wide.records] == [r.to_dict() for r in plain.records]
+        assert all(type(r.k_used) is int for r in wide.records)
 
     @pytest.mark.parametrize("modality", ["textual", "visual", "multimodal"])
     def test_base_prompt_is_the_zero_shot_head(self, small_task, modality):
@@ -184,6 +203,17 @@ class TestWireParadigm:
         assert np.all(np.isin(labels[split.pool_rows], unseen))
         assert split.labeled.n + split.pool_rows.size == small_task.train.n
         assert split.pseudolabel_classes == tuple(unseen)
+
+    def test_pool_rows_refuse_floats_and_negatives(self):
+        """[0.5, 1.7] used to become rows [0, 1], and row -1 pooled the last
+        row of the train set."""
+        empty = LabeledSubset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="pool_rows must be integer indices, got a float64 array"):
+            ParadigmSplit(empty, np.array([0.5, 1.7]), (0,))
+        with pytest.raises(ValueError, match="pool_rows must be non-negative, got -1"):
+            ParadigmSplit(empty, np.array([-1, 3]), (0,))
+        split = ParadigmSplit(empty, [2, 0], (0,))
+        assert split.pool_rows.dtype == np.int64 and not split.pool_rows.flags.writeable
 
     def test_trzsl_needs_partition(self, small_task):
         from plrefine.core import ClassSpace

@@ -112,6 +112,13 @@ class TestInitPrompt:
         with pytest.raises(ValueError, match="scale must be non-negative"):
             reinit_ctx(init_prompt("textual", 4, 8, seed=0), 1, scale=-0.01, spread=spread)
 
+    def test_sizes_must_be_positive_integers(self):
+        for name in ("M", "d"):
+            for bad in (2.0, 2.5, True, 0):
+                sizes = {"M": 4, "d": 8, name: bad}
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    init_prompt("textual", sizes["M"], sizes["d"], seed=0)
+
     def test_nan_settings_rejected_with_the_config_messages(self):
         with pytest.raises(ValueError, match="init_scale must be non-negative, got nan"):
             init_prompt("textual", 4, 8, seed=0, scale=float("nan"))

@@ -243,6 +243,13 @@ def test_jobs_below_one_is_rejected(cfg, tmp_path, jobs):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", [2.0, 2.5, True])
+def test_jobs_must_be_an_integer(cfg, tmp_path, jobs):
+    with pytest.raises(ValueError, match=re.escape(f"jobs must be an integer, got {jobs!r}")):
+        sweep.run_sweep(cfg, jobs=jobs, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_jobs_below_one(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(
@@ -252,7 +259,7 @@ def test_cli_reports_jobs_below_one(tmp_path, capsys):
     )
     assert main(["run", str(cfg_path), "--jobs", "0"]) == 1
     err = capsys.readouterr().err
-    assert '"error": "jobs must be at least 1"' in err and '"type": "ValueError"' in err
+    assert '"error": "jobs must be at least 1, got 0"' in err and '"type": "ValueError"' in err
 
 
 def _reversed(task):

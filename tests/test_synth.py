@@ -16,9 +16,9 @@ class TestSyntheticSpec:
         assert (spec.sigma, spec.delta, spec.seed) == (0.6, 0.6, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least 2 classes"):
+        with pytest.raises(ValueError, match="C must be at least 2, got 1"):
             SyntheticSpec(C=1)
-        with pytest.raises(ValueError, match="at least 2 dimensions"):
+        with pytest.raises(ValueError, match="d must be at least 2, got 1"):
             SyntheticSpec(d=1)
         with pytest.raises(ValueError, match="non-negative"):
             SyntheticSpec(labeled_per_class=-1)
@@ -29,6 +29,11 @@ class TestSyntheticSpec:
                 SyntheticSpec(**scales)
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(seed=-1)
+        fields = (("C", 2), ("d", 2), ("labeled_per_class", 0), ("unlabeled_per_class", 0), ("seed", 0))
+        for name, lo in fields:
+            for bad in (2.0, 2.5, True, lo - 1):
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    SyntheticSpec(**{name: bad})
 
     def test_to_dict_round_trip(self):
         spec = SyntheticSpec(C=4, d=8, seed=3)

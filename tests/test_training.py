@@ -41,8 +41,10 @@ class TestTrainSchedule:
         assert (s.batch_size, s.momentum) == (64, 0.9)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="epoch counts must be non-negative"):
+        with pytest.raises(ValueError, match="epochs must be non-negative, got -1"):
             TrainSchedule(epochs=-1)
+        with pytest.raises(ValueError, match="warmup_epochs must be non-negative, got -1"):
+            TrainSchedule(warmup_epochs=-1)
         with pytest.raises(ValueError, match="warmup_epochs must be smaller"):
             TrainSchedule(epochs=5, warmup_epochs=5)
         for lrs in ({"peak_lr": 0.0}, {"peak_lr": np.nan}, {"warmup_lr": np.nan}, {"peak_lr": np.inf}):
@@ -52,6 +54,21 @@ class TestTrainSchedule:
             TrainSchedule(batch_size=0)
         with pytest.raises(ValueError, match="momentum"):
             TrainSchedule(momentum=1.0)
+        for name, lo in (("epochs", 0), ("warmup_epochs", 0), ("batch_size", 1)):
+            for bad in (2.0, 2.5, True, lo - 1):
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    TrainSchedule(**{name: bad})
+        # batch_size=True used to train with batch 1.
+        with pytest.raises(ValueError, match="batch_size must be an integer, got True"):
+            TrainSchedule(batch_size=True)
+
+    def test_fractional_warmup_refused(self):
+        """warmup_epochs=1.5 used to warm up for two epochs, and its cosine
+        never reached peak_lr (lrs 1e-4, 1e-4, 0.0905, 0.0345)."""
+        with pytest.raises(ValueError, match="warmup_epochs must be an integer, got 1.5"):
+            TrainSchedule(epochs=4, warmup_epochs=1.5)
+        s = TrainSchedule(epochs=4, warmup_epochs=1)
+        assert np.allclose([lr_at(s, e) for e in range(4)], [1e-4, 0.1, 0.075, 0.025], rtol=1e-12, atol=0)
 
     def test_zero_epoch_schedule_is_legal(self):
         TrainSchedule(epochs=0)
@@ -191,6 +208,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="nothing to train on"):
             train(model, data, space, labeled, None, (0.0, 1.0),
                   TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        rng = np.random.default_rng(5)
+        data, labels = _toy(rng)
+        space = _space(rng, 3, 8)
+        labeled = LabeledSubset(np.arange(30), labels)
+        model = init_prompt("textual", 2, 8, seed=0)
+        for bad in (2.0, 2.5, True, -1):
+            with pytest.raises(ValueError, match="^seed must be "):
+                train(model, data, space, labeled, None, (1.0, 0.0),
+                      TrainSchedule(epochs=1, warmup_epochs=0), seed=bad)
 
     def test_negative_weights_rejected(self):
         rng = np.random.default_rng(6)
