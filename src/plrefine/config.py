@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
-from .core import PARADIGMS, ParadigmConfig, int_scalar, json_form
+from .core import PARADIGMS, ParadigmConfig, float_scalar, int_scalar, json_form
 from .strategies import STRATEGIES, StrategyConfig, default_schedule
 from .synth import SyntheticSpec
 from .training import TrainSchedule
@@ -208,8 +208,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     if not cfg.output_dir:
         raise ValueError("output_dir must not be empty")
-    if not 0.0 <= cfg.threshold_tau < 1.0:
-        raise ValueError("threshold_tau must lie in [0, 1)")
+    float_scalar(cfg.threshold_tau, "threshold_tau", 1)
     int_scalar(cfg.split_seed, "split_seed")
     # Each paradigm's run settings, so the run configs' own range checks (K, I,
     # prompt_len, temperature, schedule, shots, ...) fire here, not in a run.

@@ -145,6 +145,24 @@ def int_scalar(x, name: str, lo: int = 0) -> int:
     return int(x)
 
 
+def float_scalar(x, name: str, hi: float = math.inf, positive: bool = False) -> float:
+    """``x`` as a Python float (a temperature, scale, rate or weight), once
+    it is a Python or numpy int or float, finite, and in [0, hi), or in
+    (0, hi) when ``positive``.
+
+    Values are refused, not cast: ValueError naming ``name`` when ``x`` is a
+    bool, a string or any other non-number, is NaN or infinite, or lies
+    outside the range.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    if hi < math.inf and x >= hi:
+        raise ValueError(f"{name} must lie in {'(' if positive else '['}0, {hi:g}), got {x}")
+    if not (x > 0 if positive else x >= 0) or x == math.inf:
+        raise ValueError(f"{name} must be {'finite and ' if x == math.inf else ''}{'positive' if positive else 'non-negative'}, got {x}")
+    return float(x)
+
+
 def frozen_array(arr, dtype=None) -> np.ndarray:
     """Read-only C-contiguous ``arr`` (cast to ``dtype`` when given).
 
@@ -158,9 +176,12 @@ def frozen_array(arr, dtype=None) -> np.ndarray:
 
 def json_form(value):
     """A value as it goes into the JSON outputs: a dataclass becomes an object
-    of its fields in order, a tuple a list; anything else is kept."""
+    of its fields in order, a tuple a list, a numpy scalar its Python twin
+    (an int64 K an int); anything else is kept."""
     if is_dataclass(value):
         return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.generic):
+        return value.item()
     return list(value) if isinstance(value, tuple) else value
 
 
@@ -408,10 +429,11 @@ def make_trzsl_split(C: int, seed: int) -> tuple:
     """Split ``range(C)`` into seen/unseen classes, |seen| = floor(0.62 * C).
 
     The assignment is a seeded permutation, so the same (C, seed) always
-    yields the same split; the seed must be a non-negative integer. Both
+    yields the same split; C and the seed must be integers (a float or bool
+    is refused, not cast), C at least 2 and the seed non-negative. Both
     sides are returned sorted.
     """
-    if C < 2:
+    if int_scalar(C, "C") < 2:
         raise ValueError("transductive split needs at least 2 classes")
     int_scalar(seed, "transductive split seed")
     n_seen = int(np.floor(SEEN_FRACTION * C))
@@ -428,11 +450,11 @@ def sample_shots(data: EmbeddingSet, classes: Sequence[int], shots: int, seed: i
 
     Raises if any requested class has fewer than ``shots`` labeled rows; the
     error names the class so a bad dataset is easy to spot. ``classes`` must
-    be integer indices and ``shots`` a non-negative integer: a float class
-    or count is refused, not truncated.
+    be integer indices, and ``shots`` and ``seed`` non-negative integers: a
+    float class, count or seed, or a bool seed, is refused, not truncated.
     """
     int_scalar(shots, "shots")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int_scalar(seed, "seed"))
     rows: list = []
     labels: list = []
     for c in index_vector(classes, "classes").tolist():

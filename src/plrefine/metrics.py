@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, UNLABELED, float_matrix, index_vector, json_form
+from .core import ClassSpace, EmbeddingSet, UNLABELED, float_matrix, float_scalar, index_vector, json_form
 from .probe import LinearProbe
 from .pseudolabels import PseudolabelSet
 
@@ -196,11 +196,12 @@ def threshold_pseudolabels(P: np.ndarray, tau: float, ids: Sequence[int]) -> Pse
 
     Every row whose max probability strictly exceeds tau is assigned its
     argmax class; there is no per-class cap, so the returned set's k_used is
-    just the largest per-class count. tau must lie in [0, 1). ``ids`` holds
-    one id per row of P; float, bool or negative ids are refused, not cast.
+    just the largest per-class count. tau goes through float_scalar and
+    must lie in [0, 1): a bool, a string or NaN is refused, not cast.
+    ``ids`` holds one id per row of P; float, bool or negative ids are
+    refused, not cast.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError(f"tau must lie in [0, 1), got {tau}")
+    float_scalar(tau, "tau", 1)
     P = float_matrix(P, "P")
     ids = index_vector(ids, "ids", P.shape[0], np.uint64)
     if P.size and (P.min() < -1e-9 or P.max() > 1.0 + 1e-9):

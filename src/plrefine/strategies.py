@@ -30,6 +30,7 @@ from .core import (
     ParadigmConfig,
     Task,
     UNLABELED,
+    float_scalar,
     frozen_array,
     index_vector,
     int_scalar,
@@ -75,7 +76,8 @@ class StrategyConfig:
     """Everything one run needs: strategy, paradigm, surrogate and schedule.
 
     K, I, seed and a given prompt_len go through int_scalar: a float or bool
-    is refused, not cast.
+    is refused, not cast. temperature (positive) and init_scale go through
+    float_scalar: a bool, a string, NaN or an infinity is refused, not cast.
     """
 
     strategy: str
@@ -99,10 +101,8 @@ class StrategyConfig:
         int_scalar(self.I, "I", 1)
         if self.prompt_len is not None:
             int_scalar(self.prompt_len, "prompt_len", 1)
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if not self.init_scale >= 0:
-            raise ValueError(f"init_scale must be non-negative, got {self.init_scale}")
+        float_scalar(self.temperature, "temperature", positive=True)
+        float_scalar(self.init_scale, "init_scale")
         int_scalar(self.seed, "seed")
         if self.init_spread not in ("std", "variance"):
             raise ValueError("init_spread must be 'std' or 'variance'")

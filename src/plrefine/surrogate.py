@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, float_matrix, frozen_array, index_vector, int_scalar, normalize_rows, softmax_cross_entropy
+from .core import ClassSpace, float_matrix, float_scalar, frozen_array, index_vector, int_scalar, normalize_rows, softmax_cross_entropy
 
 MODALITIES = ("textual", "visual", "multimodal")
 
@@ -66,7 +66,9 @@ class PromptModel:
     vis_mix for visual and multimodal ones; the unused side is None, and a
     multimodal model's two routes share one width d. The mixing maps are
     part of the frozen "encoder" and must never change during a run, only
-    the ctx blocks are trainable.
+    the ctx blocks are trainable. temperature goes through float_scalar: a
+    bool, a string, NaN, an infinity or a value not above 0 is refused, not
+    cast.
     """
 
     modality: str
@@ -78,8 +80,7 @@ class PromptModel:
 
     def __post_init__(self) -> None:
         check_modality(self.modality)
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        float_scalar(self.temperature, "temperature", positive=True)
         for side, ctx_name, mix_name, *_ in _ROUTES:
             present = self.modality in (side, "multimodal")
             if any(present != (getattr(self, name) is not None) for name in (ctx_name, mix_name)):
@@ -140,10 +141,9 @@ class PromptModel:
 def _ctx_sigma(scale: float, spread: str) -> float:
     # "std" reads the configured scale as the standard deviation (default);
     # "variance" takes it literally as the variance.
-    if not scale >= 0:
-        raise ValueError(f"init_scale must be non-negative, got {scale}")
+    scale = float_scalar(scale, "init_scale")
     if spread == "std":
-        return float(scale)
+        return scale
     if spread == "variance":
         return float(np.sqrt(scale))
     raise ValueError(f"unknown spread convention {spread!r}; expected 'std' or 'variance'")

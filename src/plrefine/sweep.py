@@ -181,9 +181,12 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
     <out>/result.json; returns the result.json payload. ``jobs`` > 1 runs
     min(jobs, cells) worker processes, each on a stripe of every workers-th
     cell and with numpy's OpenBLAS set to one thread as it starts; a serial
-    sweep keeps its BLAS threads.
+    sweep keeps its BLAS threads. The config echo is serialized before the
+    first cell, so a config that result.json cannot hold fails before any
+    training.
     """
     int_scalar(jobs, "jobs", 1)
+    json.dumps(cfg.echo())
     out = out_dir or cfg.output_dir
     cells = list(itertools.product(cfg.strategies, cfg.paradigms, cfg.seeds))
     workers = min(jobs, len(cells))

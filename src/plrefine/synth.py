@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, Task, int_scalar, json_form, make_trzsl_split, unit_normalize
+from .core import ClassSpace, EmbeddingSet, Task, float_scalar, int_scalar, json_form, make_trzsl_split, unit_normalize
 
 TEST_FRACTION = 0.25
 
@@ -35,7 +35,9 @@ class SyntheticSpec:
     class (their sum): every synthetic train row carries its true label, and
     paradigm wiring decides what training sees (SSL's shots come from
     ParadigmConfig.shots_per_class). The integer fields go through
-    int_scalar: a float or bool is refused, not cast.
+    int_scalar: a float or bool is refused, not cast. sigma and delta go
+    through float_scalar: a bool, a string, NaN, an infinity or a negative
+    scale is refused, not cast.
     """
 
     C: int = 10
@@ -51,8 +53,8 @@ class SyntheticSpec:
             int_scalar(getattr(self, name), name, lo)
         if self.labeled_per_class + self.unlabeled_per_class < 1:
             raise ValueError("each class needs at least one train example")
-        if not (0 <= self.sigma < np.inf and 0 <= self.delta < np.inf):
-            raise ValueError("noise scales must be finite and non-negative")
+        float_scalar(self.sigma, "sigma")
+        float_scalar(self.delta, "delta")
 
     def to_dict(self) -> dict:
         return json_form(self)

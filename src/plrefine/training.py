@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import EmbeddingSet, LabeledSubset, int_scalar
+from .core import EmbeddingSet, LabeledSubset, float_scalar, int_scalar
 from .pseudolabels import PseudolabelSet
 
 
@@ -29,7 +29,9 @@ class TrainSchedule:
     """Warmup at a flat lr, then half-cosine decay from peak_lr to zero.
 
     epochs, warmup_epochs and batch_size go through int_scalar: a float or
-    bool is refused, not cast.
+    bool is refused, not cast. warmup_lr and peak_lr (positive) and momentum
+    (in [0, 1)) go through float_scalar: a bool, a string, NaN or an
+    infinity is refused, not cast.
     """
 
     epochs: int = 150
@@ -44,11 +46,10 @@ class TrainSchedule:
         int_scalar(self.warmup_epochs, "warmup_epochs")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ValueError("warmup_epochs must be smaller than epochs")
-        if not (0 < self.warmup_lr < math.inf and 0 < self.peak_lr < math.inf):
-            raise ValueError("learning rates must be finite and positive")
+        float_scalar(self.warmup_lr, "warmup_lr", positive=True)
+        float_scalar(self.peak_lr, "peak_lr", positive=True)
         int_scalar(self.batch_size, "batch_size", 1)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+        float_scalar(self.momentum, "momentum", 1)
 
 
 def lr_at(schedule: TrainSchedule, epoch: int) -> float:
@@ -102,11 +103,11 @@ def train(
     updated in place and each p a new array, so no gradient, input block or
     feature row is ever written. A pool with zero weight or no rows
     contributes nothing; with zero epochs the model comes back bit-identical
-    and the loss trace is empty.
+    and the loss trace is empty. The two weights go through float_scalar as
+    "gamma" and "lambda": a bool, a string, NaN, an infinity or a negative
+    weight is refused, not cast.
     """
-    gamma, lam = float(weights[0]), float(weights[1])
-    if not (0 <= gamma < math.inf and 0 <= lam < math.inf):
-        raise ValueError(f"loss weights must be finite and non-negative, got ({gamma}, {lam})")
+    gamma, lam = float_scalar(weights[0], "gamma"), float_scalar(weights[1], "lambda")
     int_scalar(seed, "seed")
 
     # (data rows, labels, weight) per active pool. Pool order is fixed

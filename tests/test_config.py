@@ -6,10 +6,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plrefine.config import parse_config, parse_seed_list, parse_synthetic_spec
 from plrefine.core import ParadigmConfig
+from plrefine.metrics import threshold_pseudolabels
 from plrefine.strategies import StrategyConfig
 
 
@@ -141,6 +143,9 @@ class TestParseConfig:
     def test_threshold_tau_range(self):
         with pytest.raises(ValueError, match=r"threshold_tau must lie in \[0, 1\)"):
             parse_config(_minimal(threshold_tau=1.0))
+        for bad in (True, "0.1", float("nan"), float("inf"), -0.01):
+            with pytest.raises(ValueError, match="^threshold_tau must be "):
+                parse_config(_minimal(threshold_tau=bad))
 
     def test_k_and_i_positive(self):
         with pytest.raises(ValueError, match="K must be at least 1"):
@@ -184,6 +189,11 @@ class TestParseConfig:
             parse_config(_minimal(seeds=[True]))
         with pytest.raises(ValueError, match=message):
             parse_seed_list([True])
+        message = re.escape("must lie in [0, 1), got 1.0")
+        with pytest.raises(ValueError, match="threshold_tau " + message):
+            parse_config(_minimal(threshold_tau=1.0))
+        with pytest.raises(ValueError, match="tau " + message):
+            threshold_pseudolabels(np.array([[0.5, 0.5]]), 1.0, np.array([0], dtype=np.uint64))
 
     @pytest.mark.parametrize(
         "key, value, message",

@@ -23,8 +23,10 @@ from plrefine.core import (
     make_trzsl_split,
     normalize_rows,
     paradigm_weights,
+    float_scalar,
     frozen_array,
     int_scalar,
+    json_form,
     row_norms,
     sample_shots,
     softmax_cross_entropy,
@@ -334,6 +336,57 @@ class TestIntScalar:
         assert not hasattr(plrefine, "int_scalar")
 
 
+class TestFloatScalar:
+    @pytest.mark.parametrize("x", [0, 0.0, 7, 2.5, np.int64(7), np.float32(10.0), np.float64(1e-4), 1e300])
+    def test_numbers_come_back_as_python_floats(self, x):
+        out = float_scalar(x, "t")
+        assert type(out) is float and out == x
+
+    @pytest.mark.parametrize("x", [True, False, np.bool_(True), "0.1", "10", None, [1.0], np.array(1.0), 1 + 0j])
+    def test_non_numbers_refused_not_cast(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"t must be a number, got {x!r}")):
+            float_scalar(x, "t")
+
+    def test_range(self):
+        with pytest.raises(ValueError, match=re.escape("t must be non-negative, got -0.5")):
+            float_scalar(-0.5, "t")
+        with pytest.raises(ValueError, match=re.escape("t must be non-negative, got nan")):
+            float_scalar(float("nan"), "t")
+        with pytest.raises(ValueError, match=re.escape("t must be non-negative, got -inf")):
+            float_scalar(-math.inf, "t")
+        with pytest.raises(ValueError, match=re.escape("t must be finite and non-negative, got inf")):
+            float_scalar(math.inf, "t")
+        with pytest.raises(ValueError, match=re.escape("t must be positive, got 0")):
+            float_scalar(0, "t", positive=True)
+        with pytest.raises(ValueError, match=re.escape("t must be positive, got nan")):
+            float_scalar(np.float64("nan"), "t", positive=True)
+        with pytest.raises(ValueError, match=re.escape("t must be finite and positive, got inf")):
+            float_scalar(np.inf, "t", positive=True)
+
+    def test_upper_bound(self):
+        assert float_scalar(0.0, "tau", 1) == 0.0
+        assert float_scalar(0.999, "tau", 1) == 0.999
+        for x in (1, 1.0, 2.5, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"tau must lie in [0, 1), got {x}")):
+                float_scalar(x, "tau", 1)
+        with pytest.raises(ValueError, match=re.escape("tau must be non-negative, got nan")):
+            float_scalar(math.nan, "tau", 1)
+        with pytest.raises(ValueError, match=re.escape("r must lie in (0, 1), got 1")):
+            float_scalar(1, "r", 1, positive=True)
+
+    def test_not_a_package_export(self):
+        import plrefine
+
+        assert not hasattr(plrefine, "float_scalar")
+
+
+class TestJsonForm:
+    def test_numpy_scalars_become_python_numbers(self):
+        for x, plain in ((np.int64(4), 4), (np.uint8(3), 3), (np.float32(0.5), 0.5), (np.bool_(True), True)):
+            got = json_form(x)
+            assert type(got) is type(plain) and got == plain
+
+
 class TestTrzslSplit:
     def test_benchmark_seen_counts(self):
         """floor(0.62 C) for five common benchmark class counts."""
@@ -360,6 +413,10 @@ class TestTrzslSplit:
     def test_too_few_classes(self):
         with pytest.raises(ValueError, match="at least 2 classes"):
             make_trzsl_split(1, 0)
+        # C=4.0 used to fail inside numpy with an AxisError.
+        for bad in (4.0, 2.5, True, "4"):
+            with pytest.raises(ValueError, match=re.escape(f"C must be an integer, got {bad!r}")):
+                make_trzsl_split(bad, 0)
 
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="split seed must be non-negative, got -1"):
@@ -406,6 +463,10 @@ class TestSampleShots:
         for bad in (2.0, 2.5, True, -1):
             with pytest.raises(ValueError, match="^shots must be "):
                 sample_shots(data, range(2), bad, seed=0)
+        # seed=True used to draw what seed=1 draws.
+        for bad in (True, 1.0, -1):
+            with pytest.raises(ValueError, match="^seed must be "):
+                sample_shots(data, range(2), 1, seed=bad)
 
     def test_sentinel_rows_never_sampled(self):
         rng = np.random.default_rng(16)

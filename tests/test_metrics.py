@@ -405,6 +405,12 @@ class TestThresholdPseudolabels:
             threshold_pseudolabels(P, 1.0, ids)
         with pytest.raises(ValueError, match="tau"):
             threshold_pseudolabels(P, -0.01, ids)
+        for bad in (True, "0.1", np.nan, np.inf, -0.01):
+            with pytest.raises(ValueError, match="^tau must "):
+                threshold_pseudolabels(P, bad, ids)
+        # tau=False used to keep every row, as tau = 0.
+        with pytest.raises(ValueError, match="tau must be a number, got False"):
+            threshold_pseudolabels(P, False, ids)
 
     def test_entry_range_validation(self):
         ids = np.array([0], dtype=np.uint64)

@@ -140,6 +140,22 @@ class TestDefaults:
         for scale in (-0.02, float("nan")):
             with pytest.raises(ValueError, match="init_scale must be non-negative, got"):
                 StrategyConfig("FPL", ParadigmConfig("UL"), init_scale=scale)
+        for name, below in (("temperature", 0.0), ("init_scale", -0.02)):
+            for bad in (True, "0.1", float("nan"), float("inf"), below):
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    StrategyConfig("FPL", ParadigmConfig("UL"), **{name: bad})
+        # temperature=inf used to run until the first training step overflowed,
+        # init_scale=inf to draw a ctx of +-inf, temperature=True to train at
+        # 1.0, and temperature="10" to fail with a TypeError naming nothing.
+        for name, bad, message in (
+            ("temperature", float("inf"), "temperature must be finite and positive, got inf"),
+            ("init_scale", float("inf"), "init_scale must be finite and non-negative, got inf"),
+            ("temperature", True, "temperature must be a number, got True"),
+            ("temperature", "10", "temperature must be a number, got '10'"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                StrategyConfig("FPL", ParadigmConfig("UL"), **{name: bad})
+        assert StrategyConfig("FPL", ParadigmConfig("UL"), temperature=np.float32(10.0)).temperature == 10.0
         for name, lo in (("K", 1), ("I", 1), ("prompt_len", 1), ("seed", 0)):
             for bad in (2.0, 2.5, True, lo - 1):
                 with pytest.raises(ValueError, match=f"^{name} must be "):

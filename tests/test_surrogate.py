@@ -111,6 +111,14 @@ class TestInitPrompt:
             init_prompt("textual", 4, 8, seed=0, scale=-0.01, spread=spread)
         with pytest.raises(ValueError, match="scale must be non-negative"):
             reinit_ctx(init_prompt("textual", 4, 8, seed=0), 1, scale=-0.01, spread=spread)
+        for bad in (True, "0.1", float("nan"), float("inf"), -0.01):
+            with pytest.raises(ValueError, match="^init_scale must be "):
+                init_prompt("textual", 4, 8, seed=0, scale=bad, spread=spread)
+            with pytest.raises(ValueError, match="^init_scale must be "):
+                reinit_ctx(init_prompt("textual", 4, 8, seed=0), 1, scale=bad, spread=spread)
+        # scale=inf used to draw a ctx of +-inf.
+        with pytest.raises(ValueError, match="init_scale must be finite and non-negative, got inf"):
+            init_prompt("textual", 4, 8, seed=0, scale=float("inf"), spread=spread)
 
     def test_sizes_must_be_positive_integers(self):
         for name in ("M", "d"):
@@ -477,6 +485,12 @@ class TestBatchLossAndGrad:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError, match="temperature must be positive"):
             init_prompt("textual", 3, 8, seed=0, temperature=0.0)
+        m = init_prompt("textual", 3, 8, seed=0)
+        for bad in (True, "0.1", float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="^temperature must be "):
+                init_prompt("textual", 3, 8, seed=0, temperature=bad)
+            with pytest.raises(ValueError, match="^temperature must be "):
+                PromptModel("textual", bad, text_ctx=m.text_ctx, text_mix=m.text_mix)
 
     def test_loss_matches_manual_cross_entropy(self):
         rng = np.random.default_rng(14)

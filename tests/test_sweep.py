@@ -250,6 +250,28 @@ def test_jobs_must_be_an_integer(cfg, tmp_path, jobs):
     assert not (tmp_path / "out").exists()
 
 
+def test_numpy_integer_config_writes_its_result(cfg, tmp_path):
+    """A config built directly with numpy integers writes the outputs of
+    the same Python ints; it used to fail on an int64 in the config echo
+    after every cell had run, leaving no result.json."""
+    plain = dataclasses.replace(cfg, strategies=("GRIP",), paradigms=("UL",), K=4)
+    wide = dataclasses.replace(plain, synthetic=dataclasses.replace(cfg.synthetic, C=np.int64(3)), K=np.int64(4))
+    sweep.run_sweep(plain, out_dir=str(tmp_path / "plain"))
+    sweep.run_sweep(wide, out_dir=str(tmp_path / "wide"))
+    assert sorted(_outputs(tmp_path / "wide")) == ["GRIP_UL_seed0/trace.csv", "result.json"]
+    assert _outputs(tmp_path / "wide") == _outputs(tmp_path / "plain")
+
+
+def test_config_echo_that_cannot_be_written_fails_before_any_cell(cfg, tmp_path, monkeypatch):
+    """A Path output_dir is no JSON value: the sweep fails before its first
+    cell, where it used to write every trace.csv and then fail."""
+    cells = _counting(monkeypatch, "run_strategy")
+    out = tmp_path / "out"
+    with pytest.raises(TypeError, match="Path is not JSON serializable"):
+        sweep.run_sweep(dataclasses.replace(cfg, output_dir=out))
+    assert cells == [] and not out.exists()
+
+
 def test_cli_reports_jobs_below_one(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(

@@ -25,8 +25,15 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="at least one train example"):
             SyntheticSpec(labeled_per_class=0, unlabeled_per_class=0)
         for scales in ({"sigma": -0.1}, {"sigma": np.nan}, {"delta": np.nan}, {"sigma": np.inf}):
-            with pytest.raises(ValueError, match="noise scales"):
+            with pytest.raises(ValueError, match=f"{next(iter(scales))} must be"):
                 SyntheticSpec(**scales)
+        for name in ("sigma", "delta"):
+            for bad in (True, "0.1", np.nan, np.inf, -0.1):
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    SyntheticSpec(**{name: bad})
+        # sigma=True used to draw noise at scale 1.0.
+        with pytest.raises(ValueError, match="sigma must be a number, got True"):
+            SyntheticSpec(sigma=True)
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(seed=-1)
         fields = (("C", 2), ("d", 2), ("labeled_per_class", 0), ("unlabeled_per_class", 0), ("seed", 0))

@@ -2,6 +2,7 @@
 one loss call per step, determinism and descent behavior."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,20 @@ class TestTrainSchedule:
             TrainSchedule(batch_size=0)
         with pytest.raises(ValueError, match="momentum"):
             TrainSchedule(momentum=1.0)
+        for name, below in (("warmup_lr", 0.0), ("peak_lr", -0.1), ("momentum", -0.1)):
+            for bad in (True, "0.1", np.nan, np.inf, below):
+                with pytest.raises(ValueError, match=f"^{name} must "):
+                    TrainSchedule(**{name: bad})
+        # peak_lr=True and momentum=False used to run as 1.0 and 0.0, and
+        # warmup_lr="1e-4" to fail with a TypeError naming nothing.
+        for name, bad, message in (
+            ("peak_lr", True, "peak_lr must be a number, got True"),
+            ("momentum", False, "momentum must be a number, got False"),
+            ("warmup_lr", "1e-4", "warmup_lr must be a number, got '1e-4'"),
+            ("momentum", 1.0, "momentum must lie in [0, 1), got 1.0"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                TrainSchedule(**{name: bad})
         for name, lo in (("epochs", 0), ("warmup_epochs", 0), ("batch_size", 1)):
             for bad in (2.0, 2.5, True, lo - 1):
                 with pytest.raises(ValueError, match=f"^{name} must be "):
@@ -230,6 +245,17 @@ class TestTrain:
             with pytest.raises(ValueError, match="non-negative"):
                 train(model, data, space, labeled, None, weights,
                       TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
+        for at, name in ((0, "gamma"), (1, "lambda")):
+            for bad in (True, "0.1", np.nan, np.inf, -1.0):
+                weights = [1.0, 1.0]
+                weights[at] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    train(model, data, space, labeled, None, tuple(weights),
+                          TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
+        # ("1", 0) used to train with gamma = 1.0.
+        with pytest.raises(ValueError, match=re.escape("gamma must be a number, got '1'")):
+            train(model, data, space, labeled, None, ("1", 0),
+                  TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
 
     def test_batch_size_larger_than_pool(self):
         rng = np.random.default_rng(7)
