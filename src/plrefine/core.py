@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
@@ -27,7 +28,11 @@ SEEN_FRACTION = 0.62
 
 NORM_TOLERANCE = 1e-5
 
-# Rows per block of row_norms: at d=512 a block's squares take 4 MB.
+# Rows per block of row_norms: at d=512 a block's squares take 4 MB. Also
+# the most rows strategies.select_round gathers and scores at once from a
+# pool that is not the whole train set; there any value of at least 2 keeps
+# the bits, since np.array_split's near-equal blocks then leave no one-row
+# tail.
 NORM_BLOCK_ROWS = 1024
 
 # Rows per pass of softmax_cross_entropy: a block of 128 rows and its exp
@@ -151,11 +156,14 @@ def float_scalar(x, name: str, hi: float = math.inf, positive: bool = False) -> 
     (0, hi) when ``positive``.
 
     Values are refused, not cast: ValueError naming ``name`` when ``x`` is a
-    bool, a string or any other non-number, is NaN or infinite, or lies
-    outside the range.
+    bool, a string or any other non-number, is NaN or infinite (an int
+    beyond the float range counts as infinite), or lies outside the range.
     """
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {x!r}")
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        # An int beyond the float range is refused as the infinity it overflows to.
+        x = math.inf if x > 0 else -math.inf
     if hi < math.inf and x >= hi:
         raise ValueError(f"{name} must lie in {'(' if positive else '['}0, {hi:g}), got {x}")
     if not (x > 0 if positive else x >= 0) or x == math.inf:
@@ -176,13 +184,16 @@ def frozen_array(arr, dtype=None) -> np.ndarray:
 
 def json_form(value):
     """A value as it goes into the JSON outputs: a dataclass becomes an object
-    of its fields in order, a tuple a list, a numpy scalar its Python twin
-    (an int64 K an int); anything else is kept."""
+    of its fields in order, a tuple or list a list and a dict a dict, each of
+    its converted elements or values, and a numpy scalar its Python twin (an
+    int64 K an int); anything else is kept."""
     if is_dataclass(value):
         return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.generic):
         return value.item()
-    return list(value) if isinstance(value, tuple) else value
+    if isinstance(value, dict):
+        return {key: json_form(item) for key, item in value.items()}
+    return [json_form(item) for item in value] if isinstance(value, (tuple, list)) else value
 
 
 def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tuple:

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     EmbeddingSet,
     LabeledSubset,
+    NORM_BLOCK_ROWS,
     ParadigmConfig,
     Task,
     UNLABELED,
@@ -128,7 +129,8 @@ class StrategyConfig:
 @dataclass(frozen=True)
 class ParadigmSplit:
     """What a paradigm exposes to training: labeled rows, the unlabeled pool
-    (row positions into the train set), and the classes pseudolabels may use.
+    (row positions into the train set, which select_round scores straight
+    from the train set), and the classes pseudolabels may use.
 
     pool_rows goes through index_vector: float, bool or negative rows are
     refused with ValueError, not cast."""
@@ -142,15 +144,6 @@ class ParadigmSplit:
         if rows.size and rows.min() < 0:
             raise ValueError(f"pool_rows must be non-negative, got {int(rows.min())}")
         object.__setattr__(self, "pool_rows", frozen_array(rows))
-
-    def pool(self, data: EmbeddingSet) -> tuple:
-        """The pool's (features, ids) in the train set ``data``: its own
-        arrays, not copies, when the pool is every row."""
-        if self.pool_rows.size == data.n:
-            # wire_paradigm's pool rows are unique and ascending, so this pool
-            # is every row in order (UL).
-            return data.features, data.ids
-        return data.features[self.pool_rows], data.ids[self.pool_rows]
 
 
 @dataclass(frozen=True)
@@ -253,18 +246,38 @@ def fit_round(
 
 
 def select_round(
-    config: StrategyConfig, split: ParadigmSplit, pool: tuple, model: PromptModel, space, i: int
+    config: StrategyConfig, split: ParadigmSplit, data: EmbeddingSet, model: PromptModel, space, i: int
 ) -> PseudolabelSet:
     """Round i's pseudolabels: each of the split's pseudolabel classes takes
-    its top k rows of ``pool`` (the split's (features, ids)) under ``model``,
-    with k from config.strategy's quota rule.
+    its top k pool rows of the train set ``data`` under ``model``, with k
+    from config.strategy's quota rule.
+
+    A pool of every row (UL) is scored on the train set's own arrays, which
+    a textual or zero-ctx prompt passes through as a view, so selection
+    then allocates no (n_pool, d) array. Scoring that pool in blocks as well
+    raised the ``select`` benchmark's peak RSS (a 50000-row UL pool, textual
+    prompt) from 143.6 to 147.5 MB in 6 of 6 paired runs on a 2-core x86
+    VM. Any other pool, one of a single block included, is scored in
+    near-equal blocks of at most NORM_BLOCK_ROWS rows, each gathered from
+    ``data`` and written into one (n_pool, d) array, so no gathered copy of
+    the whole pool sits beside its scored features. No block is a one-row
+    tail, whose product takes another BLAS path, so the blocks give the
+    bits of the whole pool scored at once (tests/test_gemm_bits.py guards
+    this for OpenBLAS).
 
     The scored sides are passed inline, not bound to locals, so the scored
     pool is freed when selection returns.
     """
-    classes = split.pseudolabel_classes
-    k = STRATEGY_PLANS[config.strategy][1](config, i, int(split.pool_rows.size), len(classes))
-    return topk_from_features(image_features(model, pool[0]), class_prototypes(model, space), k, classes, pool[1])
+    classes, rows = split.pseudolabel_classes, split.pool_rows
+    k = STRATEGY_PLANS[config.strategy][1](config, i, int(rows.size), len(classes))
+    if rows.size == data.n:
+        # wire_paradigm's pool rows are unique and ascending, so this pool
+        # is every row in order (UL).
+        return topk_from_features(image_features(model, data.features), class_prototypes(model, space), k, classes, data.ids)
+    feats = np.empty((rows.size, data.d))
+    for block in np.array_split(np.arange(rows.size), -(-rows.size // NORM_BLOCK_ROWS)):
+        feats[block] = image_features(model, data.features[rows[block]])
+    return topk_from_features(feats, class_prototypes(model, space), k, classes, data.ids[rows])
 
 
 def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
@@ -273,18 +286,18 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     FPL makes a single pseudolabeling pass with the base prompt (the
     zero-shot head) and a single training; IFPL refines for I iterations at
     the same quota; GRIP grows the quota each iteration until the last one
-    pseudolabels (nearly) the entire pool.
+    pseudolabels (nearly) the entire pool. Each round scores the pool from
+    task.train through select_round; the run holds no copy of the pool.
     """
     iterations = config.I if STRATEGY_PLANS[config.strategy][0] else 1
     split = wire_paradigm(config.paradigm, task.train, task.space, config.seed)
     if split.pool_rows.size == 0:
         raise ValueError(f"{config.strategy} requires unlabeled data")
 
-    pool = split.pool(task.train)
     base = model = config.base_prompt(task.space.d)
     records = []
     for i in range(1, iterations + 1):
-        pl = select_round(config, split, pool, model, task.space, i)
+        pl = select_round(config, split, task.train, model, task.space, i)
         if config.dedup_pseudolabels:
             pl = drop_duplicate_assignments(pl)
         fresh = reinit_ctx(base, config.seed ^ i, scale=config.init_scale, spread=config.init_spread)

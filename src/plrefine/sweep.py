@@ -118,7 +118,7 @@ def _run_cells(cfg: ExperimentConfig, cells: List[Tuple[str, str, int]], out: st
         runs.append({
             "strategy": strategy,
             "paradigm": paradigm,
-            "seed": seed,
+            "seed": int(seed),
             "final": result.final_report.to_dict(),
             "robin_hood": robin_hood(baseline, result.final_report).to_dict(),
             "records": [r.to_dict() for r in result.records],
@@ -210,7 +210,9 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     prompt), and the prompt head trains as that round does. The scenario
     never deduplicates, so the prompt/top-K cell is the FPL/SSL run at the
     first seed with dedup_pseudolabels off. The threshold pseudolabels come
-    from the softmax of the base prompt's scores. Writes
+    from the softmax of the base prompt's scores of the pool rows, gathered
+    from the train set for that one call; select_round scores the same pool
+    block by block, and no copy of the pool outlives either. Writes
     <out>/robinhood.json and returns its payload.
     """
     task, baseline = _prepared(cfg, ("SSL",))
@@ -218,13 +220,12 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     # One pseudolabeling pass and one training per head, as in an FPL run.
     run_cfg = cfg.run_config("FPL", "SSL", seed)
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
-    pool = split.pool(task.train)
     base = run_cfg.base_prompt(task.space.d)
-    probs = softmax_rows(base.scores(pool[0], task.space))
+    probs = softmax_rows(base.scores(task.train.features[split.pool_rows], task.space))
     pseudolabel_sets = {
-        "topk": select_round(run_cfg, split, pool, base, task.space, 1),
+        "topk": select_round(run_cfg, split, task.train, base, task.space, 1),
         # Nothing may cross the threshold; that head trains on the shots alone.
-        "threshold": threshold_pseudolabels(probs, cfg.threshold_tau, pool[1]),
+        "threshold": threshold_pseudolabels(probs, cfg.threshold_tau, task.train.ids[split.pool_rows]),
     }
 
     comparisons: dict = {}

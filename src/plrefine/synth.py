@@ -5,7 +5,8 @@ Gaussian noise (sigma), re-normalized. Base prototypes are the same
 directions corrupted by independent noise (delta), so delta directly controls
 how wrong the zero-shot classifier is and sigma how spread out each class is.
 A matching test set uses fresh noise, sized at 25% of the train set per
-class.
+class. Each set's clusters are built in place, in the buffer their noise
+is drawn into, so generating a set holds one copy of its features.
 
 Noise entries are drawn with variance sigma^2 / sqrt(d). The two obvious
 conventions are both useless as oracles: per-entry unit variance makes the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, Task, float_scalar, int_scalar, json_form, make_trzsl_split, unit_normalize
+from .core import ClassSpace, EmbeddingSet, Task, float_scalar, int_scalar, json_form, make_trzsl_split, normalize_rows, unit_normalize
 
 TEST_FRACTION = 0.25
 
@@ -66,10 +67,19 @@ def _noise_scale(scale: float, d: int) -> float:
 
 
 def _cluster(rng: np.random.Generator, mu: np.ndarray, per_class: int, sigma: float) -> np.ndarray:
-    """(C, per_class, d) noisy unit vectors around each class direction."""
+    """(C, per_class, d) noisy unit vectors around each class direction.
+
+    Built in place in the one buffer the noise is drawn into: scaled,
+    shifted by mu, then normalized row by row. IEEE addition commutes, so
+    this gives the bits of unit_normalize(mu + scale * noise) without its
+    two full-size temporaries.
+    """
     C, d = mu.shape
-    noise = rng.standard_normal((C, per_class, d))
-    return unit_normalize(mu[:, None, :] + _noise_scale(sigma, d) * noise)
+    x = rng.standard_normal((C, per_class, d))
+    x *= _noise_scale(sigma, d)
+    x += mu[:, None, :]
+    normalize_rows(x.reshape(-1, d), "vector")
+    return x
 
 
 def synth_generate(spec: SyntheticSpec) -> Task:

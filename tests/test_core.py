@@ -363,6 +363,17 @@ class TestFloatScalar:
         with pytest.raises(ValueError, match=re.escape("t must be finite and positive, got inf")):
             float_scalar(np.inf, "t", positive=True)
 
+    def test_ints_beyond_the_float_range_are_infinite(self):
+        # float() of such an int raises OverflowError, which names no setting.
+        with pytest.raises(ValueError, match=re.escape("temperature must be finite and positive, got inf")):
+            float_scalar(10**400, "temperature", positive=True)
+        with pytest.raises(ValueError, match=re.escape("t must be finite and non-negative, got inf")):
+            float_scalar(10**5000, "t")
+        with pytest.raises(ValueError, match=re.escape("t must be non-negative, got -inf")):
+            float_scalar(-(10**400), "t")
+        with pytest.raises(ValueError, match=re.escape("tau must lie in [0, 1), got inf")):
+            float_scalar(10**400, "tau", 1)
+
     def test_upper_bound(self):
         assert float_scalar(0.0, "tau", 1) == 0.0
         assert float_scalar(0.999, "tau", 1) == 0.999
@@ -385,6 +396,12 @@ class TestJsonForm:
         for x, plain in ((np.int64(4), 4), (np.uint8(3), 3), (np.float32(0.5), 0.5), (np.bool_(True), True)):
             got = json_form(x)
             assert type(got) is type(plain) and got == plain
+
+    def test_nested_elements_and_values_are_converted(self):
+        got = json_form({"seeds": (np.int64(0), 2), "schedule": {"epochs": np.int64(3)}, "l": [np.float32(0.5)]})
+        assert got == {"seeds": [0, 2], "schedule": {"epochs": 3}, "l": [0.5]}
+        assert type(got["seeds"][0]) is int and type(got["schedule"]["epochs"]) is int
+        assert type(got["l"][0]) is float
 
 
 class TestTrzslSplit:

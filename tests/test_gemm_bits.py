@@ -4,7 +4,9 @@ numpy's matrix products give the same bits at one and at two OpenBLAS
 threads, so a serial sweep, a --jobs worker and a multimodal loss call
 (which holds OpenBLAS at one thread) write the same bytes. Splitting the
 select shape's products in two, by rows or by classes, gives the bits of
-the whole product. An upgrade of numpy or its BLAS that breaks one of these
+the whole product, and so do near-equal row blocks and a scattered row
+subset of a pool's shift, which select_round scores block by block. An
+upgrade of numpy or its BLAS that breaks one of these
 fails here by name instead of silently moving an output's hash.
 """
 
@@ -19,6 +21,8 @@ PRODUCTS = {
     "fullscale Z @ E.T": ((128, 512), (512, 512), lambda a, b: a @ b.T),
     "fullscale B @ E.T": ((100, 512), (512, 512), lambda a, b: a @ b.T),
     "fullscale dA.T @ Z": ((128, 512), (128, 512), lambda a, b: a.T @ b),
+    # The shift of the SSL pool (about 5k rows) by the visual route's map.
+    "fullscale pool Z @ E.T": ((5000, 512), (512, 512), lambda a, b: a @ b.T),
     # select (C=1000, d=64, 4096-row batches, a 50k-row pool): a batch's
     # logits, the prototype gradient, and one 64-class block of pool scores.
     "select Z @ W.T": ((4096, 64), (1000, 64), lambda a, b: a @ b.T),
@@ -56,3 +60,20 @@ def test_class_split_of_select_prototype_gradient_equals_the_whole():
     G, Z = _operands((4096, 1000), (4096, 64))
     halves = np.concatenate([G[:, :500].T @ Z, G[:, 500:].T @ Z])
     assert halves.tobytes() == (G.T @ Z).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, d", [(5000, 512), (50000, 64)])
+def test_row_blocks_and_subsets_of_a_pool_shift_equal_the_whole(blas_threads, threads, n, d):
+    # select_round gathers and shifts a pool in near-equal blocks of at most
+    # 1024 rows, none a one-row tail; a pool itself is a scattered subset of
+    # the train set's rows.
+    _, set_threads = blas_threads
+    set_threads(threads)
+    Z, E = _operands((n, d), (d, d))
+    whole = Z @ E.T
+    for most in (128, 1000, 1024):
+        for block in np.array_split(np.arange(n), -(-n // most)):
+            assert (Z[block] @ E.T).tobytes() == whole[block].tobytes()
+    subset = np.sort(np.random.default_rng(1).choice(n, n // 26, replace=False))
+    assert (Z[subset] @ E.T).tobytes() == whole[subset].tobytes()

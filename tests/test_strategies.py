@@ -14,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plrefine.core import LabeledSubset, ParadigmConfig, UNLABELED, paradigm_weights
+from plrefine.core import LabeledSubset, NORM_BLOCK_ROWS, ParadigmConfig, UNLABELED, paradigm_weights
 from plrefine import strategies
-from plrefine.pseudolabels import PseudolabelSet, effective_k, similarity_matrix, topk_per_class
+from plrefine.pseudolabels import PseudolabelSet, effective_k, similarity_matrix, topk_from_features, topk_per_class
 from plrefine.strategies import (
     DEFAULT_PEAK_LR,
     DEFAULT_PROMPT_LEN,
@@ -339,7 +339,7 @@ class TestRefinementLoops:
         base = cfg.base_prompt(loop_task.space.d)
         C = len(split.pseudolabel_classes)
         for i in (1, 2, 3):
-            pl = select_round(cfg, split, split.pool(loop_task.train), base, loop_task.space, i)
+            pl = select_round(cfg, split, loop_task.train, base, loop_task.space, i)
             k = grip_k(i, 3, split.pool_rows.size, C)
             assert pl.k_used == k
             counts = np.bincount(pl.classes, minlength=loop_task.space.C)
@@ -422,6 +422,72 @@ class TestRefinementLoops:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * n * C * 8
+
+
+# (paradigm, spec): the SSL pool at 2 shots per class is 3 * 685 - 6 = 2049
+# rows, 2 * NORM_BLOCK_ROWS + 1; the TRZSL pool is its 2 unseen classes, 2400
+# rows. Both score in three blocks.
+BLOCKED_POOLS = {
+    "SSL": SyntheticSpec(C=3, d=32, labeled_per_class=2, unlabeled_per_class=683, seed=4),
+    "TRZSL": SyntheticSpec(C=5, d=32, labeled_per_class=0, unlabeled_per_class=1200, seed=5),
+}
+
+
+class TestBlockedPool:
+    """select_round scores a pool that is not every row in near-equal row
+    blocks straight from the train set, with the bits of the whole pool
+    gathered and scored at once."""
+
+    @pytest.mark.parametrize("modality", ["visual", "multimodal"])
+    @pytest.mark.parametrize("paradigm", ["SSL", "TRZSL"])
+    def test_blocks_give_the_bits_of_the_whole_pool(self, monkeypatch, paradigm, modality):
+        task = synth_generate(BLOCKED_POOLS[paradigm])
+        train, space = task.train, task.space
+        cfg = _fast("GRIP", paradigm, I=3)
+        split = wire_paradigm(cfg.paradigm, train, space, seed=0)
+        rows, classes = split.pool_rows, split.pseudolabel_classes
+        assert rows.size in (2 * NORM_BLOCK_ROWS + 1, 2400)
+        model = init_prompt(modality, 8, space.d, seed=6, scale=0.5)
+        assert model.vis_ctx.any()
+        block_rows = []
+        original = strategies.image_features
+
+        def recording(m, z):
+            block_rows.append(z.shape[0])
+            return original(m, z)
+
+        monkeypatch.setattr(strategies, "image_features", recording)
+        for i in (1, 3):
+            block_rows.clear()
+            pl = select_round(cfg, split, train, model, space, i)
+            assert block_rows == [rows.size // 3] * 3
+            k = grip_k(i, 3, rows.size, len(classes))
+            whole = topk_from_features(
+                original(model, train.features[rows]), class_prototypes(model, space), k, classes, train.ids[rows]
+            )
+            assert np.array_equal(pl.example_ids, whole.example_ids)
+            assert np.array_equal(pl.classes, whole.classes)
+            assert pl.scores.tobytes() == whole.scores.tobytes()
+            assert pl.k_used == whole.k_used == k
+
+    def test_ssl_selection_holds_one_copy_of_the_pool(self):
+        # A 15992-row pool at d=64 in 16 blocks of about 1000 rows. Gathering
+        # the whole pool and then scoring it holds two (n_pool, d) arrays at
+        # once; the blocks hold the scored pool and a few blocks' temporaries.
+        task = synth_generate(SyntheticSpec(C=4, d=64, labeled_per_class=0, unlabeled_per_class=4000, seed=7))
+        cfg = _fast("GRIP", "SSL", I=3)
+        split = wire_paradigm(cfg.paradigm, task.train, task.space, seed=0)
+        model = init_prompt("visual", 8, task.space.d, seed=6, scale=0.5)
+        n_pool = split.pool_rows.size
+        pool_bytes = n_pool * task.space.d * 8
+        block_bytes = NORM_BLOCK_ROWS * task.space.d * 8
+        tracemalloc.start()
+        try:
+            select_round(cfg, split, task.train, model, task.space, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * pool_bytes + block_bytes
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ import pytest
 
 from plrefine import strategies, surrogate, sweep
 from plrefine.cli import main
-from plrefine.config import parse_config
+from plrefine.config import ExperimentConfig, parse_config
 from plrefine.core import UNLABELED, ClassSpace, EmbeddingSet
 from plrefine.fileio import write_ple
 from plrefine.metrics import evaluate, softmax_rows, threshold_pseudolabels
@@ -51,6 +51,21 @@ def _outputs(out: Path) -> dict:
                 data = b"\n".join(ln for ln in data.split(b"\n") if b'"generated_at"' not in ln)
             files[path.relative_to(out).as_posix()] = data
     return files
+
+
+def test_numpy_seeds_and_overrides_write_the_same_bytes(tmp_path):
+    """A config built directly with numpy integers in seeds and in
+    schedule_overrides writes the result.json of its Python-int twin."""
+    spec = SyntheticSpec(C=3, d=8, unlabeled_per_class=6)
+    plain = ExperimentConfig(
+        synthetic=spec, strategies=("FPL",), seeds=(0,), schedule_overrides={"epochs": 2, "warmup_epochs": 1}
+    )
+    with_numpy = dataclasses.replace(
+        plain, seeds=(np.int64(0),), schedule_overrides={"epochs": np.int64(2), "warmup_epochs": 1}
+    )
+    sweep.run_sweep(plain, out_dir=str(tmp_path / "plain"))
+    sweep.run_sweep(with_numpy, out_dir=str(tmp_path / "numpy"))
+    assert _outputs(tmp_path / "numpy") == _outputs(tmp_path / "plain")
 
 
 def _counting(monkeypatch, name: str, module=sweep) -> list:
@@ -382,7 +397,8 @@ def test_threshold_arm_thresholds_the_base_prompt_softmax(cfg, monkeypatch):
 
     task = sweep.load_task(cfg)
     run_cfg = cfg.run_config("FPL", "SSL", cfg.seeds[0])
-    feats, ids = wire_paradigm(run_cfg.paradigm, task.train, task.space, cfg.seeds[0]).pool(task.train)
+    rows = wire_paradigm(run_cfg.paradigm, task.train, task.space, cfg.seeds[0]).pool_rows
+    feats, ids = task.train.features[rows], task.train.ids[rows]
     probs = softmax_rows(run_cfg.base_prompt(task.space.d).scores(feats, task.space))
     expected = threshold_pseudolabels(probs, cfg.threshold_tau, ids)
     assert 0 < expected.m < ids.size

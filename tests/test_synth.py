@@ -1,9 +1,13 @@
 """Synthetic task generator tests: shapes, determinism, and the accuracy
 knobs (sigma, delta) behaving as documented."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from plrefine import synth
+from plrefine.core import unit_normalize
 from plrefine.metrics import zero_shot_report
 from plrefine.synth import SyntheticSpec, synth_generate
 
@@ -96,6 +100,27 @@ class TestSynthGenerate:
         assert np.array_equal(a.test.features, b.test.features)
         assert np.array_equal(a.space.base_prototypes, b.space.base_prototypes)
         assert not np.array_equal(a.train.features, c.train.features)
+
+    def test_clusters_have_the_bits_of_normalized_direction_plus_noise(self):
+        C, d, per_class, sigma = 6, 40, 9, 0.7
+        mu = unit_normalize(np.random.default_rng(0).standard_normal((C, d)))
+        got = synth._cluster(np.random.default_rng(1), mu, per_class, sigma)
+        noise = np.random.default_rng(1).standard_normal((C, per_class, d))
+        want = unit_normalize(mu[:, None, :] + synth._noise_scale(sigma, d) * noise)
+        assert got.shape == (C, per_class, d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_generation_holds_one_copy_of_the_features(self):
+        # Scaling, shifting and normalizing the noise into new arrays would
+        # hold about 2.5x the generated features at once.
+        spec = SyntheticSpec(C=20, d=256, labeled_per_class=0, unlabeled_per_class=250)
+        tracemalloc.start()
+        try:
+            task = synth_generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (task.train.features.nbytes + task.test.features.nbytes)
 
     def test_noiseless_task_is_perfect(self):
         """sigma = delta = 0: prototypes sit on the class directions."""
