@@ -112,27 +112,50 @@ def float_matrix(x, name: str, cols: Optional[int] = None) -> np.ndarray:
     return x
 
 
-def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64) -> np.ndarray:
-    """``x`` as a 1-D array of ``dtype`` (labels, rows, ids or class indices),
-    returned as it is, with no copy and no pass, when it already is one.
+def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64, lo: Optional[int] = None, hi: Optional[int] = None) -> np.ndarray:
+    """``x`` as a 1-D array of ``dtype`` (labels, rows, ids or class indices)
+    whose values lie in [lo, hi). A bound left as None is open, except that
+    ``lo`` is 0 for an unsigned ``dtype``. When no bound is given, an array
+    that already has the dtype and the shape is returned as it is, with no
+    copy and no pass over its values.
 
     Values are refused, not cast: ValueError naming ``name`` when ``x`` is
     not 1-D, when ``n`` is given and ``x`` has another length, when a
-    non-empty ``x`` is not of an integer dtype (float and bool included), or
-    when ``dtype`` is unsigned and ``x`` holds a negative value. A list is
-    typed by numpy's inference, which makes ``[1, 2**63]`` float64, so ids
-    at or above 2**63 must come as a uint64 array.
+    non-empty ``x`` is not of an integer dtype or is a list holding a float
+    or a bool, or when a value lies outside the range; that message names
+    the first such value, as in ``labels must lie in [0, 5), got 5``. A
+    list, tuple or range of Python or numpy integers is typed by ``dtype``,
+    not by numpy's inference, so ``[1, 2**63]`` makes uint64 ids.
     """
-    if isinstance(x, np.ndarray) and x.dtype == dtype and x.ndim == 1 and n in (None, x.size):
+    typed = isinstance(x, np.ndarray) and x.dtype == dtype and x.ndim == 1 and n in (None, x.size)
+    if typed and lo is None and hi is None:
         return x
-    x = np.asarray(x)
-    if x.ndim != 1 or n not in (None, x.size):
-        raise ValueError(f"{name} must have shape ({'n' if n is None else n},), got {x.shape}")
-    if x.size and x.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integer indices, got a {x.dtype} array")
-    if np.dtype(dtype).kind == "u" and x.dtype.kind == "i" and x.size and x.min() < 0:
-        raise ValueError(f"{name} must be non-negative, got {int(x.min())}")
-    return x.astype(dtype, copy=False)
+    if lo is None and np.dtype(dtype).kind == "u":
+        lo = 0
+    if not typed:
+        seq = isinstance(x, (list, tuple, range))
+        odd = [v for v in x if isinstance(v, bool) or not isinstance(v, (int, np.integer))] if seq else []
+        # A list of integers stays Python ints until the range check, so a
+        # negative id meant for uint64 is named below, not overflowed.
+        x = np.array(x, dtype=object) if seq and not odd else np.asarray(x)
+        if x.ndim != 1 or n not in (None, x.size):
+            raise ValueError(f"{name} must have shape ({'n' if n is None else n},), got {x.shape}")
+        if x.size and (odd or (not seq and x.dtype.kind not in "iu")):
+            # numpy reads [1, True] as an int64 array, so the bool is named.
+            got = repr(odd[0]) if x.dtype.kind in "iu" else f"a {x.dtype} array"
+            raise ValueError(f"{name} must be integer indices, got {got}")
+    low, high = -math.inf if lo is None else lo, math.inf if hi is None else hi
+    if x.size and (x.min() < low or x.max() >= high):
+        bad = next(v for v in x.tolist() if not low <= v < high)
+        if hi is None:
+            bound = f"be at least {lo}" if lo else "be non-negative"
+        else:
+            bound = f"be below {hi}" if lo is None else f"lie in [{lo}, {hi})"
+        raise ValueError(f"{name} must {bound}, got {bad}")
+    try:
+        return x.astype(dtype, copy=False)
+    except OverflowError:  # a listed Python int beyond the dtype
+        raise ValueError(f"{name} must fit in {np.dtype(dtype)}") from None
 
 
 def int_scalar(x, name: str, lo: int = 0) -> int:
@@ -206,7 +229,8 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     be an integer of at least 1 (a float such as 11.0 or a bool is refused),
     the counts must sum to n, and a weight must be finite and non-negative.
     Labels go through index_vector, so they must be of an integer dtype
-    (float or bool labels are refused, not truncated), and lie in [0, C).
+    (float or bool labels are refused, not truncated) and lie in [0, C);
+    ``labels must lie in [0, C), got c`` names the first that does not.
     The log-sum-exp is max-shifted and grouped as (shift - label logit) +
     log-sum, so uniform logits give exactly ln(C); a non-finite loss raises
     rather than propagating.
@@ -225,7 +249,7 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     if not S.flags.writeable:
         raise ValueError("logits S must be writeable: dL/dS is written over it")
     n, C = S.shape
-    labels = index_vector(labels, "labels", n)
+    labels = index_vector(labels, "labels", n, lo=0, hi=C)
     if n == 0:
         raise ValueError("empty batch")
     if pools is None:
@@ -239,9 +263,6 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
     starts = [0, *itertools.accumulate(int(count) for count, _ in pools)]
     if starts[-1] != n:
         raise ValueError(f"pool blocks cover {starts[-1]} rows, the batch has {n}")
-    if labels.min() < 0 or labels.max() >= C:
-        outside = (labels < 0) | (labels >= C)
-        raise ValueError(f"label {int(labels[outside][0])} outside [0, {C})")
     # (first row, end row, weight) of each pool block.
     spans = [(start, end, float(weight)) for start, end, (_, weight) in zip(starts, starts[1:], pools)]
     per_row = np.empty(n)
@@ -281,8 +302,9 @@ class EmbeddingSet:
     labels   : (n,) int64, class index or UNLABELED (-1)
     ids      : (n,) uint64, unique stable example ids
 
-    Labels and ids go through index_vector: a float or bool label or id, or
-    a negative id, is refused with ValueError, not cast.
+    Labels and ids go through index_vector: a float or bool label or id, a
+    label below the sentinel or a negative id is refused with ValueError,
+    not cast.
     """
 
     features: np.ndarray
@@ -294,10 +316,8 @@ class EmbeddingSet:
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty (n, d) matrix")
         _check_unit_rows(feats, "features")
-        labels = index_vector(self.labels, "labels", feats.shape[0])
+        labels = index_vector(self.labels, "labels", feats.shape[0], lo=UNLABELED)
         ids = index_vector(self.ids, "ids", feats.shape[0], np.uint64)
-        if np.any(labels < UNLABELED):
-            raise ValueError("labels must be class indices or the sentinel -1")
         order = np.argsort(ids)
         sorted_ids = ids[order]
         if np.any(sorted_ids[1:] == sorted_ids[:-1]):
@@ -391,20 +411,17 @@ class LabeledSubset:
     """Row positions into an EmbeddingSet plus the labels training may see.
 
     Both go through index_vector: float or bool rows or labels are refused
-    with ValueError, not cast, and so is a negative row."""
+    with ValueError, not cast, and so is a negative row or label (the
+    UNLABELED sentinel included)."""
 
     rows: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = index_vector(self.rows, "rows")
-        labels = index_vector(self.labels, "labels", rows.size)
-        if rows.size and rows.min() < 0:
-            raise ValueError(f"rows must be non-negative, got {int(rows.min())}")
+        rows = index_vector(self.rows, "rows", lo=0)
+        labels = index_vector(self.labels, "labels", rows.size, lo=0)
         if rows.size and np.unique(rows).size != rows.size:
             raise ValueError("rows must be unique")
-        if np.any(labels < 0):
-            raise ValueError("labeled subset may not contain the unlabeled sentinel")
         object.__setattr__(self, "rows", frozen_array(rows))
         object.__setattr__(self, "labels", frozen_array(labels))
 
@@ -461,14 +478,15 @@ def sample_shots(data: EmbeddingSet, classes: Sequence[int], shots: int, seed: i
 
     Raises if any requested class has fewer than ``shots`` labeled rows; the
     error names the class so a bad dataset is easy to spot. ``classes`` must
-    be integer indices, and ``shots`` and ``seed`` non-negative integers: a
-    float class, count or seed, or a bool seed, is refused, not truncated.
+    be non-negative integer indices, and ``shots`` and ``seed`` non-negative
+    integers: a float or negative class (the UNLABELED sentinel included),
+    a float count or seed, or a bool seed, is refused, not truncated.
     """
     int_scalar(shots, "shots")
     rng = np.random.default_rng(int_scalar(seed, "seed"))
     rows: list = []
     labels: list = []
-    for c in index_vector(classes, "classes").tolist():
+    for c in index_vector(classes, "classes", lo=0).tolist():
         candidates = np.flatnonzero(data.labels == c)
         if candidates.size < shots:
             raise ValueError(
@@ -508,7 +526,8 @@ def paradigm_weights(paradigm: str, n_labeled: int, n_pseudo: int) -> tuple:
 class Task:
     """A train/test pair over one class space; the unit the strategies run on.
 
-    Every label is a class index below C or the UNLABELED sentinel.
+    Every label is a class index below C or the UNLABELED sentinel:
+    ``train labels must lie in [-1, C), got c`` names the first that is not.
     """
 
     train: EmbeddingSet
@@ -519,6 +538,4 @@ class Task:
         if self.train.d != self.space.d or self.test.d != self.space.d:
             raise ValueError("train/test feature dimension must match the class space")
         for split, data in (("train", self.train), ("test", self.test)):
-            top = int(data.labels.max())
-            if top >= self.space.C:
-                raise ValueError(f"{split} label {top} out of range for C={self.space.C} classes")
+            index_vector(data.labels, f"{split} labels", lo=UNLABELED, hi=self.space.C)

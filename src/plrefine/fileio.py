@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import NORM_TOLERANCE, ClassSpace, EmbeddingSet, max_norm_drift, unit_normalize
+from .core import NORM_TOLERANCE, UNLABELED, ClassSpace, EmbeddingSet, index_vector, max_norm_drift, unit_normalize
 
 MAGIC = b"PLE1"
 VERSION = 1
@@ -84,7 +84,9 @@ def _check_norms(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def read_ple(path: str) -> Tuple[EmbeddingSet, ClassSpace]:
-    """Load a PLE1 file back into (EmbeddingSet, ClassSpace)."""
+    """Load a PLE1 file back into (EmbeddingSet, ClassSpace). A label that is
+    neither a class index below C nor the -1 sentinel is refused:
+    ``labels must lie in [-1, C), got c`` names the first."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 6 or buf[:4] != MAGIC:
@@ -122,8 +124,7 @@ def read_ple(path: str) -> Tuple[EmbeddingSet, ClassSpace]:
     prototypes = field("<f4", C * d).astype(np.float64).reshape(C, d)
     if offset != len(buf):
         raise ValueError("not a PLE1 file: trailing bytes after payload")
-    if labels.max() >= C:
-        raise ValueError(f"label {int(labels.max())} out of range for C={C} classes")
+    index_vector(labels, "labels", lo=UNLABELED, hi=C)
 
     features = _check_norms(features, "feature")
     prototypes = _check_norms(prototypes, "prototype")

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassSpace, EmbeddingSet, UNLABELED, float_matrix, float_scalar, index_vector, json_form
+from .core import ClassSpace, EmbeddingSet, float_matrix, float_scalar, index_vector, json_form
 from .probe import LinearProbe
 from .pseudolabels import PseudolabelSet
 
@@ -92,13 +92,7 @@ def _report_from_predictions(
     space: ClassSpace,
     partition_aware: bool,
 ) -> EvalReport:
-    if test.n == 0:
-        raise ValueError("empty test set")
-    labels = test.labels
-    if np.any(labels == UNLABELED):
-        raise ValueError("test set contains unlabeled rows")
-    if np.any(labels >= space.C):
-        raise ValueError("test labels exceed the class count")
+    labels = index_vector(test.labels, "test labels", lo=0, hi=space.C)
     correct = preds == labels
 
     support = np.bincount(labels, minlength=space.C)
@@ -139,6 +133,9 @@ def evaluate(model, test: EmbeddingSet, space: ClassSpace, partition_aware: bool
     from its own matrix product, and OpenBLAS need not give it the bits of
     those rows of the whole product, so a near-tie between two top classes
     can resolve differently from a whole-matrix run.
+
+    Every test label must be a class index: ``test labels must lie in [0,
+    C), got -1`` names the first that is not, an unlabeled row included.
     """
     feats = test.features
     preds = np.empty(feats.shape[0], dtype=np.int64)

@@ -37,8 +37,8 @@ class PseudolabelSet:
     k_used is the per-class cap actually applied, a non-negative integer; no
     class may hold more than k_used entries. Scores are finite cosine-scale
     values in [-1, 1]. Ids and classes go through index_vector: float or
-    bool ids or classes, and negative ids, are refused with ValueError, not
-    cast.
+    bool ids or classes, and negative ids or classes, are refused with
+    ValueError, not cast.
     """
 
     example_ids: np.ndarray
@@ -48,12 +48,10 @@ class PseudolabelSet:
 
     def __post_init__(self) -> None:
         ids = index_vector(self.example_ids, "example_ids", dtype=np.uint64)
-        classes = index_vector(self.classes, "classes", ids.size)
+        classes = index_vector(self.classes, "classes", ids.size, lo=0)
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.shape != ids.shape:
             raise ValueError(f"scores must have shape {ids.shape}, got {scores.shape}")
-        if np.any(classes < 0):
-            raise ValueError("pseudolabel classes must be non-negative indices")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite (found NaN or inf)")
         if scores.size and np.max(np.abs(scores)) > 1.0 + SCORE_TOLERANCE:
@@ -188,11 +186,9 @@ def _checked_subset(n: int, C: int, k: int, class_subset: Sequence[int]) -> np.n
     int_scalar(k, "k", 1)
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available unlabeled rows")
-    subset = index_vector(class_subset, "class_subset")
+    subset = index_vector(class_subset, "class_subset", lo=0, hi=C)
     if not subset.size:
         raise ValueError("class_subset must be non-empty")
-    if subset.min() < 0 or subset.max() >= C:
-        raise ValueError("class_subset indices must fall within the score columns")
     return subset
 
 

@@ -95,7 +95,9 @@ class StrategyConfig:
     init_spread: str = "std"
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGY_PLANS:
+        # The tuple, not the dict: a dict lookup of an unhashable name,
+        # such as a list, raises TypeError instead of naming the strategy.
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         check_modality(self.modality)
         int_scalar(self.K, "K", 1)
@@ -133,16 +135,15 @@ class ParadigmSplit:
     from the train set), and the classes pseudolabels may use.
 
     pool_rows goes through index_vector: float, bool or negative rows are
-    refused with ValueError, not cast."""
+    refused with ValueError (``pool_rows must be non-negative, got -1``),
+    not cast."""
 
     labeled: LabeledSubset
     pool_rows: np.ndarray
     pseudolabel_classes: tuple
 
     def __post_init__(self) -> None:
-        rows = index_vector(self.pool_rows, "pool_rows")
-        if rows.size and rows.min() < 0:
-            raise ValueError(f"pool_rows must be non-negative, got {int(rows.min())}")
+        rows = index_vector(self.pool_rows, "pool_rows", lo=0)
         object.__setattr__(self, "pool_rows", frozen_array(rows))
 
 

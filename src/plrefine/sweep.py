@@ -88,7 +88,9 @@ def _prepared(cfg: ExperimentConfig, paradigms: tuple) -> Tuple[Task, EvalReport
     Each paradigm's run settings are built and its split wired, so a class
     short of shots_per_class rows, an empty unlabeled pool, or (TRZSL) a test
     set missing a partition side fails here, before any training; the error
-    names shots_per_class only for SSL, the one paradigm it shapes.
+    names shots_per_class only for SSL, the one paradigm it shapes. The test
+    set is scored once: with TRZSL the baseline is the partition-aware
+    report that checks it, whose per-class fields are the plain report's.
     """
     task = load_task(cfg)
     for paradigm in paradigms:
@@ -97,11 +99,12 @@ def _prepared(cfg: ExperimentConfig, paradigms: tuple) -> Tuple[Task, EvalReport
             if wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed).pool_rows.size == 0:
                 raise ValueError("its unlabeled pool is empty")
             if paradigm == "TRZSL":
-                zero_shot_report(task.test, task.space, partition_aware=True)
+                baseline = zero_shot_report(task.test, task.space, partition_aware=True)
         except ValueError as exc:
             cause = f"with shots_per_class={cfg.shots_per_class}" if paradigm == "SSL" else "on this task"
             raise ValueError(f"paradigm {paradigm} cannot run {cause}: {exc}") from exc
-    return task, zero_shot_report(task.test, task.space)
+    # With TRZSL the loop above has set baseline or raised.
+    return task, baseline if "TRZSL" in paradigms else zero_shot_report(task.test, task.space)
 
 
 def _run_cells(cfg: ExperimentConfig, cells: List[Tuple[str, str, int]], out: str) -> List[dict]:
@@ -174,6 +177,16 @@ def _write_json(out: str, name: str, cfg: ExperimentConfig, body: dict) -> dict:
     return payload
 
 
+def _output_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> str:
+    """``out_dir``, else the config's output_dir; refused when empty, as
+    parse_config refuses it, since an empty path would write each trace.csv
+    into the working directory and then fail on result.json."""
+    out = out_dir or cfg.output_dir
+    if not out:
+        raise ValueError("output_dir must not be empty")
+    return out
+
+
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None) -> dict:
     """Execute every (strategy, paradigm, seed) cell and write the outputs.
 
@@ -187,7 +200,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
     """
     int_scalar(jobs, "jobs", 1)
     json.dumps(cfg.echo())
-    out = out_dir or cfg.output_dir
+    out = _output_dir(cfg, out_dir)
     cells = list(itertools.product(cfg.strategies, cfg.paradigms, cfg.seeds))
     workers = min(jobs, len(cells))
     if workers > 1:
@@ -215,6 +228,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     block by block, and no copy of the pool outlives either. Writes
     <out>/robinhood.json and returns its payload.
     """
+    out = _output_dir(cfg, out_dir)
     task, baseline = _prepared(cfg, ("SSL",))
     seed = cfg.seeds[0]
     # One pseudolabeling pass and one training per head, as in an FPL run.
@@ -244,7 +258,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
                 "robin_hood": robin_hood(baseline, report).to_dict(),
             }
 
-    return _write_json(out_dir or cfg.output_dir, "robinhood.json", cfg, {
+    return _write_json(out, "robinhood.json", cfg, {
         "baseline": baseline.to_dict(),
         "threshold_tau": cfg.threshold_tau,
         "comparisons": comparisons,

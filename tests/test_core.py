@@ -25,6 +25,7 @@ from plrefine.core import (
     paradigm_weights,
     float_scalar,
     frozen_array,
+    index_vector,
     int_scalar,
     json_form,
     row_norms,
@@ -197,12 +198,19 @@ class TestEmbeddingSet:
         rng = np.random.default_rng(7)
         feats = _unit_rows(rng, 3, 3)
         labels = np.array([0, -2, 1], dtype=np.int64)
-        with pytest.raises(ValueError, match="sentinel"):
+        with pytest.raises(ValueError, match="labels must be at least -1, got -2"):
             EmbeddingSet(feats, labels, np.arange(3, dtype=np.uint64))
         # [0.9, 1.7, 2.2] would store [0, 1, 2] if cast.
         for bad, kind in (([0.9, 1.7, 2.2], "float64"), ([True, False, True], "bool")):
             with pytest.raises(ValueError, match=f"labels must be integer indices, got a {kind} array"):
                 EmbeddingSet(feats, bad, np.arange(3, dtype=np.uint64))
+
+    def test_list_ids_at_or_above_2_63_load(self):
+        # numpy infers [1, 2**63] as float64, which the rule used to refuse.
+        data = EmbeddingSet(np.eye(2), [0, 1], [1, 2**63])
+        assert data.ids.dtype == np.uint64 and data.ids.tolist() == [1, 2**63]
+        with pytest.raises(ValueError, match="^ids must be non-negative, got -1$"):
+            EmbeddingSet(np.eye(2), [0, 1], [-1, 2**63])
 
     def test_sentinel_label_allowed(self):
         rng = np.random.default_rng(8)
@@ -272,7 +280,7 @@ class TestLabeledSubset:
             LabeledSubset(np.array([-1, 2]), np.array([0, 1]))
 
     def test_rejects_sentinel_labels(self):
-        with pytest.raises(ValueError, match="sentinel"):
+        with pytest.raises(ValueError, match="labels must be non-negative, got -1"):
             LabeledSubset(np.array([0, 1]), np.array([0, UNLABELED]))
         with pytest.raises(ValueError, match="labels must be integer indices, got a bool array"):
             LabeledSubset(np.array([0, 1]), np.array([True, False]))
@@ -307,6 +315,61 @@ class TestParadigmConfig:
         # True used to draw one shot per class.
         with pytest.raises(ValueError, match="shots_per_class must be an integer, got True"):
             ParadigmConfig("SSL", shots_per_class=True)
+
+
+class TestIndexVector:
+    @pytest.mark.parametrize(
+        "x, kwargs, expected",
+        [
+            # lo only; the message names the first value out of range, not the smallest.
+            (np.array([3, -1, -5]), {"lo": 0}, "v must be non-negative, got -1"),
+            (np.array([0, -2, -1]), {"lo": -1}, "v must be at least -1, got -2"),
+            (np.array([-1, 0, 4]), {"lo": -1}, [-1, 0, 4]),
+            # hi only
+            (np.array([-7, 4, 9]), {"hi": 5}, "v must be below 5, got 9"),
+            (np.array([-7, 4]), {"hi": 5}, [-7, 4]),
+            # both
+            (np.array([0, 5, -1]), {"lo": 0, "hi": 5}, r"v must lie in \[0, 5\), got 5"),
+            (np.array([2, -1, 7]), {"lo": 0, "hi": 5}, r"v must lie in \[0, 5\), got -1"),
+            (np.array([0, 4]), {"lo": 0, "hi": 5}, [0, 4]),
+            # An empty vector has no value to refuse.
+            (np.array([], dtype=np.int64), {"lo": 0, "hi": 1}, []),
+            ([], {"lo": 3, "hi": 4}, []),
+            # A typed array skips the cast, not the bounds.
+            (np.array([1, 3], dtype=np.int64), {"lo": 0, "hi": 3}, r"v must lie in \[0, 3\), got 3"),
+            (np.array([1, 2**63], dtype=np.uint64), {"dtype": np.uint64, "hi": 2**63}, r"v must lie in \[0, 9223372036854775808\), got 9223372036854775808"),
+            # An unsigned dtype starts at 0 without a bound given.
+            (np.array([4, -1], dtype=np.int32), {"dtype": np.uint64}, "v must be non-negative, got -1"),
+            # Lists of integers are typed by dtype, not by numpy's inference.
+            ([1, 2**63], {"dtype": np.uint64}, [1, 2**63]),
+            ((np.int64(2), 0), {"lo": 0, "hi": 3}, [2, 0]),
+            (range(3), {"hi": 3}, [0, 1, 2]),
+            ([3, -2], {"dtype": np.uint64}, "v must be non-negative, got -2"),
+            ([1, 2**64], {"dtype": np.uint64}, "v must fit in uint64"),
+            ([1, 2.0], {}, "v must be integer indices, got a float64 array"),
+            ([1, True], {}, "v must be integer indices, got True"),
+            ([[1, 2]], {}, r"v must have shape \(n,\), got \(1, 2\)"),
+        ],
+        ids=[
+            "lo", "lo below zero", "lo kept", "hi", "hi kept", "both at hi", "both below lo", "both kept",
+            "empty typed", "empty list", "typed at hi", "typed uint64 at hi", "unsigned default", "uint64 list",
+            "numpy int tuple", "range", "negative uint64 list", "list beyond uint64", "float in list",
+            "bool in list", "nested list",
+        ],
+    )
+    def test_range_rule(self, x, kwargs, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                index_vector(x, "v", **kwargs)
+        else:
+            out = index_vector(x, "v", **kwargs)
+            assert out.dtype == kwargs.get("dtype", np.int64) and out.tolist() == expected
+
+    def test_typed_array_without_bounds_is_returned_as_it_is(self):
+        labels = np.array([-5, 9], dtype=np.int64)
+        ids = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert index_vector(labels, "labels", 2) is labels
+        assert index_vector(ids, "ids", 2, np.uint64) is ids
 
 
 class TestIntScalar:
@@ -485,6 +548,14 @@ class TestSampleShots:
             with pytest.raises(ValueError, match="^seed must be "):
                 sample_shots(data, range(2), 1, seed=bad)
 
+    def test_negative_class_refused(self):
+        # Class -1 used to sample the unlabeled rows and fail later in LabeledSubset.
+        rng = np.random.default_rng(16)
+        labels = np.array([0, UNLABELED, 1, UNLABELED], dtype=np.int64)
+        data = EmbeddingSet(_unit_rows(rng, 4, 5), labels, np.arange(4, dtype=np.uint64))
+        with pytest.raises(ValueError, match="^classes must be non-negative, got -1$"):
+            sample_shots(data, [-1], 1, 0)
+
     def test_sentinel_rows_never_sampled(self):
         rng = np.random.default_rng(16)
         feats = _unit_rows(rng, 6, 5)
@@ -544,9 +615,9 @@ class TestTask:
         good = _embedding_set(rng, 4, 5, 3)
         feats = _unit_rows(rng, 4, 5)
         bad = EmbeddingSet(feats, np.array([0, 7, 1, -1]), np.arange(4, dtype=np.uint64))
-        with pytest.raises(ValueError, match="train label 7 out of range for C=3"):
+        with pytest.raises(ValueError, match=r"train labels must lie in \[-1, 3\), got 7"):
             Task(train=bad, test=good, space=space)
-        with pytest.raises(ValueError, match="test label 7 out of range for C=3"):
+        with pytest.raises(ValueError, match=r"test labels must lie in \[-1, 3\), got 7"):
             Task(train=good, test=bad, space=space)
 
     def test_valid_task(self):
@@ -640,7 +711,7 @@ class TestSoftmaxCrossEntropy:
             (frozen_array(_logits((6, 4))), np.zeros(6, dtype=int), None, "writeable"),
             (_logits((6, 4)), np.zeros(5, dtype=int), None, r"labels must have shape \(6,\), got \(5,\)"),
             (_logits((6, 4)), np.zeros((6, 1), dtype=int), None, r"labels must have shape \(6,\), got \(6, 1\)"),
-            (_logits((3, 4)), np.array([0, 1, 4]), None, r"label 4 outside \[0, 4\)"),
+            (_logits((3, 4)), np.array([0, 1, 4]), None, r"labels must lie in \[0, 4\), got 4"),
             (_logits((3, 4)), np.array([0, 1, 2]), [(2, 1.0), (2, 1.0)], "pool blocks cover 4 rows"),
             (_logits((11, 4)), np.zeros(11, dtype=int), [(11.7, 1.0)], r"pool block 0 has 11.7 rows; a row count must be an integer"),
             (_logits((11, 4)), np.zeros(11, dtype=int), [(-1, 1.0), (12, 1.0)], "pool block 0 has -1 rows"),

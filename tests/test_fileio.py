@@ -193,7 +193,7 @@ class TestReadErrors:
         at = 18 + 4 * data.n * data.d + 4 * 2  # third label
         raw[at : at + 4] = struct.pack("<i", 3)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="label 3 out of range for C=3"):
+        with pytest.raises(ValueError, match=r"labels must lie in \[-1, 3\), got 3"):
             read_ple(str(path))
 
     @pytest.mark.parametrize("bad", [0, 2])

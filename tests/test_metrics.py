@@ -163,7 +163,7 @@ class TestEvaluate:
         feats = _unit_rows(rng, 3, 5)
         labels = np.array([0, UNLABELED, 1], dtype=np.int64)
         test = EmbeddingSet(feats, labels, np.arange(3, dtype=np.uint64))
-        with pytest.raises(ValueError, match="unlabeled"):
+        with pytest.raises(ValueError, match=r"test labels must lie in \[0, 3\), got -1"):
             evaluate(_FixedScores(np.zeros((3, 3))), test, space)
 
     def test_to_dict_round_trips_through_json_types(self):

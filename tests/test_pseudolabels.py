@@ -466,8 +466,8 @@ class TestTopkFromFeatures:
         "k, subset, match",
         [
             (3, (), "class_subset must be non-empty"),
-            (3, (0, 6), "class_subset indices must fall within the score columns"),
-            (3, (-1,), "class_subset indices must fall within the score columns"),
+            (3, (0, 6), r"class_subset must lie in \[0, 6\), got 6"),
+            (3, (-1,), r"class_subset must lie in \[0, 6\), got -1"),
             (9, (0,), "k=9 exceeds the 8 available unlabeled rows"),
             (0, (0,), "k must be at least 1"),
             (2.0, (0,), r"k must be an integer, got 2\.0"),

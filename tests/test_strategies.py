@@ -126,6 +126,9 @@ class TestDefaults:
     def test_strategy_config_validation(self):
         with pytest.raises(ValueError, match="unknown strategy 'BOOST'"):
             StrategyConfig("BOOST", ParadigmConfig("UL"))
+        # A list used to raise a bare TypeError from the plan dict's lookup.
+        with pytest.raises(ValueError, match=r"unknown strategy \['FPL'\]; expected one of \("):
+            StrategyConfig(["FPL"], ParadigmConfig("UL"))
         with pytest.raises(ValueError, match="unknown modality"):
             StrategyConfig("FPL", ParadigmConfig("UL"), modality="haptic")
         with pytest.raises(ValueError, match="K must be"):

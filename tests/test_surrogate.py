@@ -533,7 +533,7 @@ class TestBatchLossAndGrad:
         space = _space(rng, 5, 8)
         Z = _unit_rows(rng, 3, 8)
         labels = np.array([0, 1, bad])
-        with pytest.raises(ValueError, match=rf"label {bad} outside \[0, 5\)"):
+        with pytest.raises(ValueError, match=rf"labels must lie in \[0, 5\), got {bad}"):
             if head == "prompt":
                 batch_loss_and_grad(init_prompt("textual", 3, 8, seed=0), Z, labels, space)
             else:

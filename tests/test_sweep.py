@@ -100,6 +100,30 @@ def test_serial_sweep_loads_task_and_scores_baseline_once(cfg, tmp_path, monkeyp
     assert len(loads) == 1 and len(baselines) == 1
 
 
+def test_trzsl_sweep_scores_the_test_set_once(cfg, tmp_path, monkeypatch):
+    """TRZSL's partition check of the test set is the baseline itself, where
+    the test set used to be scored twice, and the UL cells keep the
+    redistribution report of a sweep without TRZSL."""
+    plain = sweep.run_sweep(dataclasses.replace(cfg, paradigms=("UL",)), out_dir=str(tmp_path / "plain"))
+    baselines = _counting(monkeypatch, "zero_shot_report")
+    both = sweep.run_sweep(dataclasses.replace(cfg, paradigms=("UL", "TRZSL")), out_dir=str(tmp_path / "both"))
+    assert len(baselines) == 1
+    ul = [run for run in both["runs"] if run["paradigm"] == "UL"]
+    assert [run["robin_hood"] for run in ul] == [run["robin_hood"] for run in plain["runs"]]
+
+
+@pytest.mark.parametrize("entry", ["run_sweep", "run_comparison_scenario"])
+def test_empty_output_dir_fails_before_any_cell(cfg, tmp_path, monkeypatch, entry):
+    """An empty output_dir in a config built in code is refused before the
+    task loads, as parse_config refuses it; the sweep used to write each
+    trace.csv into the working directory and then fail on result.json."""
+    monkeypatch.chdir(tmp_path)
+    loads = _counting(monkeypatch, "load_task")
+    with pytest.raises(ValueError, match="^output_dir must not be empty$"):
+        getattr(sweep, entry)(dataclasses.replace(cfg, output_dir=""))
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
 def test_failing_cell_keeps_finished_traces_and_writes_no_result(cfg, tmp_path, monkeypatch):
     real = sweep.run_strategy
     calls = []
