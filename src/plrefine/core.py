@@ -125,7 +125,9 @@ def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64, lo: Opti
     or a bool, or when a value lies outside the range; that message names
     the first such value, as in ``labels must lie in [0, 5), got 5``. A
     list, tuple or range of Python or numpy integers is typed by ``dtype``,
-    not by numpy's inference, so ``[1, 2**63]`` makes uint64 ids.
+    not by numpy's inference, so ``[1, 2**63]`` makes uint64 ids. A value
+    beyond ``dtype``, listed or in an unsigned array, is refused as in
+    ``labels must fit in int64``.
     """
     typed = isinstance(x, np.ndarray) and x.dtype == dtype and x.ndim == 1 and n in (None, x.size)
     if typed and lo is None and hi is None:
@@ -144,6 +146,9 @@ def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64, lo: Opti
             # numpy reads [1, True] as an int64 array, so the bool is named.
             got = repr(odd[0]) if x.dtype.kind in "iu" else f"a {x.dtype} array"
             raise ValueError(f"{name} must be integer indices, got {got}")
+        # The cast below would wrap such a value: uint64 2**63 becomes int64 -2**63.
+        if x.size and x.dtype.kind == "u" and x.max() > np.iinfo(dtype).max:
+            raise ValueError(f"{name} must fit in {np.dtype(dtype)}")
     low, high = -math.inf if lo is None else lo, math.inf if hi is None else hi
     if x.size and (x.min() < low or x.max() >= high):
         bad = next(v for v in x.tolist() if not low <= v < high)

@@ -1,13 +1,14 @@
 """Training strategies: one-shot and iterative pseudolabel refinement.
 
-All three strategies share one engine, run_strategy. Each iteration scores
-the unlabeled pool and takes the top K per class (select_round): iteration 1
-with the run's base prompt, whose ctx = 0 makes it the zero-shot classifier,
-later ones with the previously trained model. It then recomputes the
-paradigm weights from the actual pool sizes, reinitializes the prompt from
-seed XOR iteration, and trains.
-They differ only in the iteration count and the K rule, which
-STRATEGY_PLANS holds:
+Every round runs through one engine, run_rounds: round i selects
+pseudolabels with the head that round i-1 trained (the run's base prompt in
+round 1, whose ctx = 0 makes it the zero-shot classifier), trains a fresh
+head at the paradigm weights for the actual pool sizes, evaluates it and
+records it. run_strategy is that engine with top-K selection (select_round)
+and a prompt reinitialized from seed XOR iteration each round; the Robin
+Hood scenario (sweep.run_comparison_scenario) runs it for one round per arm.
+The three strategies differ only in the iteration count and the K rule,
+which STRATEGY_PLANS holds:
 
   FPL   one iteration, K capped by the pool (effective_k)
   IFPL  I iterations, same fixed K every time
@@ -19,8 +20,9 @@ run with I=1 are bit-identical under the same seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,6 +129,10 @@ class StrategyConfig:
             self.modality, self.resolved_prompt_len(), d, self.seed, scale=0.0, temperature=self.temperature
         )
 
+    def fresh_prompt(self, base: PromptModel, i: int) -> PromptModel:
+        """Round i's prompt head: ``base`` with ctx redrawn from seed XOR i."""
+        return reinit_ctx(base, self.seed ^ i, scale=self.init_scale, spread=self.init_spread)
+
 
 @dataclass(frozen=True)
 class ParadigmSplit:
@@ -226,26 +232,6 @@ def wire_paradigm(
     return ParadigmSplit(labeled, pool, unseen)
 
 
-def fit_round(
-    config: StrategyConfig, task: Task, split: ParadigmSplit, head, pl: PseudolabelSet, i: int
-) -> tuple:
-    """Train ``head`` on the split's labeled rows and the pseudolabels ``pl``
-    as round i, then evaluate it; returns (model, report, pseudolabel accuracy).
-
-    The loss weights are the paradigm's weights for the labeled and
-    pseudolabeled counts, or (1, 0) when nothing was pseudolabeled; training
-    is seeded with seed XOR i. TRZSL is evaluated per partition side.
-    Pseudolabel accuracy is None unless pl is non-empty and every pool row
-    has its class.
-    """
-    weights = paradigm_weights(config.paradigm.paradigm, split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
-    schedule = config.resolved_schedule()
-    model, _ = train(head, task.train, task.space, split.labeled, pl, weights, schedule, seed=config.seed ^ i)
-    report = evaluate(model, task.test, task.space, partition_aware=config.paradigm.paradigm == "TRZSL")
-    scored = pl.m and not np.any(task.train.labels[split.pool_rows] == UNLABELED)
-    return model, report, pseudolabel_accuracy(pl, task.train) if scored else None
-
-
 def select_round(
     config: StrategyConfig, split: ParadigmSplit, data: EmbeddingSet, model: PromptModel, space, i: int
 ) -> PseudolabelSet:
@@ -281,6 +267,34 @@ def select_round(
     return topk_from_features(feats, class_prototypes(model, space), k, classes, data.ids[rows])
 
 
+def run_rounds(
+    config: StrategyConfig, task: Task, split: ParadigmSplit, base: PromptModel, rounds: int, select: Callable, new_head: Callable
+) -> RunResult:
+    """The round engine: round i takes its pseudolabels ``select(model, i)``
+    from the head that round i-1 trained (``base`` in round 1), trains the
+    fresh head ``new_head(i)`` on them and the split's labeled rows, and
+    evaluates it.
+
+    The loss weights are the paradigm's weights for the labeled and
+    pseudolabeled counts, or (1, 0) when nothing was pseudolabeled; training
+    is seeded with seed XOR i. TRZSL is evaluated per partition side. A
+    record's pseudolabel accuracy is None unless its round pseudolabeled
+    something and every pool row has its class.
+    """
+    schedule = config.resolved_schedule()
+    trzsl = config.paradigm.paradigm == "TRZSL"
+    scored = not np.any(task.train.labels[split.pool_rows] == UNLABELED)
+    model, records = base, []
+    for i in range(1, rounds + 1):
+        pl = select(model, i)
+        weights = paradigm_weights(config.paradigm.paradigm, split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
+        model, _ = train(new_head(i), task.train, task.space, split.labeled, pl, weights, schedule, seed=config.seed ^ i)
+        report = evaluate(model, task.test, task.space, partition_aware=trzsl)
+        pl_acc = pseudolabel_accuracy(pl, task.train) if pl.m and scored else None
+        records.append(IterationRecord(i, pl.k_used, pl.m, pl_acc, report.overall, report.seen_accuracy, report.unseen_accuracy))
+    return RunResult(records=tuple(records), final_report=report, final_model=model)
+
+
 def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     """Run config.strategy with the iteration count and quota rule of its plan.
 
@@ -288,30 +302,17 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     zero-shot head) and a single training; IFPL refines for I iterations at
     the same quota; GRIP grows the quota each iteration until the last one
     pseudolabels (nearly) the entire pool. Each round scores the pool from
-    task.train through select_round; the run holds no copy of the pool.
+    task.train through select_round, deduplicated when the config asks, and
+    trains config.fresh_prompt; the run holds no copy of the pool.
     """
-    iterations = config.I if STRATEGY_PLANS[config.strategy][0] else 1
     split = wire_paradigm(config.paradigm, task.train, task.space, config.seed)
     if split.pool_rows.size == 0:
         raise ValueError(f"{config.strategy} requires unlabeled data")
 
-    base = model = config.base_prompt(task.space.d)
-    records = []
-    for i in range(1, iterations + 1):
+    def select(model: PromptModel, i: int) -> PseudolabelSet:
         pl = select_round(config, split, task.train, model, task.space, i)
-        if config.dedup_pseudolabels:
-            pl = drop_duplicate_assignments(pl)
-        fresh = reinit_ctx(base, config.seed ^ i, scale=config.init_scale, spread=config.init_spread)
-        model, report, pl_acc = fit_round(config, task, split, fresh, pl, i)
-        records.append(
-            IterationRecord(
-                iteration=i,
-                k_used=pl.k_used,
-                n_pseudo=pl.m,
-                pseudolabel_accuracy=pl_acc,
-                test_accuracy=report.overall,
-                seen_accuracy=report.seen_accuracy,
-                unseen_accuracy=report.unseen_accuracy,
-            )
-        )
-    return RunResult(records=tuple(records), final_report=report, final_model=model)
+        return drop_duplicate_assignments(pl) if config.dedup_pseudolabels else pl
+
+    base = config.base_prompt(task.space.d)
+    rounds = config.I if STRATEGY_PLANS[config.strategy][0] else 1
+    return run_rounds(config, task, split, base, rounds, select, functools.partial(config.fresh_prompt, base))

@@ -33,8 +33,8 @@ from .metrics import (
     zero_shot_report,
 )
 from .probe import init_linear_probe
-from .strategies import fit_round, run_strategy, select_round, wire_paradigm
-from .surrogate import one_blas_thread, reinit_ctx
+from .strategies import IterationRecord, run_rounds, run_strategy, select_round, wire_paradigm
+from .surrogate import one_blas_thread
 from .synth import synth_generate
 
 # Sweep workers are fresh interpreters, not forks: the parent may hold the
@@ -42,14 +42,8 @@ from .synth import synth_generate
 # that holds threads is not safe.
 ProcessPoolExecutor = functools.partial(futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
 
-TRACE_COLUMNS = (
-    "iteration",
-    "k_used",
-    "pseudolabel_accuracy",
-    "test_accuracy",
-    "seen_accuracy",
-    "unseen_accuracy",
-)
+# A trace row is an IterationRecord without its pseudolabel count.
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(IterationRecord) if f.name != "n_pseudo")
 
 
 def load_task(cfg: ExperimentConfig) -> Task:
@@ -216,46 +210,48 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
 def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Top-K vs confidence-threshold pseudolabels, prompt vs linear probe.
 
-    All four trainings start from the same shots-per-class labeled subset and
-    the same zero-shot scores; each trained head is compared against the
-    zero-shot baseline with the poor/rich redistribution report. The top-K
-    pseudolabels are an FPL run's round 1 (select_round with the base
-    prompt), and the prompt head trains as that round does. The scenario
-    never deduplicates, so the prompt/top-K cell is the FPL/SSL run at the
-    first seed with dedup_pseudolabels off. The threshold pseudolabels come
-    from the softmax of the base prompt's scores of the pool rows, gathered
-    from the train set for that one call; select_round scores the same pool
-    block by block, and no copy of the pool outlives either. Writes
-    <out>/robinhood.json and returns its payload.
+    Each of the four cells is one round of the round engine (run_rounds)
+    from the same shots-per-class labeled subset and the same base prompt,
+    as in an FPL run, and each trained head is compared against the
+    zero-shot baseline with the poor/rich redistribution report. Selection
+    runs once per cell. The top-K pseudolabels are FPL's round 1
+    (select_round with the base prompt), and the prompt head is FPL's
+    round-1 prompt. The scenario never deduplicates, so the prompt/top-K
+    cell is the FPL/SSL run at the first seed with dedup_pseudolabels off.
+    The threshold pseudolabels come from the softmax of the base prompt's
+    scores of the pool rows, gathered from the train set for that one call;
+    select_round scores the same pool block by block, and no copy of the
+    pool outlives either. Writes <out>/robinhood.json and returns its
+    payload.
     """
     out = _output_dir(cfg, out_dir)
     task, baseline = _prepared(cfg, ("SSL",))
-    seed = cfg.seeds[0]
-    # One pseudolabeling pass and one training per head, as in an FPL run.
-    run_cfg = cfg.run_config("FPL", "SSL", seed)
-    split = wire_paradigm(run_cfg.paradigm, task.train, task.space, seed)
+    run_cfg = cfg.run_config("FPL", "SSL", cfg.seeds[0])
+    split = wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed)
     base = run_cfg.base_prompt(task.space.d)
-    probs = softmax_rows(base.scores(task.train.features[split.pool_rows], task.space))
-    pseudolabel_sets = {
-        "topk": select_round(run_cfg, split, task.train, base, task.space, 1),
+    pool = split.pool_rows
+    selections = {
+        "topk": lambda model, i: select_round(run_cfg, split, task.train, model, task.space, i),
         # Nothing may cross the threshold; that head trains on the shots alone.
-        "threshold": threshold_pseudolabels(probs, cfg.threshold_tau, task.train.ids[split.pool_rows]),
+        "threshold": lambda model, i: threshold_pseudolabels(
+            softmax_rows(model.scores(task.train.features[pool], task.space)), cfg.threshold_tau, task.train.ids[pool]
+        ),
+    }
+    heads = {
+        "prompt": functools.partial(run_cfg.fresh_prompt, base),
+        "linear_probe": lambda i: init_linear_probe(task.space.C, task.space.d),
     }
 
     comparisons: dict = {}
-    for head_name in ("prompt", "linear_probe"):
+    for head_name, new_head in heads.items():
         comparisons[head_name] = {}
-        for mode, pl in pseudolabel_sets.items():
-            if head_name == "prompt":
-                head = reinit_ctx(base, seed ^ 1, scale=cfg.init_scale, spread=cfg.init_spread)
-            else:
-                head = init_linear_probe(task.space.C, task.space.d)
-            _, report, pl_acc = fit_round(run_cfg, task, split, head, pl, 1)
+        for mode, select in selections.items():
+            result = run_rounds(run_cfg, task, split, base, 1, select, new_head)
             comparisons[head_name][mode] = {
-                "n_pseudolabels": pl.m,
-                "pseudolabel_accuracy": pl_acc,
-                "report": report.to_dict(),
-                "robin_hood": robin_hood(baseline, report).to_dict(),
+                "n_pseudolabels": result.records[0].n_pseudo,
+                "pseudolabel_accuracy": result.records[0].pseudolabel_accuracy,
+                "report": result.final_report.to_dict(),
+                "robin_hood": robin_hood(baseline, result.final_report).to_dict(),
             }
 
     return _write_json(out, "robinhood.json", cfg, {

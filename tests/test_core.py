@@ -346,6 +346,7 @@ class TestIndexVector:
             (range(3), {"hi": 3}, [0, 1, 2]),
             ([3, -2], {"dtype": np.uint64}, "v must be non-negative, got -2"),
             ([1, 2**64], {"dtype": np.uint64}, "v must fit in uint64"),
+            (np.array([2**63], dtype=np.uint64), {"lo": -1}, "v must fit in int64"),
             ([1, 2.0], {}, "v must be integer indices, got a float64 array"),
             ([1, True], {}, "v must be integer indices, got True"),
             ([[1, 2]], {}, r"v must have shape \(n,\), got \(1, 2\)"),
@@ -353,7 +354,7 @@ class TestIndexVector:
         ids=[
             "lo", "lo below zero", "lo kept", "hi", "hi kept", "both at hi", "both below lo", "both kept",
             "empty typed", "empty list", "typed at hi", "typed uint64 at hi", "unsigned default", "uint64 list",
-            "numpy int tuple", "range", "negative uint64 list", "list beyond uint64", "float in list",
+            "numpy int tuple", "range", "negative uint64 list", "list beyond uint64", "uint64 array beyond int64", "float in list",
             "bool in list", "nested list",
         ],
     )

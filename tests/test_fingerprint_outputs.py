@@ -1,6 +1,7 @@
 """tools/fingerprint_outputs.py runs every benchmark workload's toy shapes
 and prints the same map of output files to hashes from any work dir, with
-the map's own sha256 on stderr."""
+the map's own sha256 on stderr; that map matches the golden one in
+tests/fixtures/fingerprint_toy.json, so every output byte is gated."""
 
 import hashlib
 import json
@@ -10,8 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "fingerprint_outputs.py"
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "fingerprint_toy.json"
 
 
 def _fingerprint(work_dir, env=None):
@@ -24,15 +29,42 @@ def _fingerprint(work_dir, env=None):
     return json.loads(proc.stdout)
 
 
-def test_toy_fingerprint_covers_every_output_and_ignores_the_work_dir(tmp_path):
-    first = _fingerprint(tmp_path / "a")
-    assert _fingerprint(tmp_path / "b") == first
+def _build() -> dict:
+    """numpy and BLAS build, read as bench/run.py's environment() reads them."""
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name, blas_version = blas.get("name"), blas.get("version")
+    except (TypeError, KeyError):
+        blas_name = blas_version = None
+    return {"numpy": numpy.__version__, "blas": blas_name, "blas_version": blas_version}
+
+
+@pytest.fixture(scope="module")
+def toy_map(tmp_path_factory):
+    return _fingerprint(tmp_path_factory.mktemp("fingerprint") / "a")
+
+
+def test_toy_fingerprint_covers_every_output_and_ignores_the_work_dir(toy_map, tmp_path):
+    assert _fingerprint(tmp_path / "b") == toy_map
     for name in ("calib", "fullscale", "select"):
         for seed in (0, 3):
-            assert f"{name}/{seed}/result.json" in first
-            assert any(re.fullmatch(rf"{name}/{seed}/[^/]+/trace\.csv", key) for key in first)
-    assert "calib/0/robinhood.json" in first and "calib/3/robinhood.json" in first
-    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in first.values())
+            assert f"{name}/{seed}/result.json" in toy_map
+            assert any(re.fullmatch(rf"{name}/{seed}/[^/]+/trace\.csv", key) for key in toy_map)
+    assert "calib/0/robinhood.json" in toy_map and "calib/3/robinhood.json" in toy_map
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in toy_map.values())
+
+
+def test_toy_fingerprint_matches_the_golden_map(toy_map):
+    """Each output file keeps its bytes. The golden map holds only on the
+    numpy and BLAS build it was taken on; another build fails, naming both."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    text = json.dumps(golden["map"], indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["toy_map_sha256"]
+    taken_on = {key: golden[key] for key in ("numpy", "blas", "blas_version")}
+    build = _build()
+    assert build == taken_on, f"the golden map was taken on {taken_on}; this build is {build}"
+    differ = sorted(k for k in toy_map.keys() | golden["map"].keys() if toy_map.get(k) != golden["map"].get(k))
+    assert not differ, f"output bytes differ from the golden map in: {', '.join(differ)}"
 
 
 def test_toy_fingerprint_is_the_same_at_one_blas_thread(tmp_path):

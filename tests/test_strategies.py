@@ -24,6 +24,7 @@ from plrefine.strategies import (
     StrategyConfig,
     default_schedule,
     grip_k,
+    run_rounds,
     run_strategy,
     select_round,
     wire_paradigm,
@@ -381,8 +382,40 @@ class TestRefinementLoops:
         cfg = _fast("FPL", "SSL", seed=0)
         split = wire_paradigm(cfg.paradigm, loop_task.train, loop_task.space, seed=0)
         nothing = PseudolabelSet(np.array([], dtype=np.uint64), np.array([], dtype=np.int64), np.array([]), 0)
-        strategies.fit_round(cfg, loop_task, split, cfg.base_prompt(loop_task.space.d), nothing, 1)
+        base = cfg.base_prompt(loop_task.space.d)
+        result = run_rounds(cfg, loop_task, split, base, 1, lambda model, i: nothing, lambda i: base)
         assert calls == [(split.labeled.n, 0, (1.0, 0.0))]
+        assert result.records[0].n_pseudo == 0 and result.records[0].pseudolabel_accuracy is None
+
+    def test_round_engine_feeds_each_round_the_previous_head(self, loop_task, monkeypatch):
+        """Round 1 selects with base itself, round i with the model round
+        i-1 trained, and each round trains the one head new_head(i) gives,
+        i = 1, 2, 3 in order."""
+        cfg = _fast("IFPL", "SSL", seed=2, schedule=TrainSchedule(epochs=2, warmup_epochs=1, batch_size=32))
+        split = wire_paradigm(cfg.paradigm, loop_task.train, loop_task.space, seed=2)
+        base = cfg.base_prompt(loop_task.space.d)
+        selected_with, heads, trained = [], [], []
+
+        def select(model, i):
+            selected_with.append((i, model))
+            return select_round(cfg, split, loop_task.train, model, loop_task.space, i)
+
+        def new_head(i):
+            heads.append((i, cfg.fresh_prompt(base, i)))
+            return heads[-1][1]
+
+        def recording(head, *args, **kw):
+            model, losses = train(head, *args, **kw)
+            trained.append((head, model))
+            return model, losses
+
+        monkeypatch.setattr(strategies, "train", recording)
+        result = run_rounds(cfg, loop_task, split, base, 3, select, new_head)
+        assert [i for i, _ in selected_with] == [i for i, _ in heads] == [1, 2, 3]
+        assert len(trained) == 3 and all(t[0] is h[1] for t, h in zip(trained, heads))
+        assert selected_with[0][1] is base
+        assert all(selected_with[i][1] is trained[i - 1][1] for i in (1, 2))
+        assert result.final_model is trained[-1][1] and len(result.records) == 3
 
     def test_dedup_prevents_repeated_ids(self, loop_task):
         cfg = _fast("FPL", "UL", dedup_pseudolabels=True, K=40)

@@ -410,13 +410,12 @@ def test_threshold_arm_thresholds_the_base_prompt_softmax(cfg, monkeypatch):
     """Both heads' threshold cells train on the rows whose softmax of the
     base prompt's pool scores crosses threshold_tau."""
     trained_on = []
-    real = sweep.fit_round
 
-    def recording(run_cfg, task, split, head, pl, i):
-        trained_on.append(pl)
-        return real(run_cfg, task, split, head, pl, i)
+    def recording(head, data, space, labeled, pseudo, *args, **kw):
+        trained_on.append(pseudo)
+        return train(head, data, space, labeled, pseudo, *args, **kw)
 
-    monkeypatch.setattr(sweep, "fit_round", recording)
+    monkeypatch.setattr(strategies, "train", recording)
     sweep.run_comparison_scenario(cfg)
 
     task = sweep.load_task(cfg)
@@ -426,7 +425,7 @@ def test_threshold_arm_thresholds_the_base_prompt_softmax(cfg, monkeypatch):
     probs = softmax_rows(run_cfg.base_prompt(task.space.d).scores(feats, task.space))
     expected = threshold_pseudolabels(probs, cfg.threshold_tau, ids)
     assert 0 < expected.m < ids.size
-    # fit_round runs per head, top-K then threshold.
+    # One training per cell: per head, top-K then threshold.
     assert len(trained_on) == 4
     for pl in trained_on[1::2]:
         assert pl.k_used == expected.k_used
