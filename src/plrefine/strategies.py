@@ -4,18 +4,22 @@ Every round runs through one engine, run_rounds: round i selects
 pseudolabels with the head that round i-1 trained (the run's base prompt in
 round 1, whose ctx = 0 makes it the zero-shot classifier), trains a fresh
 head at the paradigm weights for the actual pool sizes, evaluates it and
-records it. run_strategy is that engine with top-K selection (select_round)
-and a prompt reinitialized from seed XOR iteration each round; the Robin
-Hood scenario (sweep.run_comparison_scenario) runs it for one round per arm.
-The three strategies differ only in the iteration count and the K rule,
-which STRATEGY_PLANS holds:
+keeps its record and report. run_strategy is that engine with top-K
+selection (select_round) and a prompt reinitialized from seed XOR iteration
+each round; the Robin Hood scenario (sweep.run_comparison_scenario) runs
+it for one round per arm. The three strategies differ only in the
+iteration count and the K rule, which STRATEGY_PLANS holds:
 
   FPL   one iteration, K capped by the pool (effective_k)
   IFPL  I iterations, same fixed K every time
   GRIP  I iterations, K grows linearly until the pool is fully covered
 
 FPL is literally iteration 1 of the shared loop, so an FPL run and an IFPL
-run with I=1 are bit-identical under the same seed.
+run with I=1 are bit-identical under the same seed, and an FPL run is round
+1 of any IFPL run under the same settings: round i depends only on the
+quotas of rounds 1..i, and FPL's one quota is IFPL's first. The sweep reads
+FPL's cell off IFPL's run (its first record and report) instead of training
+it again.
 """
 
 from __future__ import annotations
@@ -171,11 +175,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Full outcome of one strategy run."""
+    """Full outcome of one strategy run: each round's record and test
+    report, in round order, and the last round's head."""
 
     records: tuple
-    final_report: EvalReport
+    reports: tuple
     final_model: PromptModel
+
+    @property
+    def final_report(self) -> EvalReport:
+        return self.reports[-1]
 
 
 def grip_k(i: int, I: int, n_unlabeled: int, C: int) -> int:
@@ -273,7 +282,8 @@ def run_rounds(
     """The round engine: round i takes its pseudolabels ``select(model, i)``
     from the head that round i-1 trained (``base`` in round 1), trains the
     fresh head ``new_head(i)`` on them and the split's labeled rows, and
-    evaluates it.
+    evaluates it; the result keeps every round's record and report, and the
+    last round's head.
 
     The loss weights are the paradigm's weights for the labeled and
     pseudolabeled counts, or (1, 0) when nothing was pseudolabeled; training
@@ -284,7 +294,7 @@ def run_rounds(
     schedule = config.resolved_schedule()
     trzsl = config.paradigm.paradigm == "TRZSL"
     scored = not np.any(task.train.labels[split.pool_rows] == UNLABELED)
-    model, records = base, []
+    model, records, reports = base, [], []
     for i in range(1, rounds + 1):
         pl = select(model, i)
         weights = paradigm_weights(config.paradigm.paradigm, split.labeled.n, pl.m) if pl.m else (1.0, 0.0)
@@ -292,7 +302,8 @@ def run_rounds(
         report = evaluate(model, task.test, task.space, partition_aware=trzsl)
         pl_acc = pseudolabel_accuracy(pl, task.train) if pl.m and scored else None
         records.append(IterationRecord(i, pl.k_used, pl.m, pl_acc, report.overall, report.seen_accuracy, report.unseen_accuracy))
-    return RunResult(records=tuple(records), final_report=report, final_model=model)
+        reports.append(report)
+    return RunResult(records=tuple(records), reports=tuple(reports), final_model=model)
 
 
 def run_strategy(config: StrategyConfig, task: Task) -> RunResult:

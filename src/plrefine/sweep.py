@@ -1,10 +1,13 @@
 """Experiment sweep: strategies x paradigms x seeds, plus the comparison
 scenario for the redistribution analysis.
 
-Outputs are deterministic: runs execute in config order (or in stripes across
-worker processes and are re-assembled in config order), every RNG is derived
-from config seeds, and result.json is byte-identical across repeated
-invocations except for the "generated_at" timestamp.
+The sweep's unit of work is a run, not a cell: when IFPL is swept, FPL's
+cell at each paradigm and seed is read off IFPL's run there (FPL is IFPL's
+round 1), so that round trains once. Outputs are deterministic: runs
+execute in config order (or in stripes of runs across worker processes),
+their cells are re-assembled in config order, every RNG is derived from
+config seeds, and result.json is byte-identical across repeated invocations
+and job counts except for the "generated_at" timestamp.
 """
 
 from __future__ import annotations
@@ -60,19 +63,32 @@ def load_task(cfg: ExperimentConfig) -> Task:
     else:
         train_set, space = read_named(cfg.train_path, "train file")
         test_set, test_space = read_named(cfg.test_path, "test file")
-        protos = (space.base_prototypes, test_space.base_prototypes)
-        for c in range(max(space.C, test_space.C)):
+        if space.class_names != test_space.class_names or not np.array_equal(
+            space.base_prototypes, test_space.base_prototypes
+        ):
+            c = _first_differing_class(space, test_space)
             names = [repr(s.class_names[c]) if c < s.C else "absent" for s in (space, test_space)]
-            if names[0] != names[1] or not np.array_equal(protos[0][c], protos[1][c]):
-                raise ValueError(
-                    "train and test files describe different class spaces: they first differ"
-                    f" at class {c}, {names[0]} in the train file and {names[1]} in the test file"
-                )
+            raise ValueError(
+                "train and test files describe different class spaces: they first differ"
+                f" at class {c}, {names[0]} in the train file and {names[1]} in the test file"
+            )
         task = Task(train=train_set, test=test_set, space=space)
     if "TRZSL" in cfg.paradigms and task.space.partition is None:
         partition = make_trzsl_split(task.space.C, cfg.split_seed)
         task = dataclasses.replace(task, space=dataclasses.replace(task.space, partition=partition))
     return task
+
+
+def _first_differing_class(space, other) -> int:
+    """The first class whose name or prototype differs between two class
+    spaces (class 0 when the prototype widths differ), or the smaller class
+    count when one space extends the other."""
+    if space.d != other.d:
+        return 0
+    C = min(space.C, other.C)
+    differ = np.array(space.class_names[:C], dtype=object) != np.array(other.class_names[:C], dtype=object)
+    differ |= (space.base_prototypes[:C] != other.base_prototypes[:C]).any(axis=1)
+    return int(np.argmax(differ)) if differ.any() else C
 
 
 def _prepared(cfg: ExperimentConfig, paradigms: tuple) -> Tuple[Task, EvalReport]:
@@ -101,29 +117,34 @@ def _prepared(cfg: ExperimentConfig, paradigms: tuple) -> Tuple[Task, EvalReport
     return task, baseline if "TRZSL" in paradigms else zero_shot_report(task.test, task.space)
 
 
-def _run_cells(cfg: ExperimentConfig, cells: List[Tuple[str, str, int]], out: str) -> List[dict]:
-    """Run cells in order on one task and zero-shot baseline, writing each
-    cell's trace.csv as it finishes; returns plain dicts that can cross processes.
+def _run_cells(cfg: ExperimentConfig, runs: List[Tuple[str, str, int]], out: str) -> List[dict]:
+    """Run runs in order on one task and zero-shot baseline, writing the
+    trace.csv of each cell a run serves as it finishes; returns the cells'
+    plain dicts, which can cross processes.
 
-    Every paradigm of the config is checked first (_prepared), so an
-    infeasible one fails before any cell runs.
+    A run serves its own cell, and an IFPL run also serves FPL's when FPL is
+    swept: FPL's one quota is IFPL's first, so FPL's run is IFPL's round 1,
+    bit for bit. Every paradigm of the config is checked first (_prepared),
+    so an infeasible one fails before any run.
     """
     task, baseline = _prepared(cfg, cfg.paradigms)
-    runs = []
-    for strategy, paradigm, seed in cells:
+    cells = []
+    for strategy, paradigm, seed in runs:
         result = run_strategy(cfg.run_config(strategy, paradigm, seed), task)
-        runs.append({
-            "strategy": strategy,
-            "paradigm": paradigm,
-            "seed": int(seed),
-            "final": result.final_report.to_dict(),
-            "robin_hood": robin_hood(baseline, result.final_report).to_dict(),
-            "records": [r.to_dict() for r in result.records],
-        })
-        run_dir = os.path.join(out, f"{strategy}_{paradigm}_seed{seed}")
-        os.makedirs(run_dir, exist_ok=True)
-        write_trace_csv(os.path.join(run_dir, "trace.csv"), runs[-1]["records"])
-    return runs
+        served = [("FPL", 1)] if strategy == "IFPL" and "FPL" in cfg.strategies else []
+        for name, rounds in served + [(strategy, len(result.records))]:
+            cells.append({
+                "strategy": name,
+                "paradigm": paradigm,
+                "seed": int(seed),
+                "final": result.reports[rounds - 1].to_dict(),
+                "robin_hood": robin_hood(baseline, result.reports[rounds - 1]).to_dict(),
+                "records": [r.to_dict() for r in result.records[:rounds]],
+            })
+            run_dir = os.path.join(out, f"{name}_{paradigm}_seed{seed}")
+            os.makedirs(run_dir, exist_ok=True)
+            write_trace_csv(os.path.join(run_dir, "trace.csv"), cells[-1]["records"])
+    return cells
 
 
 def write_trace_csv(path: str, records: List[dict]) -> None:
@@ -184,27 +205,33 @@ def _output_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> str:
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None) -> dict:
     """Execute every (strategy, paradigm, seed) cell and write the outputs.
 
-    Writes <out>/<strategy>_<paradigm>_seed<k>/trace.csv per run and a single
-    <out>/result.json; returns the result.json payload. ``jobs`` > 1 runs
-    min(jobs, cells) worker processes, each on a stripe of every workers-th
-    cell and with numpy's OpenBLAS set to one thread as it starts; a serial
+    Writes <out>/<strategy>_<paradigm>_seed<k>/trace.csv per cell and a
+    single <out>/result.json; returns the result.json payload, whose "runs"
+    list the cells in config order. The unit of work is a run, not a cell:
+    every cell is a run of its own except FPL's when IFPL is swept, which
+    IFPL's run at the same paradigm and seed serves (_run_cells), so a run
+    that fails loses every cell it serves. ``jobs`` > 1 runs
+    min(jobs, runs) worker processes, each on a stripe of every workers-th
+    run and with numpy's OpenBLAS set to one thread as it starts; a serial
     sweep keeps its BLAS threads. The config echo is serialized before the
-    first cell, so a config that result.json cannot hold fails before any
+    first run, so a config that result.json cannot hold fails before any
     training.
     """
     int_scalar(jobs, "jobs", 1)
     json.dumps(cfg.echo())
     out = _output_dir(cfg, out_dir)
     cells = list(itertools.product(cfg.strategies, cfg.paradigms, cfg.seeds))
-    workers = min(jobs, len(cells))
+    runs = [cell for cell in cells if cell[0] != "FPL" or "IFPL" not in cfg.strategies]
+    workers = min(jobs, len(runs))
     if workers > 1:
-        stripes = [cells[w::workers] for w in range(workers)]
+        stripes = [runs[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers, initializer=one_blas_thread) as pool:
             parts = list(pool.map(_run_cells, [cfg] * workers, stripes, [out] * workers))
-        runs = [parts[i % workers][i // workers] for i in range(len(cells))]
     else:
-        runs = _run_cells(cfg, cells, out)
-    return _write_json(out, "result.json", cfg, {"runs": runs, "aggregates": _aggregate(runs)})
+        parts = [_run_cells(cfg, runs, out)]
+    by_cell = {(c["strategy"], c["paradigm"], c["seed"]): c for part in parts for c in part}
+    results = [by_cell[strategy, paradigm, int(seed)] for strategy, paradigm, seed in cells]
+    return _write_json(out, "result.json", cfg, {"runs": results, "aggregates": _aggregate(results)})
 
 
 def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
@@ -213,16 +240,17 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     Each of the four cells is one round of the round engine (run_rounds)
     from the same shots-per-class labeled subset and the same base prompt,
     as in an FPL run, and each trained head is compared against the
-    zero-shot baseline with the poor/rich redistribution report. Selection
-    runs once per cell. The top-K pseudolabels are FPL's round 1
-    (select_round with the base prompt), and the prompt head is FPL's
-    round-1 prompt. The scenario never deduplicates, so the prompt/top-K
-    cell is the FPL/SSL run at the first seed with dedup_pseudolabels off.
-    The threshold pseudolabels come from the softmax of the base prompt's
-    scores of the pool rows, gathered from the train set for that one call;
-    select_round scores the same pool block by block, and no copy of the
-    pool outlives either. Writes <out>/robinhood.json and returns its
-    payload.
+    zero-shot baseline with the poor/rich redistribution report. Every cell
+    selects with the base prompt in round 1, so each selection rule runs
+    once and its pseudolabels go to both heads. The top-K pseudolabels are
+    FPL's round 1 (select_round with the base prompt), and the prompt head
+    is FPL's round-1 prompt. The scenario never deduplicates, so the
+    prompt/top-K cell is the FPL/SSL run at the first seed with
+    dedup_pseudolabels off. The threshold pseudolabels come from the softmax
+    of the base prompt's scores of the pool rows, gathered from the train
+    set for that one call; select_round scores the same pool block by block,
+    and no copy of the pool outlives either. Writes <out>/robinhood.json and
+    returns its payload.
     """
     out = _output_dir(cfg, out_dir)
     task, baseline = _prepared(cfg, ("SSL",))
@@ -230,11 +258,11 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed)
     base = run_cfg.base_prompt(task.space.d)
     pool = split.pool_rows
-    selections = {
-        "topk": lambda model, i: select_round(run_cfg, split, task.train, model, task.space, i),
+    pseudolabels = {
+        "topk": select_round(run_cfg, split, task.train, base, task.space, 1),
         # Nothing may cross the threshold; that head trains on the shots alone.
-        "threshold": lambda model, i: threshold_pseudolabels(
-            softmax_rows(model.scores(task.train.features[pool], task.space)), cfg.threshold_tau, task.train.ids[pool]
+        "threshold": threshold_pseudolabels(
+            softmax_rows(base.scores(task.train.features[pool], task.space)), cfg.threshold_tau, task.train.ids[pool]
         ),
     }
     heads = {
@@ -245,8 +273,8 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     comparisons: dict = {}
     for head_name, new_head in heads.items():
         comparisons[head_name] = {}
-        for mode, select in selections.items():
-            result = run_rounds(run_cfg, task, split, base, 1, select, new_head)
+        for mode, pl in pseudolabels.items():
+            result = run_rounds(run_cfg, task, split, base, 1, lambda model, i, pl=pl: pl, new_head)
             comparisons[head_name][mode] = {
                 "n_pseudolabels": result.records[0].n_pseudo,
                 "pseudolabel_accuracy": result.records[0].pseudolabel_accuracy,

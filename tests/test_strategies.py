@@ -259,6 +259,29 @@ class TestRefinementLoops:
         assert len(fpl.records) == len(ifpl.records) == 1
         assert fpl.records[0].to_dict() == ifpl.records[0].to_dict()
 
+    @pytest.mark.parametrize("modality", ["textual", "multimodal"])
+    def test_fpl_is_round_one_of_any_ifpl_run(self, loop_task, monkeypatch, modality):
+        """An IFPL run's round 1 is, bit for bit, the FPL run under the same
+        settings: its first record, its first report and the head its first
+        round trains, whose ctx bytes the records cannot show."""
+        trained = []
+
+        def recording(head, *args, **kw):
+            model, losses = train(head, *args, **kw)
+            trained.append(model)
+            return model, losses
+
+        monkeypatch.setattr(strategies, "train", recording)
+        ifpl = run_strategy(_fast("IFPL", "UL", seed=1, modality=modality), loop_task)
+        round_one = trained[0]
+        fpl = run_strategy(_fast("FPL", "UL", seed=1, modality=modality), loop_task)
+        assert len(trained) == 4 and len(ifpl.reports) == 3 and ifpl.final_report is ifpl.reports[-1]
+        assert [r.to_dict() for r in ifpl.records[:1]] == [r.to_dict() for r in fpl.records]
+        assert ifpl.reports[0].to_dict() == fpl.final_report.to_dict()
+        ctx, ctx_fpl = round_one.learnable(), fpl.final_model.learnable()
+        assert list(ctx) == list(ctx_fpl)
+        assert all(ctx[name].tobytes() == ctx_fpl[name].tobytes() for name in ctx)
+
     def test_fpl_ignores_configured_iterations(self, loop_task):
         a = run_strategy(_fast("FPL", "UL", I=1), loop_task)
         b = run_strategy(_fast("FPL", "UL", I=9), loop_task)

@@ -1,7 +1,9 @@
-"""Sweep execution: cells run in stripes on one task and one zero-shot
-baseline per process, with the same bytes serially and across workers."""
+"""Sweep execution: runs, an IFPL run also serving FPL's cell, go in
+stripes on one task and one zero-shot baseline per process, with the same
+bytes serially and across workers."""
 
 import dataclasses
+import itertools
 import os
 import re
 from pathlib import Path
@@ -87,8 +89,109 @@ def test_serial_and_workers_write_the_same_bytes(cfg, tmp_path):
     ]
     expected = _outputs(tmp_path / "serial")
     assert sorted(expected) == sorted([f"{d}/trace.csv" for d in CELL_DIRS] + ["result.json"])
-    for jobs in (2, 5):  # two stripes of two cells; more jobs than cells
+    for jobs in (2, 5):  # two stripes of two runs; more jobs than runs
         sweep.run_sweep(cfg, jobs=jobs, out_dir=str(tmp_path / f"jobs{jobs}"))
+        assert _outputs(tmp_path / f"jobs{jobs}") == expected
+
+
+@pytest.fixture
+def prefix_cfg(cfg):
+    """Six cells: FPL, IFPL and GRIP, each under UL then SSL, in four runs:
+    FPL is IFPL's round 1 under each paradigm."""
+    return dataclasses.replace(cfg, strategies=("FPL", "IFPL", "GRIP"))
+
+
+def _recording_runs(monkeypatch) -> list:
+    """Wrap sweep.run_strategy so each run appends its (strategy, paradigm)."""
+    runs = []
+    real = sweep.run_strategy
+
+    def recording(config, task):
+        runs.append((config.strategy, config.paradigm.paradigm))
+        return real(config, task)
+
+    monkeypatch.setattr(sweep, "run_strategy", recording)
+    return runs
+
+
+def test_each_round_trains_once_per_sweep(prefix_cfg, tmp_path, monkeypatch):
+    """FPL + IFPL + GRIP on one paradigm and seed runs the round engine
+    twice, not three times: FPL is read off IFPL's run."""
+    engines = _counting(monkeypatch, "run_rounds", module=strategies)
+    runs = _recording_runs(monkeypatch)
+    payload = sweep.run_sweep(dataclasses.replace(prefix_cfg, paradigms=("UL",)), out_dir=str(tmp_path / "out"))
+    assert len(engines) == 2 and runs == [("IFPL", "UL"), ("GRIP", "UL")]
+    assert [(r["strategy"], len(r["records"])) for r in payload["runs"]] == [("FPL", 1), ("IFPL", 2), ("GRIP", 2)]
+    assert sorted(_outputs(tmp_path / "out")) == sorted(
+        [f"{s}_UL_seed0/trace.csv" for s in ("FPL", "IFPL", "GRIP")] + ["result.json"]
+    )
+
+
+def _standalone_cells(cfg) -> list:
+    """Each cell of cfg as run_strategy runs it alone: its (records, final
+    report) dicts and its final ctx bytes, in config order."""
+    task = sweep.load_task(cfg)
+    cells = []
+    for strategy, paradigm, seed in itertools.product(cfg.strategies, cfg.paradigms, cfg.seeds):
+        result = strategies.run_strategy(cfg.run_config(strategy, paradigm, seed), task)
+        ctx = b"".join(a.tobytes() for a in result.final_model.learnable().values())
+        cells.append(([r.to_dict() for r in result.records], result.final_report.to_dict(), ctx))
+    return cells
+
+
+@pytest.mark.parametrize("modality", ["textual", "multimodal"])
+def test_fpl_cells_read_off_ifpl_are_their_standalone_runs(prefix_cfg, tmp_path, monkeypatch, modality):
+    """Every cell, FPL's read off IFPL's round 1 included, is bit for bit the
+    cell run on its own: records, final report and the final ctx bytes,
+    which result.json cannot show. Heads are recorded per (strategy,
+    paradigm) run as strategies.train returns them."""
+    cfg = dataclasses.replace(prefix_cfg, modality=modality)
+    alone = _standalone_cells(cfg)
+    heads, current = {}, []
+    real_run, real_train = sweep.run_strategy, strategies.train
+
+    def run(config, task):
+        current[:] = [(config.strategy, config.paradigm.paradigm)]
+        return real_run(config, task)
+
+    def train(head, *args, **kw):
+        model, losses = real_train(head, *args, **kw)
+        heads.setdefault(current[0], []).append(b"".join(a.tobytes() for a in model.learnable().values()))
+        return model, losses
+
+    monkeypatch.setattr(sweep, "run_strategy", run)
+    monkeypatch.setattr(strategies, "train", train)
+    payload = sweep.run_sweep(cfg, out_dir=str(tmp_path / "out"))
+    assert sorted(heads) == sorted(itertools.product(("IFPL", "GRIP"), ("UL", "SSL")))
+    for j, (strategy, paradigm) in enumerate(itertools.product(cfg.strategies, cfg.paradigms)):
+        records, final, ctx_alone = alone[j]
+        cell = payload["runs"][j]
+        assert (cell["strategy"], cell["paradigm"]) == (strategy, paradigm)
+        assert cell["records"] == records and cell["final"] == final
+        rounds = heads["IFPL" if strategy == "FPL" else strategy, paradigm]
+        assert rounds[len(records) - 1] == ctx_alone
+
+
+def test_fpl_runs_alone_without_ifpl(cfg, tmp_path, monkeypatch):
+    """Only IFPL serves FPL's cell: at K=5 GRIP's first quota on the 30-row
+    UL pool of 3 classes equals FPL's, yet FPL + GRIP trains four runs."""
+    runs = _recording_runs(monkeypatch)
+    payload = sweep.run_sweep(dataclasses.replace(cfg, K=5), out_dir=str(tmp_path / "out"))
+    assert runs == [("FPL", "UL"), ("FPL", "SSL"), ("GRIP", "UL"), ("GRIP", "SSL")]
+    assert [r["records"][0]["k_used"] for r in payload["runs"]] == [5, 5, 5, 4]
+
+
+def test_prefix_sweep_writes_the_same_bytes_serially_and_in_stripes_of_runs(prefix_cfg, tmp_path):
+    """Six cells in four runs (FPL read off IFPL under each paradigm): two
+    and three workers write the serial sweep's bytes."""
+    serial = sweep.run_sweep(prefix_cfg, out_dir=str(tmp_path / "serial"))
+    assert [(r["strategy"], r["paradigm"]) for r in serial["runs"]] == list(
+        itertools.product(("FPL", "IFPL", "GRIP"), ("UL", "SSL"))
+    )
+    expected = _outputs(tmp_path / "serial")
+    assert len(expected) == 7
+    for jobs in (2, 3):
+        sweep.run_sweep(prefix_cfg, jobs=jobs, out_dir=str(tmp_path / f"jobs{jobs}"))
         assert _outputs(tmp_path / f"jobs{jobs}") == expected
 
 
@@ -141,7 +244,8 @@ def test_failing_cell_keeps_finished_traces_and_writes_no_result(cfg, tmp_path, 
     assert sorted(_outputs(out)) == sorted(f"{d}/trace.csv" for d in CELL_DIRS[:2])
 
 
-def test_workers_never_outnumber_cells(cfg, tmp_path, monkeypatch):
+def test_workers_never_outnumber_cells(cfg, prefix_cfg, tmp_path, monkeypatch):
+    """Nor runs: six cells served by four runs start four workers."""
     started = []
 
     class InlinePool:
@@ -165,6 +269,8 @@ def test_workers_never_outnumber_cells(cfg, tmp_path, monkeypatch):
     sweep.run_sweep(cfg, jobs=64, out_dir=str(tmp_path / "jobs64"))
     assert started == [4]
     assert _outputs(tmp_path / "jobs64") == _outputs(tmp_path / "serial")
+    sweep.run_sweep(prefix_cfg, jobs=6, out_dir=str(tmp_path / "prefix"))
+    assert started == [4, 4]
 
 
 def _blas_count():
@@ -339,6 +445,18 @@ def _other_prototypes(task):
     return task.test, ClassSpace(space.class_names, space.base_prototypes[[0, 2, 1]])
 
 
+def _one_name(task):
+    space = task.space
+    return task.test, ClassSpace(space.class_names[:2] + ("other",), space.base_prototypes)
+
+
+def _one_prototype_row(task):
+    space = task.space
+    protos = space.base_prototypes.copy()
+    protos[2] = -protos[2]
+    return task.test, ClassSpace(space.class_names, protos)
+
+
 def _other_dimension(task):
     other = synth_generate(SyntheticSpec(C=3, d=6))
     return other.test, other.space
@@ -351,8 +469,10 @@ def _other_dimension(task):
         (_other_dimension, "class 0, 'class_000' in the train file and 'class_000' in the test file"),
         (_reversed, "class 0, 'class_000' in the train file and 'class_002' in the test file"),
         (_other_prototypes, "class 1, 'class_001' in the train file and 'class_001' in the test file"),
+        (_one_name, "class 2, 'class_002' in the train file and 'other' in the test file"),
+        (_one_prototype_row, "class 2, 'class_002' in the train file and 'class_002' in the test file"),
     ],
-    ids=["class-count", "dimension", "names", "prototypes"],
+    ids=["class-count", "dimension", "names", "prototypes", "one-name", "one-prototype-row"],
 )
 def test_test_file_from_another_class_space_is_rejected(tmp_path, test_file_of, difference):
     """The test file must carry the train file's class space: the same names
@@ -393,6 +513,21 @@ def test_prompt_topk_cell_is_fpl_round_one(cfg):
     assert cell["n_pseudolabels"] == fpl.records[0].n_pseudo
     assert cell["pseudolabel_accuracy"] == fpl.records[0].pseudolabel_accuracy
     assert cell["report"] == fpl.final_report.to_dict()
+
+
+def test_scenario_selects_once_per_rule(cfg, monkeypatch):
+    """All four cells are round 1 from the base prompt, so the top-K and the
+    threshold pseudolabels are each selected once and go to both heads."""
+    topk = _counting(monkeypatch, "select_round")
+    threshold = _counting(monkeypatch, "threshold_pseudolabels")
+    engines = _counting(monkeypatch, "run_rounds")
+    payload = sweep.run_comparison_scenario(cfg)
+    assert len(topk) == len(threshold) == 1 and len(engines) == 4
+    comparisons = payload["comparisons"]
+    for mode in ("topk", "threshold"):
+        cells = [comparisons[head][mode] for head in ("prompt", "linear_probe")]
+        assert cells[0]["n_pseudolabels"] == cells[1]["n_pseudolabels"]
+        assert cells[0]["pseudolabel_accuracy"] == cells[1]["pseudolabel_accuracy"]
 
 
 def test_scenario_never_deduplicates(cfg):
