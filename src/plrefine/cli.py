@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import parse_config, parse_seed_list, parse_synthetic_spec
+from .config import parse_config, parse_synthetic_spec
 from .fileio import inspect_ple, write_ple
 from .sweep import run_comparison_scenario, run_sweep
 from .synth import synth_generate
@@ -60,7 +60,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seeds = [int(s) for s in args.seed_override.split(",")]
         except ValueError:
             raise ValueError(f"--seed-override takes comma-separated integers, got {args.seed_override!r}") from None
-        cfg = dataclasses.replace(cfg, seeds=parse_seed_list(seeds))
+        cfg = dataclasses.replace(cfg, seeds=tuple(seeds))
     if "FPL" in cfg.strategies and "I" in raw and cfg.I != 1:
         print(
             f"warning: I={cfg.I} is ignored by FPL (it always runs a single iteration)",

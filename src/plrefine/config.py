@@ -11,19 +11,23 @@ type, and nothing is cast. An int key takes a JSON integer, never a bool; a
 float key takes any finite JSON number, widened to float; a bool key takes
 only true or false; a str key only a string. Unknown keys are rejected at
 every level so a typo ("epochz") fails loudly instead of silently running
-defaults. Every paradigm's run settings are built and checked at load time,
-before any cell runs. The schema is versioned; bump SCHEMA_VERSION when the
-layout changes.
+defaults. The parser checks only that shape: the JSON types, the keys, the
+schema version, and it folds the case of names. Every value rule belongs to
+ExperimentConfig, which checks itself when it is built, so a config read
+from JSON and one built in code are refused by the same rule with the same
+message, before any task loads. The schema is versioned; bump SCHEMA_VERSION
+when the layout changes.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
-from .core import PARADIGMS, ParadigmConfig, float_scalar, int_scalar, json_form
-from .strategies import STRATEGIES, StrategyConfig, default_schedule
+from .core import ParadigmConfig, float_scalar, int_scalar, json_form
+from .strategies import StrategyConfig, default_schedule
 from .synth import SyntheticSpec
 from .training import TrainSchedule
 
@@ -38,7 +42,9 @@ class ExperimentConfig:
     """Parsed and canonicalized experiment description.
 
     Field order is the echo's key order; a field's ``key`` metadata names
-    its JSON key when that differs from the field name.
+    its JSON key when that differs from the field name. Construction checks
+    every value rule (__post_init__), so no config that a sweep, or
+    parse_config reading its echo back, would refuse can be built.
     """
 
     output_dir: str = "runs"
@@ -60,6 +66,39 @@ class ExperimentConfig:
     init_spread: str = StrategyConfig.init_spread
     threshold_tau: float = 0.95
     split_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.synthetic is not None:
+            if self.train_path is not None or self.test_path is not None:
+                raise ValueError("task must be either synthetic or file paths, not both")
+        elif not self.train_path or not self.test_path:
+            raise ValueError("file task needs both 'train_path' and 'test_path'")
+        for key, what in (("strategies", "strategy"), ("paradigms", "paradigm"), ("seeds", "seeds")):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+            if not getattr(self, key):
+                raise ValueError(f"{what} list must not be empty")
+        object.__setattr__(self, "seeds", tuple(int_scalar(seed, "seeds") for seed in self.seeds))
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
+        float_scalar(self.threshold_tau, "threshold_tau", 1)
+        int_scalar(self.split_seed, "split_seed")
+        # Every cell's run settings, so the run configs' own rules (names, K, I,
+        # prompt_len, temperature, schedule, shots, ...) fire here, not in a run.
+        for strategy in self.strategies:
+            for paradigm in self.paradigms:
+                self.run_config(strategy, paradigm, self.seeds[0])
+        # A name or seed listed twice would run the same cells twice.
+        for key in ("strategies", "paradigms", "seeds"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must be distinct, got {values!r}")
+        # result.json embeds the echo, so a value it cannot hold (a Path
+        # output_dir, say) fails here, not after every cell has run.
+        for key, value in self.echo().items():
+            try:
+                json.dumps(value)
+            except TypeError as exc:
+                raise TypeError(f"{key} cannot be written to JSON: {exc}") from None
 
     def schedule(self) -> TrainSchedule:
         """Schedule with the modality-appropriate peak lr unless overridden."""
@@ -129,31 +168,12 @@ def _reject_unknown(given: dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown {where} key(s): {', '.join(repr(k) for k in unknown)}")
 
 
-def _names(value, key: str, what: str, allowed: tuple) -> tuple:
-    """One name or a list of distinct names, matched case-insensitively."""
+def _names(value, key: str) -> tuple:
+    """One name or a list of names, case-folded."""
     items = [value] if isinstance(value, str) else value
     if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
         raise ValueError(f"{key} must be a string or a list of strings, got {value!r}")
-    if not items:
-        raise ValueError(f"{what} list must not be empty")
-    for item in items:
-        if item.upper() not in allowed:
-            raise ValueError(f"unknown {what} {item!r}; expected one of {allowed}")
-    names = tuple(item.upper() for item in items)
-    if len(set(names)) != len(names):
-        raise ValueError(f"{key} must be distinct, got {value!r}")
-    return names
-
-
-def parse_seed_list(value) -> tuple:
-    """Seeds as a tuple of distinct non-negative ints (one int is a list of one)."""
-    items = value if isinstance(value, list) else [value]
-    seeds = tuple(int_scalar(s, "seeds") for s in items)
-    if not seeds:
-        raise ValueError("seeds list must not be empty")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    return seeds
+    return tuple(item.upper() for item in items)
 
 
 def parse_synthetic_spec(raw: dict) -> SyntheticSpec:
@@ -162,9 +182,10 @@ def parse_synthetic_spec(raw: dict) -> SyntheticSpec:
 
 # Keys whose values are not plain scalars, with their parsers.
 _PARSERS = {
-    "strategies": lambda v: _names(v, "strategies", "strategy", STRATEGIES),
-    "paradigms": lambda v: _names(v, "paradigms", "paradigm", PARADIGMS),
-    "seeds": parse_seed_list,
+    "strategies": lambda v: _names(v, "strategies"),
+    "paradigms": lambda v: _names(v, "paradigms"),
+    # One seed is a list of one; ExperimentConfig checks each seed.
+    "seeds": lambda v: tuple(v) if isinstance(v, list) else (v,),
     "modality": lambda v: _typed("modality", v, str).lower(),
     "schedule": lambda v: dict(sorted(_typed_fields(v, TrainSchedule, "schedule").items())),
 }
@@ -189,29 +210,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ValueError("config requires a 'task' object")
     _reject_unknown(task, set(_TASK_FIELDS), "task")
     hints = get_type_hints(ExperimentConfig)
-    values: dict = {}
-    if "synthetic" in task:
-        if "train_path" in task or "test_path" in task:
-            raise ValueError("task must be either synthetic or file paths, not both")
-        values["synthetic"] = parse_synthetic_spec(task["synthetic"])
-    else:
-        for name in ("train_path", "test_path"):
-            values[name] = _typed(name, task.get(name), hints[name])
-        if not values["train_path"] or not values["test_path"]:
-            raise ValueError("file task needs both 'train_path' and 'test_path'")
-
+    values = {
+        name: parse_synthetic_spec(value) if name == "synthetic" else _typed(name, value, hints[name])
+        for name, value in task.items()
+    }
     for key, name in keys.items():
         if key in raw:
             parse = _PARSERS.get(key)
             values[name] = parse(raw[key]) if parse else _typed(key, raw[key], hints[name])
-    cfg = ExperimentConfig(**values)
-
-    if not cfg.output_dir:
-        raise ValueError("output_dir must not be empty")
-    float_scalar(cfg.threshold_tau, "threshold_tau", 1)
-    int_scalar(cfg.split_seed, "split_seed")
-    # Each paradigm's run settings, so the run configs' own range checks (K, I,
-    # prompt_len, temperature, schedule, shots, ...) fire here, not in a run.
-    for paradigm in cfg.paradigms:
-        cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
-    return cfg
+    return ExperimentConfig(**values)

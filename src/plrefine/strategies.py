@@ -57,6 +57,7 @@ from .surrogate import (
     DEFAULT_CTX_SCALE,
     DEFAULT_TEMPERATURE,
     PromptModel,
+    _ctx_sigma,
     check_modality,
     class_prototypes,
     image_features,
@@ -83,8 +84,9 @@ class StrategyConfig:
     """Everything one run needs: strategy, paradigm, surrogate and schedule.
 
     K, I, seed and a given prompt_len go through int_scalar: a float or bool
-    is refused, not cast. temperature (positive) and init_scale go through
-    float_scalar: a bool, a string, NaN or an infinity is refused, not cast.
+    is refused, not cast. temperature (positive) goes through float_scalar:
+    a bool, a string, NaN or an infinity is refused, not cast. init_scale
+    and init_spread are checked by the rule that draws the ctx (_ctx_sigma).
     """
 
     strategy: str
@@ -111,10 +113,8 @@ class StrategyConfig:
         if self.prompt_len is not None:
             int_scalar(self.prompt_len, "prompt_len", 1)
         float_scalar(self.temperature, "temperature", positive=True)
-        float_scalar(self.init_scale, "init_scale")
+        _ctx_sigma(self.init_scale, self.init_spread)
         int_scalar(self.seed, "seed")
-        if self.init_spread not in ("std", "variance"):
-            raise ValueError("init_spread must be 'std' or 'variance'")
 
     def resolved_prompt_len(self) -> int:
         return self.prompt_len if self.prompt_len is not None else DEFAULT_PROMPT_LEN[self.modality]
@@ -221,24 +221,28 @@ def wire_paradigm(
     TRZSL labeled = all seen-class rows, pool = unseen-class rows (their
           labels hidden), pseudolabels restricted to unseen classes
     Rows with the unlabeled sentinel cannot be routed by TRZSL and are left
-    out of both sides there.
+    out of both sides there. A split with an empty pool has nothing to
+    pseudolabel and is refused.
     """
     all_classes = tuple(range(space.C))
-    empty = LabeledSubset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     if cfg.paradigm == "SSL":
         labeled = sample_shots(data, all_classes, cfg.shots_per_class, seed)
         pool = np.setdiff1d(np.arange(data.n, dtype=np.int64), labeled.rows)
-        return ParadigmSplit(labeled, pool, all_classes)
-    if cfg.paradigm == "UL":
-        return ParadigmSplit(empty, np.arange(data.n, dtype=np.int64), all_classes)
-    # TRZSL, the one paradigm left (ParadigmConfig admits no other).
-    if space.partition is None:
-        raise ValueError("TRZSL requires a partitioned class space")
-    seen, unseen = space.partition
-    seen_rows = np.flatnonzero(np.isin(data.labels, seen)).astype(np.int64)
-    pool = np.flatnonzero(np.isin(data.labels, unseen)).astype(np.int64)
-    labeled = LabeledSubset(seen_rows, data.labels[seen_rows])
-    return ParadigmSplit(labeled, pool, unseen)
+        split = ParadigmSplit(labeled, pool, all_classes)
+    elif cfg.paradigm == "UL":
+        empty = LabeledSubset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        split = ParadigmSplit(empty, np.arange(data.n, dtype=np.int64), all_classes)
+    else:
+        # TRZSL, the one paradigm left (ParadigmConfig admits no other).
+        if space.partition is None:
+            raise ValueError("TRZSL requires a partitioned class space")
+        seen, unseen = space.partition
+        seen_rows = np.flatnonzero(np.isin(data.labels, seen)).astype(np.int64)
+        pool = np.flatnonzero(np.isin(data.labels, unseen)).astype(np.int64)
+        split = ParadigmSplit(LabeledSubset(seen_rows, data.labels[seen_rows]), pool, unseen)
+    if split.pool_rows.size == 0:
+        raise ValueError("its unlabeled pool is empty")
+    return split
 
 
 def select_round(
@@ -317,8 +321,6 @@ def run_strategy(config: StrategyConfig, task: Task) -> RunResult:
     trains config.fresh_prompt; the run holds no copy of the pool.
     """
     split = wire_paradigm(config.paradigm, task.train, task.space, config.seed)
-    if split.pool_rows.size == 0:
-        raise ValueError(f"{config.strategy} requires unlabeled data")
 
     def select(model: PromptModel, i: int) -> PseudolabelSet:
         pl = select_round(config, split, task.train, model, task.space, i)

@@ -146,7 +146,7 @@ def _ctx_sigma(scale: float, spread: str) -> float:
         return scale
     if spread == "variance":
         return float(np.sqrt(scale))
-    raise ValueError(f"unknown spread convention {spread!r}; expected 'std' or 'variance'")
+    raise ValueError(f"init_spread must be 'std' or 'variance', got {spread!r}")
 
 
 def init_prompt(

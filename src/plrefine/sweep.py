@@ -95,10 +95,12 @@ def _prepared(cfg: ExperimentConfig, paradigms: tuple) -> Tuple[Task, EvalReport
     """The task and its zero-shot baseline, after checking that each of
     ``paradigms`` can run on the task.
 
-    Each paradigm's run settings are built and its split wired, so a class
-    short of shots_per_class rows, an empty unlabeled pool, or (TRZSL) a test
-    set missing a partition side fails here, before any training; the error
-    names shots_per_class only for SSL, the one paradigm it shapes. The test
+    The config's own rules were checked when it was built (ExperimentConfig);
+    this checks what needs the task. Each paradigm's run settings are built
+    and its split wired, so a class short of shots_per_class rows, an empty
+    unlabeled pool (wire_paradigm refuses it), or (TRZSL) a test set missing
+    a partition side fails here, before any training; the error names
+    shots_per_class only for SSL, the one paradigm it shapes. The test
     set is scored once: with TRZSL the baseline is the partition-aware
     report that checks it, whose per-class fields are the plain report's.
     """
@@ -106,8 +108,7 @@ def _prepared(cfg: ExperimentConfig, paradigms: tuple) -> Tuple[Task, EvalReport
     for paradigm in paradigms:
         try:
             run_cfg = cfg.run_config(cfg.strategies[0], paradigm, cfg.seeds[0])
-            if wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed).pool_rows.size == 0:
-                raise ValueError("its unlabeled pool is empty")
+            wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed)
             if paradigm == "TRZSL":
                 baseline = zero_shot_report(task.test, task.space, partition_aware=True)
         except ValueError as exc:
@@ -192,16 +193,6 @@ def _write_json(out: str, name: str, cfg: ExperimentConfig, body: dict) -> dict:
     return payload
 
 
-def _output_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> str:
-    """``out_dir``, else the config's output_dir; refused when empty, as
-    parse_config refuses it, since an empty path would write each trace.csv
-    into the working directory and then fail on result.json."""
-    out = out_dir or cfg.output_dir
-    if not out:
-        raise ValueError("output_dir must not be empty")
-    return out
-
-
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None) -> dict:
     """Execute every (strategy, paradigm, seed) cell and write the outputs.
 
@@ -213,13 +204,10 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = Non
     that fails loses every cell it serves. ``jobs`` > 1 runs
     min(jobs, runs) worker processes, each on a stripe of every workers-th
     run and with numpy's OpenBLAS set to one thread as it starts; a serial
-    sweep keeps its BLAS threads. The config echo is serialized before the
-    first run, so a config that result.json cannot hold fails before any
-    training.
+    sweep keeps its BLAS threads.
     """
     int_scalar(jobs, "jobs", 1)
-    json.dumps(cfg.echo())
-    out = _output_dir(cfg, out_dir)
+    out = out_dir or cfg.output_dir
     cells = list(itertools.product(cfg.strategies, cfg.paradigms, cfg.seeds))
     runs = [cell for cell in cells if cell[0] != "FPL" or "IFPL" not in cfg.strategies]
     workers = min(jobs, len(runs))
@@ -252,7 +240,7 @@ def run_comparison_scenario(cfg: ExperimentConfig, out_dir: Optional[str] = None
     and no copy of the pool outlives either. Writes <out>/robinhood.json and
     returns its payload.
     """
-    out = _output_dir(cfg, out_dir)
+    out = out_dir or cfg.output_dir
     task, baseline = _prepared(cfg, ("SSL",))
     run_cfg = cfg.run_config("FPL", "SSL", cfg.seeds[0])
     split = wire_paradigm(run_cfg.paradigm, task.train, task.space, run_cfg.seed)

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import EmbeddingSet, LabeledSubset, float_scalar, int_scalar
+from .core import EmbeddingSet, LabeledSubset, float_scalar, index_vector, int_scalar
 from .pseudolabels import PseudolabelSet
 
 
@@ -105,10 +105,13 @@ def train(
     contributes nothing; with zero epochs the model comes back bit-identical
     and the loss trace is empty. The two weights go through float_scalar as
     "gamma" and "lambda": a bool, a string, NaN, an infinity or a negative
-    weight is refused, not cast.
+    weight is refused, not cast. A labeled row at or beyond data.n is
+    refused before the first step, with a ValueError that names it.
     """
     gamma, lam = float_scalar(weights[0], "gamma"), float_scalar(weights[1], "lambda")
     int_scalar(seed, "seed")
+    if labeled is not None:
+        index_vector(labeled.rows, "labeled rows", hi=data.n)
 
     # (data rows, labels, weight) per active pool. Pool order is fixed
     # (labeled first) so the RNG stream is reproducible.

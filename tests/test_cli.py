@@ -267,7 +267,10 @@ class TestFailurePaths:
         assert "schema_version" in payload["error"]
         assert payload["type"] == "ValueError"
 
-    @pytest.mark.parametrize("override,message", [("1,1", "distinct"), ("0,-2", "non-negative")])
+    @pytest.mark.parametrize(
+        "override,message",
+        [("1,1", "distinct"), ("0,0", "seeds must be distinct, got (0, 0)"), ("0,-2", "non-negative")],
+    )
     def test_seed_override_is_validated(self, tmp_path, capsys, override, message):
         """A bad --seed-override fails like a bad seeds list, before any run."""
         cfg_path = _write_config(tmp_path)

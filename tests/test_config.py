@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plrefine.config import parse_config, parse_seed_list, parse_synthetic_spec
+from plrefine.config import ExperimentConfig, parse_config, parse_synthetic_spec
 from plrefine.core import ParadigmConfig
 from plrefine.metrics import threshold_pseudolabels
 from plrefine.strategies import StrategyConfig
+from plrefine.synth import SyntheticSpec
 
 
 def _minimal(**extra):
@@ -60,7 +61,8 @@ class TestParseConfig:
     def test_duplicate_names_rejected(self, key, names):
         """A name listed twice, in any case, would run the same cells twice
         and count them as separate seeds."""
-        with pytest.raises(ValueError, match=re.escape(f"{key} must be distinct, got {names!r}")):
+        folded = tuple(name.upper() for name in names)
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be distinct, got {folded!r}")):
             parse_config(_minimal(**{key: names}))
 
     def test_output_dir_must_not_be_empty(self):
@@ -174,7 +176,7 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="seeds must be an integer"):
             parse_config(_minimal(seeds=seeds))
         with pytest.raises(ValueError, match="seeds must be an integer"):
-            parse_seed_list(seeds)
+            ExperimentConfig(synthetic=SyntheticSpec(), seeds=tuple(seeds))
 
     def test_json_and_library_callers_get_one_message(self):
         """The JSON loader and a caller building the run settings directly
@@ -188,7 +190,7 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=message):
             parse_config(_minimal(seeds=[True]))
         with pytest.raises(ValueError, match=message):
-            parse_seed_list([True])
+            ExperimentConfig(synthetic=SyntheticSpec(), seeds=(True,))
         message = re.escape("must lie in [0, 1), got 1.0")
         with pytest.raises(ValueError, match="threshold_tau " + message):
             parse_config(_minimal(threshold_tau=1.0))
@@ -312,6 +314,117 @@ class TestParseConfig:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             parse_config(["not", "an", "object"])
+
+
+_SPEC = SyntheticSpec(C=4, d=8, unlabeled_per_class=10)
+
+
+def _built(**extra) -> ExperimentConfig:
+    """_minimal's config built in code: a JSON key becomes its field (a
+    ``task`` its task fields, ``schedule`` schedule_overrides)."""
+    values = {"synthetic": _SPEC, "strategies": ("FPL",), "paradigms": ("UL",), "seeds": (0,)}
+    task = extra.pop("task", None)
+    if task is not None:
+        values["synthetic"] = SyntheticSpec(**task["synthetic"]) if "synthetic" in task else None
+        values.update({key: task[key] for key in ("train_path", "test_path") if key in task})
+    values.update({"schedule_overrides" if key == "schedule" else key: value for key, value in extra.items()})
+    return ExperimentConfig(**values)
+
+
+class TestCodeBuiltConfig:
+    """ExperimentConfig checks itself when it is built, so a config made in
+    code meets the rules a JSON config meets, before any task loads."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # Each of these used to build, and the sweep then trained a cell
+            # twice, died in an IndexError, blamed the task, or wrote a
+            # result.json whose config echo parse_config refuses.
+            ({"seeds": (0, 0)}, "seeds must be distinct, got (0, 0)"),
+            ({"strategies": ("FPL", "FPL")}, "strategies must be distinct, got ('FPL', 'FPL')"),
+            ({"paradigms": ("UL", "UL")}, "paradigms must be distinct, got ('UL', 'UL')"),
+            ({"strategies": ()}, "strategy list must not be empty"),
+            ({"paradigms": ()}, "paradigm list must not be empty"),
+            ({"seeds": ()}, "seeds list must not be empty"),
+            ({"paradigms": ("ul",)}, "unknown paradigm 'ul'"),
+            ({"strategies": ("GRIP", "BOOST")}, "unknown strategy 'BOOST'"),
+            ({"threshold_tau": 1.5}, "threshold_tau must lie in [0, 1), got 1.5"),
+            ({"split_seed": -1}, "split_seed must be non-negative, got -1"),
+            ({"seeds": (0, 2.0)}, "seeds must be an integer, got 2.0"),
+            ({"output_dir": ""}, "output_dir must not be empty"),
+            ({"output_dir": Path("out")}, "output_dir cannot be written to JSON"),
+            # No task at all, as ExperimentConfig() has.
+            ({"synthetic": None}, "file task needs both 'train_path' and 'test_path'"),
+            ({"synthetic": None, "train_path": "a.ple"}, "file task needs both 'train_path' and 'test_path'"),
+            ({"train_path": "a.ple", "test_path": "b.ple"}, "task must be either synthetic or file paths, not both"),
+            ({"paradigms": ("UL", "SSL"), "shots_per_class": 0}, "SSL needs at least one labeled shot per class"),
+        ],
+    )
+    def test_bad_value_named_at_construction(self, extra, message):
+        with pytest.raises((ValueError, TypeError), match=re.escape(message)):
+            _built(**extra)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"strategies": ["FPL", "FPL"]},
+            {"strategies": ["BOOST"]},
+            {"strategies": []},
+            {"paradigms": ["UL", "UL"]},
+            {"paradigms": ["UL", "SL"]},
+            {"paradigms": ["UL", "SSL"], "shots_per_class": 0},
+            {"paradigms": ["UL", "SSL"], "shots_per_class": -1},
+            {"seeds": [1, 1]},
+            {"seeds": [-1]},
+            {"seeds": []},
+            {"seeds": [True]},
+            {"seeds": [0, 1.5]},
+            {"output_dir": ""},
+            {"split_seed": -1},
+            {"threshold_tau": 1.0},
+            {"threshold_tau": -0.01},
+            {"K": 0},
+            {"K": 2.9},
+            {"I": 0},
+            {"I": True},
+            {"prompt_len": 0},
+            {"prompt_len": 2.5},
+            {"temperature": 0.0},
+            {"temperature": -5.0},
+            {"init_scale": -0.02, "init_spread": "variance"},
+            {"modality": "sonic"},
+            {"init_spread": "sigma"},
+            {"schedule": {"epochs": 5, "warmup_epochs": 5}},
+            {"task": {"synthetic": {}, "train_path": "x.ple", "test_path": "y.ple"}},
+            {"task": {"train_path": "x.ple"}},
+            {"task": {}},
+        ],
+        ids=lambda extra: json.dumps(extra),
+    )
+    def test_json_and_code_get_one_message(self, extra):
+        """Each bad value of this file is refused through parse_config and
+        through ExperimentConfig by the one rule, with the one message."""
+        with pytest.raises(ValueError) as parsed:
+            parse_config(_minimal(**json.loads(json.dumps(extra))))
+        with pytest.raises(ValueError) as built:
+            _built(**extra)
+        assert str(parsed.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            {"seeds": [3, np.int64(1)], "K": np.int64(4), "temperature": 50, "strategies": ["GRIP", "IFPL"]},
+            {"task": {"train_path": "a.ple", "test_path": "b.ple"}, "paradigms": ("TRZSL", "UL"), "split_seed": 2},
+            {"schedule": {"warmup_epochs": 1, "epochs": 6}, "modality": "multimodal", "prompt_len": 4},
+            {"paradigms": ("SSL",), "shots_per_class": 1, "dedup_pseudolabels": True, "threshold_tau": 0,
+             "init_scale": 0.01, "init_spread": "variance", "output_dir": "out"},
+        ],
+    )
+    def test_echo_round_trips(self, extra):
+        cfg = _built(**extra)
+        assert parse_config(cfg.echo()) == cfg
 
 
 class TestScheduleResolution:

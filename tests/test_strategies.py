@@ -241,6 +241,15 @@ class TestWireParadigm:
         with pytest.raises(ValueError, match="TRZSL requires a partitioned class space"):
             wire_paradigm(ParadigmConfig("TRZSL"), small_task.train, space, seed=0)
 
+    def test_empty_pool_refused(self):
+        """Two shots of two rows per class leave SSL nothing to pseudolabel;
+        wiring refuses that split, so a run never starts on it."""
+        task = synth_generate(SyntheticSpec(C=3, d=4, labeled_per_class=2, unlabeled_per_class=0))
+        with pytest.raises(ValueError, match="^its unlabeled pool is empty$"):
+            wire_paradigm(ParadigmConfig("SSL", shots_per_class=2), task.train, task.space, seed=0)
+        with pytest.raises(ValueError, match="^its unlabeled pool is empty$"):
+            run_strategy(_fast("FPL", "SSL"), task)
+
 
 @pytest.fixture(scope="module")
 def loop_task():

@@ -235,6 +235,17 @@ class TestTrain:
                 train(model, data, space, labeled, None, (1.0, 0.0),
                       TrainSchedule(epochs=1, warmup_epochs=0), seed=bad)
 
+    def test_labeled_rows_outside_the_train_set_refused(self):
+        """Row 999 of a 24-row set used to die in step 0 with numpy's
+        IndexError; it is refused before the loop, by name."""
+        rng = np.random.default_rng(5)
+        data, _ = _toy(rng, per=8)
+        space = _space(rng, 3, 8)
+        model = init_prompt("textual", 2, 8, seed=0)
+        with pytest.raises(ValueError, match=re.escape("labeled rows must be below 24, got 999")):
+            train(model, data, space, LabeledSubset([0, 999], [0, 1]), None, (1.0, 0.0),
+                  TrainSchedule(epochs=1, warmup_epochs=0), seed=0)
+
     def test_negative_weights_rejected(self):
         rng = np.random.default_rng(6)
         data, labels = _toy(rng)
