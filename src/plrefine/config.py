@@ -69,11 +69,16 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.synthetic is not None:
+            if not isinstance(self.synthetic, SyntheticSpec):
+                raise ValueError(f"synthetic must be a SyntheticSpec, got {self.synthetic!r}")
             if self.train_path is not None or self.test_path is not None:
                 raise ValueError("task must be either synthetic or file paths, not both")
         elif not self.train_path or not self.test_path:
             raise ValueError("file task needs both 'train_path' and 'test_path'")
         for key, what in (("strategies", "strategy"), ("paradigms", "paradigm"), ("seeds", "seeds")):
+            # A string would be split into characters, a number not iterated.
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list or tuple, got {getattr(self, key)!r}")
             object.__setattr__(self, key, tuple(getattr(self, key)))
             if not getattr(self, key):
                 raise ValueError(f"{what} list must not be empty")

@@ -123,15 +123,23 @@ def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64, lo: Opti
     not 1-D, when ``n`` is given and ``x`` has another length, when a
     non-empty ``x`` is not of an integer dtype or is a list holding a float
     or a bool, or when a value lies outside the range; that message names
-    the first such value, as in ``labels must lie in [0, 5), got 5``. A
-    list, tuple or range of Python or numpy integers is typed by ``dtype``,
-    not by numpy's inference, so ``[1, 2**63]`` makes uint64 ids. A value
-    beyond ``dtype``, listed or in an unsigned array, is refused as in
-    ``labels must fit in int64``.
+    the first such value, as in ``labels must lie in [0, 5), got 5``. An
+    int64 array that already has the shape takes a [0, hi) check as one
+    pass over its values. A list, tuple or range of Python or numpy
+    integers is typed by ``dtype``, not by numpy's inference, so
+    ``[1, 2**63]`` makes uint64 ids. A value beyond ``dtype``, listed or in
+    an unsigned array, is refused as in ``labels must fit in int64``.
     """
     typed = isinstance(x, np.ndarray) and x.dtype == dtype and x.ndim == 1 and n in (None, x.size)
     if typed and lo is None and hi is None:
         return x
+    # An int64 vector checked against [0, hi) takes one unsigned max: read
+    # as uint64, a negative value is at least 2**63, so it fails too. A
+    # failure falls through to the passes below, which name the first bad
+    # value.
+    if typed and lo == 0 and hi is not None and hi <= 2**63 and x.dtype == np.int64:
+        if not x.size or x.view(np.uint64).max() < hi:
+            return x
     if lo is None and np.dtype(dtype).kind == "u":
         lo = 0
     if not typed:
@@ -224,30 +232,70 @@ def json_form(value):
     return [json_form(item) for item in value] if isinstance(value, (tuple, list)) else value
 
 
+class PoolBlocks(tuple):
+    """Checked pool blocks: consecutive (row count, weight) pairs, one per
+    pool, that split a batch's rows; it iterates as those pairs.
+
+    A count must be an integer of at least 1 (a float such as 11.0 or a bool
+    is refused) and a weight finite and non-negative; those checks run once,
+    when the value is built, so every loss call that takes it skips them.
+    ``total`` is the rows covered, ``spans`` the (first row, end row, weight)
+    of each block, the weight as a float.
+    """
+
+    def __new__(cls, pools):
+        pools = tuple(pools)
+        for block, (count, weight) in enumerate(pools):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                shown = count if isinstance(count, bool) or count != 0 else "no"
+                raise ValueError(f"pool block {block} has {shown} rows; a row count must be an integer of at least 1")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"pool weight {weight} must be finite and non-negative")
+        self = super().__new__(cls, pools)
+        starts = [0, *itertools.accumulate(int(count) for count, _ in pools)]
+        vars(self).update(total=starts[-1], spans=tuple(
+            (start, end, float(weight)) for start, end, (_, weight) in zip(starts, starts[1:], pools)
+        ))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PoolBlocks is read-only")
+
+
+def pool_blocks(pools, n: int) -> PoolBlocks:
+    """``pools`` as the checked blocks of a batch of n rows: None is one
+    block of weight 1 over all of them, a PoolBlocks is taken as it is, and
+    any other sequence of (row count, weight) pairs is checked as
+    PoolBlocks checks it. Raises ValueError for an empty batch, and for
+    blocks that cover another number of rows, as in ``pool blocks cover 4
+    rows, the batch has 3``."""
+    if n == 0:
+        raise ValueError("empty batch")
+    if not isinstance(pools, PoolBlocks):
+        pools = PoolBlocks(((n, 1.0),) if pools is None else pools)
+    if pools.total != n:
+        raise ValueError(f"pool blocks cover {pools.total} rows, the batch has {n}")
+    return pools
+
+
 def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tuple:
     """Weighted softmax cross-entropy of logits S (n, C) and its gradient dL/dS.
 
     ``pools`` splits the rows into consecutive blocks, one (row count,
     weight) pair per block; the loss is the sum over blocks of weight times
     the block's mean cross-entropy, and each block's rows of dL/dS carry the
-    same scale. None is one block of weight 1 over all n rows. A count must
-    be an integer of at least 1 (a float such as 11.0 or a bool is refused),
-    the counts must sum to n, and a weight must be finite and non-negative.
+    same scale. None is one block of weight 1 over all n rows. The blocks go
+    through pool_blocks: a count must be an integer of at least 1 (a float
+    such as 11.0 or a bool is refused), the counts must sum to n, and a
+    weight must be finite and non-negative. A PoolBlocks value was checked
+    when it was built, so here only its total is compared with n.
     Labels go through index_vector, so they must be of an integer dtype
     (float or bool labels are refused, not truncated) and lie in [0, C);
-    ``labels must lie in [0, C), got c`` names the first that does not.
-    The log-sum-exp is max-shifted and grouped as (shift - label logit) +
-    log-sum, so uniform logits give exactly ln(C); a non-finite loss raises
-    rather than propagating.
-
-    S is consumed: dL/dS is written over it and returned as G, so a loss
-    call holds one (n, C) matrix instead of three. S must be a writeable 2-D
-    float64 array the caller no longer needs; it, the labels and the pool
-    blocks are all checked before anything is written. Every pass is
-    row-local, so they all run on one block of CE_BLOCK_ROWS rows at a time:
-    the block and its (CE_BLOCK_ROWS, C) exp temporary stay in cache between
-    passes, and each row's values are exactly those of the whole-matrix
-    passes, its pool's count and weight included.
+    ``labels must lie in [0, C), got c`` names the first that does not. An
+    int64 label vector takes that check as one pass over its values.
+    S must be a writeable 2-D float64 array the caller no longer needs; it,
+    the labels and the pool blocks are all checked before anything is
+    written, and then cross_entropy_of_checked computes the loss.
     """
     if not isinstance(S, np.ndarray) or S.ndim != 2 or S.dtype != np.float64:
         raise ValueError("logits S must be a 2-D float64 array")
@@ -255,34 +303,50 @@ def softmax_cross_entropy(S: np.ndarray, labels: np.ndarray, pools=None) -> tupl
         raise ValueError("logits S must be writeable: dL/dS is written over it")
     n, C = S.shape
     labels = index_vector(labels, "labels", n, lo=0, hi=C)
-    if n == 0:
-        raise ValueError("empty batch")
-    if pools is None:
-        pools = ((n, 1.0),)
-    for block, (count, weight) in enumerate(pools):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            shown = count if isinstance(count, bool) or count != 0 else "no"
-            raise ValueError(f"pool block {block} has {shown} rows; a row count must be an integer of at least 1")
-        if not (math.isfinite(weight) and weight >= 0):
-            raise ValueError(f"pool weight {weight} must be finite and non-negative")
-    starts = [0, *itertools.accumulate(int(count) for count, _ in pools)]
-    if starts[-1] != n:
-        raise ValueError(f"pool blocks cover {starts[-1]} rows, the batch has {n}")
-    # (first row, end row, weight) of each pool block.
-    spans = [(start, end, float(weight)) for start, end, (_, weight) in zip(starts, starts[1:], pools)]
+    blocks = pool_blocks(pools, n)
+    if S.flags.c_contiguous:
+        return cross_entropy_of_checked(S, labels, blocks)
+    # The body reads the label cells through a flat view of S, which only a
+    # C-contiguous S has; a copy is computed and written back over S.
+    loss, S[...] = cross_entropy_of_checked(S.copy(), labels, blocks)
+    return loss, S
+
+
+def cross_entropy_of_checked(S: np.ndarray, labels: np.ndarray, blocks: PoolBlocks) -> tuple:
+    """softmax_cross_entropy's loss and dL/dS, for input its checks passed:
+    S a writeable C-contiguous (n, C) float64 array, labels an int64 (n,)
+    vector in [0, C), and blocks a PoolBlocks of total n. Loss callers that
+    check their own labels and blocks call this directly, so a step checks
+    each once; nothing here checks them again.
+
+    The log-sum-exp is max-shifted and grouped as (shift - label logit) +
+    log-sum, so uniform logits give exactly ln(C); a non-finite loss raises
+    rather than propagating.
+
+    S is consumed: dL/dS is written over it and returned as G, so a loss
+    call holds one (n, C) matrix instead of three. Every pass is row-local,
+    so they all run on one block of CE_BLOCK_ROWS rows at a time: the block
+    and its (CE_BLOCK_ROWS, C) exp temporary stay in cache between passes,
+    and each row's values are exactly those of the whole-matrix passes, its
+    pool's count and weight included.
+    """
+    n, C = S.shape
+    spans = blocks.spans
     per_row = np.empty(n)
-    local = np.arange(min(n, CE_BLOCK_ROWS))
+    # Each row's label cell as one index into the flat view of S.
+    flat, cells = S.reshape(-1), np.arange(0, n * C, C)
+    cells += labels
     for lo in range(0, n, CE_BLOCK_ROWS):
         hi = min(lo + CE_BLOCK_ROWS, n)
-        blk, lab, at = S[lo:hi], labels[lo:hi], local[: hi - lo]
+        blk, cell = S[lo:hi], cells[lo:hi]
         shift = blk.max(axis=1)
         e = blk - shift[:, None]
         np.exp(e, out=e)
         rel = np.log(e.sum(axis=1))
-        per_row[lo:hi] = (shift - blk[at, lab]) + rel
+        per_row[lo:hi] = (shift - flat[cell]) + rel
         blk -= (shift + rel)[:, None]
         np.exp(blk, out=blk)
-        blk[at, lab] -= 1.0
+        flat[cell] -= 1.0
         # Each pool's rows in this block: divided by its count, scaled by
         # its weight (a unit weight needs no pass).
         for start, end, weight in spans:

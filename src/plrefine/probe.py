@@ -12,7 +12,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, float_matrix, frozen_array, int_scalar, softmax_cross_entropy
+from .core import ClassSpace, cross_entropy_of_checked, float_matrix, frozen_array, index_vector, int_scalar, pool_blocks
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,12 @@ class LinearProbe:
         self, feats: np.ndarray, labels: np.ndarray, space: ClassSpace, pools=None
     ) -> Tuple[float, Dict[str, np.ndarray]]:
         """Softmax cross-entropy over all C classes, weighted per ``pools``
-        block as in core.softmax_cross_entropy, and its W gradient."""
+        block as in core.softmax_cross_entropy, and its W gradient. The
+        labels (in [0, C) for W's C rows) and the blocks are checked once,
+        as in surrogate.batch_loss_and_grad, before the logits are made."""
         Z = float_matrix(feats, "feats", self.W.shape[1])
-        loss, G = softmax_cross_entropy(Z @ self.W.T, labels, pools)
+        labels = index_vector(labels, "labels", Z.shape[0], lo=0, hi=self.W.shape[0])
+        loss, G = cross_entropy_of_checked(Z @ self.W.T, labels, pool_blocks(pools, Z.shape[0]))
         return loss, {"W": G.T @ Z}
 
     def scores(self, feats: np.ndarray, space: ClassSpace) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassSpace, float_matrix, float_scalar, frozen_array, index_vector, int_scalar, normalize_rows, softmax_cross_entropy
+from .core import ClassSpace, cross_entropy_of_checked, float_matrix, float_scalar, frozen_array, index_vector, int_scalar, normalize_rows, pool_blocks
 
 MODALITIES = ("textual", "visual", "multimodal")
 
@@ -357,12 +357,15 @@ def batch_loss_and_grad(
 
     Returns (loss, grads) with one gradient per learnable ctx block, keyed
     like PromptModel.learnable(). feats must be an (n, space.d) matrix with
-    one label per row. Labels go through core.index_vector before the
-    forward pass, so float or bool labels are refused, not truncated; they
-    must lie in [0, C). The loss is core.softmax_cross_entropy with its
-    ``pools`` block list (consecutive (row count, weight) blocks of feats;
-    None is the plain mean), so several weighted pools share one forward
-    pass and one backward pass per route.
+    one label per row. The input is checked once, before the forward pass:
+    the labels go through core.index_vector against [0, C), so float or
+    bool labels are refused, not truncated (an int64 vector in one pass),
+    and ``pools`` through core.pool_blocks (consecutive (row count, weight)
+    blocks of feats; None is the plain mean; a core.PoolBlocks value, which
+    training builds once per run, is taken as it is when its total is the
+    batch's rows). The loss is core.softmax_cross_entropy's, computed by
+    core.cross_entropy_of_checked without a second check, so several
+    weighted pools share one forward pass and one backward pass per route.
     The logits are built in one fresh (n, C) buffer that the cross-entropy
     overwrites with dL/dS, so a call allocates one (n, C) matrix; feats, the
     prototypes and the model are never written. A non-finite loss or
@@ -384,7 +387,8 @@ def batch_loss_and_grad(
     dctx[m, k] = sum_j mix[j, m*d + k] dE[j, k].
     """
     Z = float_matrix(feats, "feats", space.d)
-    labels = index_vector(labels, "labels", Z.shape[0])
+    labels = index_vector(labels, "labels", Z.shape[0], lo=0, hi=space.C)
+    blocks = pool_blocks(pools, Z.shape[0])
     tau, B = model.temperature, space.base_prototypes
     vis, text = model.vis_ctx is not None, model.text_ctx is not None
     # The visual route's passes go through run: the worker, under the cap,
@@ -402,7 +406,7 @@ def batch_loss_and_grad(
 
         S = Zp @ Wp.T
         S *= tau
-        loss, G = softmax_cross_entropy(S, labels, pools)  # G is S, overwritten
+        loss, G = cross_entropy_of_checked(S, labels, blocks)  # G is S, overwritten
 
         grads = {}
         visual = run(_shift_normalize_vjp, model.vis_mix, Z, Zp, nz, tau, G, Wp) if vis else None

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import EmbeddingSet, LabeledSubset, float_scalar, index_vector, int_scalar
+from .core import EmbeddingSet, LabeledSubset, PoolBlocks, float_scalar, index_vector, int_scalar
 from .pseudolabels import PseudolabelSet
 
 
@@ -68,18 +68,18 @@ def lr_at(schedule: TrainSchedule, epoch: int) -> float:
 
 
 def _batch_rows(perm: np.ndarray, step: int, batch_size: int, is_major: bool) -> np.ndarray:
-    """Rows of one pool for one step.
+    """Columns of one pool's permuted array (its last axis) for one step.
 
     The largest pool is sliced contiguously (last slice may be short); smaller
     pools cycle through their permutation with wraparound so every step sees a
     full batch from them.
     """
-    n = perm.size
+    n = perm.shape[-1]
     if is_major:
-        return perm[step * batch_size : min((step + 1) * batch_size, n)]
+        return perm[..., step * batch_size : min((step + 1) * batch_size, n)]
     b = min(batch_size, n)
     start = (step * b) % n
-    return perm[(start + np.arange(b)) % n]
+    return perm[..., (start + np.arange(b)) % n]
 
 
 def train(
@@ -107,6 +107,15 @@ def train(
     "gamma" and "lambda": a bool, a string, NaN, an infinity or a negative
     weight is refused, not cast. A labeled row at or beyond data.n is
     refused before the first step, with a ValueError that names it.
+
+    What is fixed for the run is checked once per call: the weights, the
+    seed and the labeled rows here, and each step layout's pool blocks (a
+    full batch and a short last one) as the core.PoolBlocks built the first
+    time that layout occurs. Each epoch gathers every pool's data rows and
+    labels in permutation order once; a step's batch is a slice of them, or
+    a wraparound gather from a smaller pool. The step's loss call still
+    checks its input, as early returns on what it is handed: the int64
+    labels against [0, C) in one pass, the blocks by their total.
     """
     gamma, lam = float_scalar(weights[0], "gamma"), float_scalar(weights[1], "lambda")
     int_scalar(seed, "seed")
@@ -125,15 +134,17 @@ def train(
     if schedule.epochs == 0:
         return model, []
 
-    # The pools' data rows back to back; a pool's batch rows are shifted by
-    # its offset. Each batch is gathered from data, with no stacked copy.
-    data_rows = np.concatenate([rows for rows, _, _ in pools])
-    labels = np.concatenate([pool_labels for _, pool_labels, _ in pools])
-    sizes = [rows.size for rows, _, _ in pools]
-    offsets = np.cumsum([0] + sizes[:-1])
+    # Each pool's data rows over its labels, as one (2, size) array; an
+    # epoch gathers it in permutation order once, and a step's batch is
+    # then a slice or a wraparound gather of it, with one features gather.
+    rows_labels = [np.stack((rows, pool_labels)) for rows, pool_labels, _ in pools]
+    sizes = [pool.shape[1] for pool in rows_labels]
     n_major = max(sizes)
     batch_size, momentum = schedule.batch_size, schedule.momentum
     steps = math.ceil(n_major / batch_size)
+    # The checked blocks of each step layout (a full batch and a short last
+    # one), by batch rows; each is built, and so checked, once.
+    layouts = {}
     # The current blocks (the model's own, read-only), replaced each step.
     params = model.learnable()
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -141,15 +152,17 @@ def train(
 
     for epoch in range(schedule.epochs):
         rng = np.random.default_rng([seed, epoch])
-        perms = [offset + rng.permutation(size) for offset, size in zip(offsets, sizes)]
+        shuffled = [pool[:, rng.permutation(size)] for pool, size in zip(rows_labels, sizes)]
         lr = lr_at(schedule, epoch)
         step_losses = []
         for step in range(steps):
-            picks = [_batch_rows(perm, step, batch_size, perm.size == n_major) for perm in perms]
-            rows = picks[0] if len(picks) == 1 else np.concatenate(picks)
-            blocks = [(pick.size, weight) for pick, (_, _, weight) in zip(picks, pools)]
+            picks = [_batch_rows(pool, step, batch_size, pool.shape[1] == n_major) for pool in shuffled]
+            batch = picks[0] if len(picks) == 1 else np.concatenate(picks, axis=1)
+            blocks = layouts.get(batch.shape[1])
+            if blocks is None:
+                blocks = layouts[batch.shape[1]] = PoolBlocks((pick.shape[1], weight) for pick, (_, _, weight) in zip(picks, pools))
             try:
-                loss, grads = model.loss_and_grad(data.features[data_rows[rows]], labels[rows], space, blocks)
+                loss, grads = model.loss_and_grad(data.features[batch[0]], batch[1], space, blocks)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} (epoch {epoch}, step {step})") from None
             for name, v in velocity.items():

@@ -359,6 +359,13 @@ class TestCodeBuiltConfig:
             ({"synthetic": None, "train_path": "a.ple"}, "file task needs both 'train_path' and 'test_path'"),
             ({"train_path": "a.ple", "test_path": "b.ple"}, "task must be either synthetic or file paths, not both"),
             ({"paradigms": ("UL", "SSL"), "shots_per_class": 0}, "SSL needs at least one labeled shot per class"),
+            # These used to build and let run_sweep die on a dict, or split a
+            # name into characters, or raised Python's bare "not iterable".
+            ({"synthetic": {"C": 3, "d": 8}}, "synthetic must be a SyntheticSpec, got {'C': 3, 'd': 8}"),
+            ({"seeds": 5}, "seeds must be a list or tuple, got 5"),
+            ({"strategies": None}, "strategies must be a list or tuple, got None"),
+            ({"strategies": "GRIP"}, "strategies must be a list or tuple, got 'GRIP'"),
+            ({"paradigms": "UL"}, "paradigms must be a list or tuple, got 'UL'"),
         ],
     )
     def test_bad_value_named_at_construction(self, extra, message):

@@ -19,6 +19,7 @@ from plrefine.core import (
     EmbeddingSet,
     LabeledSubset,
     ParadigmConfig,
+    PoolBlocks,
     Task,
     make_trzsl_split,
     normalize_rows,
@@ -371,6 +372,37 @@ class TestIndexVector:
         ids = np.array([0, 2**64 - 1], dtype=np.uint64)
         assert index_vector(labels, "labels", 2) is labels
         assert index_vector(ids, "ids", 2, np.uint64) is ids
+
+
+class TestIndexVectorOnePassBound:
+    """A typed int64 vector checked against [0, hi) takes one unsigned max;
+    a failure falls through to the passes that name the first bad value."""
+
+    @pytest.mark.parametrize("bad", [-1, np.iinfo(np.int64).min, 5, 2**62])
+    def test_first_bad_value_named(self, bad):
+        x = np.array([1, bad, 7, -3], dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"^labels must lie in \[0, 5\), got {bad}$"):
+            index_vector(x, "labels", 4, lo=0, hi=5)
+        with pytest.raises(ValueError, match=rf"^labels must lie in \[0, 5\), got {bad}$"):
+            index_vector(np.repeat(x, 2)[::2], "labels", lo=0, hi=5)
+
+    def test_vector_in_range_is_returned_as_it_is(self):
+        labels, strided = np.array([0, 4, 2]), np.array([0, -1, 4, -1, 2])[::2]
+        assert index_vector(labels, "labels", 3, lo=0, hi=5) is labels
+        assert index_vector(strided, "labels", lo=0, hi=5) is strided
+
+    def test_bound_beyond_int64_still_refuses_negatives(self):
+        with pytest.raises(ValueError, match=r"^v must lie in \[0, 18446744073709551616\), got -1$"):
+            index_vector(np.array([3, -1]), "v", lo=0, hi=2**64)
+
+    def test_other_callers_keep_their_path(self):
+        ids = np.array([3, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"^ids must lie in \[0, 9223372036854775808\), got 9223372036854775809$"):
+            index_vector(ids, "ids", dtype=np.uint64, hi=2**63)
+        with pytest.raises(ValueError, match=r"^labels must lie in \[-1, 5\), got -2$"):
+            index_vector(np.array([3, -2, 9]), "labels", lo=-1, hi=5)
+        labels = np.array([-1, 4])
+        assert index_vector(labels, "labels", lo=-1, hi=5) is labels
 
 
 class TestIntScalar:
@@ -730,3 +762,59 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match=message):
             softmax_cross_entropy(S, labels, pools)
         assert np.array_equal(S, before)
+
+    @pytest.mark.parametrize(
+        "view",
+        [lambda a: a[:, ::2], lambda a: a[::2], lambda a: np.asfortranarray(a[: len(a) // 2, : a.shape[1] // 2])],
+        ids=["column stride", "row stride", "Fortran order"],
+    )
+    def test_non_contiguous_logits_get_the_gradient_in_place(self, view):
+        rng = np.random.default_rng(41)
+        S = view(100.0 * rng.standard_normal((2 * CE_BLOCK_ROWS + 10, 14)))
+        labels = rng.integers(0, S.shape[1], size=S.shape[0])
+        pools = [(4, 2.5), (S.shape[0] - 4, 1.0)]
+        expected_loss, expected_G = softmax_cross_entropy(np.ascontiguousarray(S), labels, pools)
+        loss, G = softmax_cross_entropy(S, labels, pools)
+        assert not S.flags.c_contiguous and G is S
+        assert loss == expected_loss and np.array_equal(S, expected_G)
+
+    def test_typed_blocks_of_another_total_rejected(self):
+        S = _logits((4, 3))
+        before = S.copy()
+        with pytest.raises(ValueError, match=r"^pool blocks cover 5 rows, the batch has 4$"):
+            softmax_cross_entropy(S, np.zeros(4, dtype=np.int64), PoolBlocks([(2, 1.0), (3, 1.0)]))
+        assert np.array_equal(S, before)
+
+    def test_typed_blocks_give_the_list_bits(self):
+        rng = np.random.default_rng(42)
+        S = 100.0 * rng.standard_normal((CE_BLOCK_ROWS + 9, 6))
+        labels = rng.integers(0, 6, size=S.shape[0])
+        pools = [(9, 16.5), (CE_BLOCK_ROWS, 0.5)]
+        loss, G = softmax_cross_entropy(S.copy(), labels, pools)
+        loss_t, G_t = softmax_cross_entropy(S.copy(), labels, PoolBlocks(pools))
+        assert loss_t == loss and np.array_equal(G_t, G)
+
+
+class TestPoolBlocksValue:
+    def test_carries_its_total_and_spans(self):
+        blocks = PoolBlocks([(2, 3), (np.int64(5), 0.5)])
+        assert blocks == ((2, 3), (5, 0.5)) and [count for count, _ in blocks] == [2, 5]
+        assert blocks.total == 7
+        assert blocks.spans == ((0, 2, 3.0), (2, 7, 0.5))
+        with pytest.raises(AttributeError):
+            blocks.total = 3
+
+    @pytest.mark.parametrize(
+        "pools, message",
+        [
+            ([(True, 1.0)], "pool block 0 has True rows; a row count must be an integer of at least 1"),
+            ([(2, 1.0), (3, float("nan"))], "pool weight nan must be finite and non-negative"),
+            ([(2, 1.0), (0, 1.0)], "pool block 1 has no rows; a row count must be an integer of at least 1"),
+            ([(2.0, 1.0)], "pool block 0 has 2.0 rows; a row count must be an integer of at least 1"),
+            ([(2, -0.5)], "pool weight -0.5 must be finite and non-negative"),
+        ],
+        ids=["bool count", "NaN weight", "no rows", "float count", "negative weight"],
+    )
+    def test_unchecked_pairs_cannot_be_put_in(self, pools, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PoolBlocks(pools)

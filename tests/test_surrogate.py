@@ -21,7 +21,7 @@ import pytest
 from test_core import _whole_matrix_cross_entropy
 
 from plrefine import surrogate
-from plrefine.core import CE_BLOCK_ROWS, ClassSpace, EmbeddingSet, LabeledSubset
+from plrefine.core import CE_BLOCK_ROWS, ClassSpace, EmbeddingSet, LabeledSubset, PoolBlocks
 from plrefine.probe import LinearProbe
 from plrefine.pseudolabels import PseudolabelSet
 from plrefine.surrogate import (
@@ -661,6 +661,29 @@ class TestPoolBlocks:
         with pytest.raises(ValueError, match=message):
             call(Z, y, space, pools)
 
+    @pytest.mark.parametrize("head", [*MODALITIES, "probe"])
+    def test_typed_blocks_give_the_list_bits(self, head):
+        """A PoolBlocks value, as training passes it, gives the loss and
+        gradients of the same pairs given as a list, bit for bit."""
+        rng = np.random.default_rng(38)
+        space = _space(rng, 5, 8)
+        _, _, Z, y = _two_pools(rng)
+        call = _head_call(head, rng, 5, 8)
+        pools = [(4, 2.5), (7, 0.5)]
+        loss, grads = call(Z, y, space, pools)
+        loss_t, grads_t = call(Z, y, space, PoolBlocks(pools))
+        assert loss_t == loss and grads_t.keys() == grads.keys()
+        assert all(np.array_equal(grads_t[name], g) for name, g in grads.items())
+
+    @pytest.mark.parametrize("head", ["multimodal", "probe"])
+    def test_typed_blocks_of_another_total_rejected(self, head):
+        rng = np.random.default_rng(35)
+        space = _space(rng, 5, 8)
+        _, _, Z, y = _two_pools(rng)
+        call = _head_call(head, rng, 5, 8)
+        with pytest.raises(ValueError, match=r"^pool blocks cover 8 rows, the batch has 11$"):
+            call(Z, y, space, PoolBlocks([(4, 1.0), (4, 1.0)]))
+
 
 class TestLogitBuffer:
     """The cross-entropy writes dL/dS over the logits, so a loss call holds
@@ -983,9 +1006,9 @@ class TestConcurrentRoutes:
         model, Z, y, space = _multimodal_call()
         expected = batch_loss_and_grad(model, Z, y, space)
         seen = []
-        ce = surrogate.softmax_cross_entropy
+        ce = surrogate.cross_entropy_of_checked
         monkeypatch.setattr(surrogate, "_openblas_threads", lambda: None)
-        monkeypatch.setattr(surrogate, "softmax_cross_entropy", lambda *a: seen.append(get()) or ce(*a))
+        monkeypatch.setattr(surrogate, "cross_entropy_of_checked", lambda *a: seen.append(get()) or ce(*a))
         assert _same_bits(batch_loss_and_grad(model, Z, y, space), expected)
         assert seen == [2]  # nothing was capped
 

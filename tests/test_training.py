@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plrefine.core import ClassSpace, EmbeddingSet, LabeledSubset, ParadigmConfig, paradigm_weights
+from plrefine.core import ClassSpace, EmbeddingSet, LabeledSubset, ParadigmConfig, PoolBlocks, paradigm_weights
 from plrefine.probe import init_linear_probe
 from plrefine.pseudolabels import topk_per_class
 from plrefine.surrogate import PromptModel, init_prompt
@@ -394,6 +394,27 @@ class TestOneCallPerStep:
         head = [(6, weights[0])] if paradigm == "SSL" else []
         per_epoch = [head + [(8, 1.0)], head + [(8, 1.0)], head + [(5, 1.0)]]
         assert calls == per_epoch * 3
+
+    @pytest.mark.parametrize("paradigm, batch_size", [("SSL", 8), ("UL", 7)])
+    def test_pool_blocks_checked_once_per_layout(self, monkeypatch, paradigm, batch_size):
+        """The pool-block checks run when a PoolBlocks is built, and a train
+        call builds one per distinct step layout, not one per step: over the
+        21-row pool and 9 steps, batches of 8 make a full and a short
+        layout, batches of 7 one full layout."""
+        data, space, labeled, pl, weights = _pools(np.random.default_rng(8), paradigm)
+        built = []
+        new = PoolBlocks.__new__
+
+        def counted(cls, pools):
+            blocks = new(cls, pools)
+            built.append(tuple(blocks))
+            return blocks
+
+        monkeypatch.setattr(PoolBlocks, "__new__", counted)
+        schedule = TrainSchedule(epochs=3, warmup_epochs=1, batch_size=batch_size)
+        train(init_prompt("multimodal", 2, 8, seed=0), data, space, labeled, pl, weights, schedule, seed=0)
+        head = ((6, weights[0]),) if paradigm == "SSL" else ()
+        assert built == ([head + ((8, 1.0),), head + ((5, 1.0),)] if batch_size == 8 else [head + ((7, 1.0),)])
 
     @pytest.mark.parametrize("paradigm", ["SSL", "UL"])
     def test_matches_one_call_per_pool(self, paradigm):

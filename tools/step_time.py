@@ -86,12 +86,12 @@ def blas_threads_in_two_route_call() -> str:
     rng = np.random.default_rng(0)
     space = ClassSpace(("a", "b"), _unit_rows(rng, 2, 4))
     seen = []
-    cross_entropy = surrogate.softmax_cross_entropy
-    surrogate.softmax_cross_entropy = lambda *args: seen.append(threads[0]()) or cross_entropy(*args)
+    cross_entropy = surrogate.cross_entropy_of_checked
+    surrogate.cross_entropy_of_checked = lambda *args: seen.append(threads[0]()) or cross_entropy(*args)
     try:
         batch_loss_and_grad(init_prompt("multimodal", 1, 4, seed=0), _unit_rows(rng, 3, 4), np.zeros(3, int), space)
     finally:
-        surrogate.softmax_cross_entropy = cross_entropy
+        surrogate.cross_entropy_of_checked = cross_entropy
     return str(seen[0])
 
 
