@@ -48,8 +48,10 @@ def row_norms(mat: np.ndarray) -> np.ndarray:
     Taken NORM_BLOCK_ROWS rows at a time, so a pass never holds a second
     (n, d) array; a row's norm reads that row alone, so its bits do not
     depend on the blocking. A NaN or inf entry makes its row's norm NaN or
-    inf.
+    inf. A matrix of one block takes one pass, with no output buffer.
     """
+    if mat.shape[0] <= NORM_BLOCK_ROWS:
+        return np.sqrt(np.add.reduce(mat * mat, axis=1, keepdims=True))
     norms = np.empty((mat.shape[0], 1))
     for s in range(0, mat.shape[0], NORM_BLOCK_ROWS):
         blk = mat[s : s + NORM_BLOCK_ROWS]
@@ -66,7 +68,7 @@ def normalize_rows(mat: np.ndarray, what: str) -> np.ndarray:
     would poison every cosine downstream.
     """
     norms = row_norms(mat)
-    if (norms < 1e-12).any():
+    if np.logical_or.reduce(norms < 1e-12, axis=None):
         raise ValueError(f"degenerate embedding: zero-norm {what} cannot be normalized")
     mat /= norms
     return norms
@@ -138,7 +140,7 @@ def index_vector(x, name: str, n: Optional[int] = None, dtype=np.int64, lo: Opti
     # failure falls through to the passes below, which name the first bad
     # value.
     if typed and lo == 0 and hi is not None and hi <= 2**63 and x.dtype == np.int64:
-        if not x.size or x.view(np.uint64).max() < hi:
+        if not x.size or np.maximum.reduce(x.view(np.uint64)) < hi:
             return x
     if lo is None and np.dtype(dtype).kind == "u":
         lo = 0
@@ -237,8 +239,9 @@ class PoolBlocks(tuple):
     pool, that split a batch's rows; it iterates as those pairs.
 
     A count must be an integer of at least 1 (a float such as 11.0 or a bool
-    is refused) and a weight finite and non-negative; those checks run once,
-    when the value is built, so every loss call that takes it skips them.
+    is refused) and a weight a number float_scalar takes (a bool, a string
+    or None is refused, not cast); those checks run once, when the value is
+    built, so every loss call that takes it skips them.
     ``total`` is the rows covered, ``spans`` the (first row, end row, weight)
     of each block, the weight as a float.
     """
@@ -249,8 +252,10 @@ class PoolBlocks(tuple):
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
                 shown = count if isinstance(count, bool) or count != 0 else "no"
                 raise ValueError(f"pool block {block} has {shown} rows; a row count must be an integer of at least 1")
-            if not (math.isfinite(weight) and weight >= 0):
-                raise ValueError(f"pool weight {weight} must be finite and non-negative")
+            try:
+                float_scalar(weight, "pool weight")
+            except ValueError:
+                raise ValueError(f"pool weight {weight} must be finite and non-negative") from None
         self = super().__new__(cls, pools)
         starts = [0, *itertools.accumulate(int(count) for count, _ in pools)]
         vars(self).update(total=starts[-1], spans=tuple(
@@ -339,10 +344,10 @@ def cross_entropy_of_checked(S: np.ndarray, labels: np.ndarray, blocks: PoolBloc
     for lo in range(0, n, CE_BLOCK_ROWS):
         hi = min(lo + CE_BLOCK_ROWS, n)
         blk, cell = S[lo:hi], cells[lo:hi]
-        shift = blk.max(axis=1)
+        shift = np.maximum.reduce(blk, axis=1)
         e = blk - shift[:, None]
         np.exp(e, out=e)
-        rel = np.log(e.sum(axis=1))
+        rel = np.log(np.add.reduce(e, axis=1))
         per_row[lo:hi] = (shift - flat[cell]) + rel
         blk -= (shift + rel)[:, None]
         np.exp(blk, out=blk)
@@ -355,9 +360,7 @@ def cross_entropy_of_checked(S: np.ndarray, labels: np.ndarray, blocks: PoolBloc
                 rows /= end - start
                 if weight != 1.0:
                     rows *= weight
-    loss = 0.0
-    for start, end, weight in spans:
-        loss += weight * (float(per_row[start:end].sum()) / (end - start))
+    loss = sum(weight * (float(np.add.reduce(per_row[start:end])) / (end - start)) for start, end, weight in spans)
     if not math.isfinite(loss):
         raise FloatingPointError("numerical overflow in cross-entropy loss")
     return loss, S

@@ -51,6 +51,7 @@ DEFAULT_CTX_SCALE = 0.02
 # One row per route: the modality that owns it (multimodal models own both),
 # its ctx and mixer fields, and the SeedSequence children that draw them.
 _ROUTES = (("textual", "text_ctx", "text_mix", 0, 2), ("visual", "vis_ctx", "vis_mix", 1, 3))
+_CTX_NAMES = frozenset(route[1] for route in _ROUTES)
 
 
 def check_modality(modality: str) -> None:
@@ -100,8 +101,7 @@ class PromptModel:
     # --- generic trainable-model interface (shared with the linear probe) ---
 
     def learnable(self) -> Dict[str, np.ndarray]:
-        blocks = {ctx_name: getattr(self, ctx_name) for _, ctx_name, *_ in _ROUTES}
-        return {name: ctx for name, ctx in blocks.items() if ctx is not None}
+        return {name: getattr(self, name) for _, name, *_ in _ROUTES if getattr(self, name) is not None}
 
     def with_learnable(self, params: Dict[str, np.ndarray]) -> "PromptModel":
         """A copy holding new ctx blocks of the same shapes.
@@ -114,10 +114,12 @@ class PromptModel:
         """
         fields = dict(vars(self))
         for name, value in params.items():
-            current = fields[name] if any(name == route[1] for route in _ROUTES) else None
+            current = fields[name] if name in _CTX_NAMES else None
             if current is None:
                 raise ValueError(f"{name!r} is not a learnable block of this {self.modality} model")
-            value = frozen_array(value, np.float64)
+            if not (type(value) is np.ndarray and value.dtype == np.float64 and value.flags.c_contiguous):
+                value = frozen_array(value, np.float64)
+            value.setflags(write=False)
             if value.shape != current.shape:
                 raise ValueError(f"{name} must keep shape {current.shape}, got {value.shape}")
             fields[name] = value
@@ -173,7 +175,8 @@ def init_prompt(
     for side, ctx_name, mix_name, ctx_kid, mix_kid in _ROUTES:
         if modality in (side, "multimodal"):
             sides[ctx_name] = rngs[ctx_kid].normal(0.0, sigma, size=(M, d))
-            sides[mix_name] = rngs[mix_kid].standard_normal((d, M * d)) / np.sqrt(M * d)
+            sides[mix_name] = mix = rngs[mix_kid].standard_normal((d, M * d))
+            mix /= np.sqrt(M * d)
     return PromptModel(modality=modality, temperature=temperature, **sides)
 
 
@@ -212,8 +215,10 @@ def _shift_normalize_vjp(
     (I - u u^T)/|a|) to dA, then dE = dA^T anchors and
     dctx[m, k] = sum_j mix[j, m*d + k] * dE[j, k].
     """
-    d_unit = tau * (G @ other)
-    dA = (d_unit - np.add.reduce(d_unit * unit, axis=1, keepdims=True) * unit) / norms
+    dA = G @ other  # dL/d(unit rows) once scaled, then dA in place
+    dA *= tau
+    dA -= np.add.reduce(dA * unit, axis=1, keepdims=True) * unit
+    dA /= norms
     d = mix.shape[0]
     return np.einsum("jmk,jk->mk", mix.reshape(d, -1, d), dA.T @ anchors)
 
@@ -416,6 +421,6 @@ def batch_loss_and_grad(
         finally:
             if vis:
                 grads["vis_ctx"] = visual.result() if both else visual
-    if not all(np.isfinite(g).all() for g in grads.values()):
+    if not all(np.logical_and.reduce(np.isfinite(g), axis=None) for g in grads.values()):
         raise FloatingPointError("numerical overflow in gradient computation")
     return loss, grads

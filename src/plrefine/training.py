@@ -74,12 +74,10 @@ def _batch_rows(perm: np.ndarray, step: int, batch_size: int, is_major: bool) ->
     pools cycle through their permutation with wraparound so every step sees a
     full batch from them.
     """
-    n = perm.shape[-1]
     if is_major:
-        return perm[..., step * batch_size : min((step + 1) * batch_size, n)]
-    b = min(batch_size, n)
-    start = (step * b) % n
-    return perm[..., (start + np.arange(b)) % n]
+        return perm[..., step * batch_size : (step + 1) * batch_size]
+    b = min(batch_size, perm.shape[-1])
+    return perm.take(np.arange(step * b, (step + 1) * b), axis=-1, mode="wrap")
 
 
 def train(
@@ -152,7 +150,7 @@ def train(
 
     for epoch in range(schedule.epochs):
         rng = np.random.default_rng([seed, epoch])
-        shuffled = [pool[:, rng.permutation(size)] for pool, size in zip(rows_labels, sizes)]
+        shuffled = [pool.take(rng.permutation(size), axis=1) for pool, size in zip(rows_labels, sizes)]
         lr = lr_at(schedule, epoch)
         step_losses = []
         for step in range(steps):
@@ -162,7 +160,7 @@ def train(
             if blocks is None:
                 blocks = layouts[batch.shape[1]] = PoolBlocks((pick.shape[1], weight) for pick, (_, _, weight) in zip(picks, pools))
             try:
-                loss, grads = model.loss_and_grad(data.features[batch[0]], batch[1], space, blocks)
+                loss, grads = model.loss_and_grad(data.features.take(batch[0], axis=0), batch[1], space, blocks)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} (epoch {epoch}, step {step})") from None
             for name, v in velocity.items():
@@ -171,5 +169,7 @@ def train(
                 params[name] = params[name] - lr * v
             model = model.with_learnable(params)
             step_losses.append(loss)
-        epoch_losses.append(float(np.mean(step_losses)))
+        # np.mean of the step losses without its dispatch: the same sum,
+        # over the same float64 array, divided by the count.
+        epoch_losses.append(float(np.add.reduce(np.array(step_losses)) / steps))
     return model, epoch_losses

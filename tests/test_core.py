@@ -812,8 +812,11 @@ class TestPoolBlocksValue:
             ([(2, 1.0), (0, 1.0)], "pool block 1 has no rows; a row count must be an integer of at least 1"),
             ([(2.0, 1.0)], "pool block 0 has 2.0 rows; a row count must be an integer of at least 1"),
             ([(2, -0.5)], "pool weight -0.5 must be finite and non-negative"),
+            ([(2, True)], "pool weight True must be finite and non-negative"),
+            ([(2, 1.0), (1, "x")], "pool weight x must be finite and non-negative"),
+            ([(2, None)], "pool weight None must be finite and non-negative"),
         ],
-        ids=["bool count", "NaN weight", "no rows", "float count", "negative weight"],
+        ids=["bool count", "NaN weight", "no rows", "float count", "negative weight", "bool weight", "string weight", "None weight"],
     )
     def test_unchecked_pairs_cannot_be_put_in(self, pools, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -194,6 +194,38 @@ class TestPromptModelContainer:
         assert np.array_equal(m2.vis_ctx, np.ones((3, 6))) and not np.array_equal(m.vis_ctx, m2.vis_ctx)
 
     @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: v.astype(np.float32),
+            lambda v: np.asfortranarray(v),
+            lambda v: v.tolist(),
+            lambda v: v.repeat(2, axis=1)[:, ::2],
+        ],
+        ids=["float32", "fortran", "list", "strided"],
+    )
+    def test_with_learnable_copies_a_block_it_cannot_freeze(self, make):
+        """A block that is not C-contiguous float64 is stored as a
+        read-only C-contiguous float64 copy; the caller's value is left
+        writeable and unchanged."""
+        m = init_prompt("textual", 3, 6, seed=2)
+        given = make(np.arange(18.0).reshape(3, 6) / 8)
+        before = np.array(given, dtype=np.float64)
+        stored = m.with_learnable({"text_ctx": given}).text_ctx
+        assert stored is not given and stored.dtype == np.float64
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert np.array_equal(stored, before) and np.array_equal(np.array(given, dtype=np.float64), before)
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable and not np.shares_memory(stored, given)
+
+    def test_with_learnable_freezes_a_contiguous_float64_block_in_place(self):
+        m = init_prompt("multimodal", 3, 6, seed=2)
+        given = {"text_ctx": np.full((3, 6), 0.5), "vis_ctx": np.full((3, 6), -0.5)}
+        m2 = m.with_learnable(dict(given))
+        for name, value in given.items():
+            assert getattr(m2, name) is value and not value.flags.writeable
+        assert m2.text_mix is m.text_mix and m2.vis_mix is m.vis_mix
+
+    @pytest.mark.parametrize(
         "modality, params",
         [
             ("textual", {"text_ctx": np.zeros((4, 6))}),
@@ -651,6 +683,7 @@ class TestPoolBlocks:
             ([(4, -0.5), (7, 1.0)], r"pool weight -0.5 must be finite and non-negative"),
             ([(4, 1.0), (7, float("nan"))], r"pool weight nan must be finite"),
             ([(4, float("inf")), (7, 1.0)], r"pool weight inf must be finite"),
+            ([(4, True), (7, 1.0)], r"pool weight True must be finite"),
         ],
     )
     def test_bad_block_list_rejected(self, head, pools, message):

@@ -395,6 +395,27 @@ class TestOneCallPerStep:
         per_epoch = [head + [(8, 1.0)], head + [(8, 1.0)], head + [(5, 1.0)]]
         assert calls == per_epoch * 3
 
+    @pytest.mark.parametrize("paradigm, batch_size", [("SSL", 8), ("UL", 3)])
+    def test_epoch_loss_is_the_mean_of_its_step_losses(self, monkeypatch, paradigm, batch_size):
+        """Each returned epoch loss equals, bit for bit, np.mean of the
+        losses its steps' loss calls returned (3 or 7 steps per epoch)."""
+        data, space, labeled, pl, weights = _pools(np.random.default_rng(8), paradigm)
+        losses = []
+        loss_and_grad = PromptModel.loss_and_grad
+
+        def recorded(self, feats, labels, space, pools=None):
+            out = loss_and_grad(self, feats, labels, space, pools)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr(PromptModel, "loss_and_grad", recorded)
+        schedule = TrainSchedule(epochs=4, warmup_epochs=1, batch_size=batch_size)
+        _, epoch_losses = train(init_prompt("multimodal", 2, 8, seed=0), data, space, labeled, pl, weights, schedule, seed=0)
+        steps = math.ceil(21 / batch_size)
+        assert len(losses) == 4 * steps and len(set(losses)) == len(losses)
+        expected = [float(np.mean(losses[i : i + steps])) for i in range(0, len(losses), steps)]
+        assert [loss.hex() for loss in epoch_losses] == [loss.hex() for loss in expected]
+
     @pytest.mark.parametrize("paradigm, batch_size", [("SSL", 8), ("UL", 7)])
     def test_pool_blocks_checked_once_per_layout(self, monkeypatch, paradigm, batch_size):
         """The pool-block checks run when a PoolBlocks is built, and a train

@@ -10,9 +10,10 @@ the microseconds per ``training.train`` optimizer step and per
 - full scale: C=100, d=512, M=16, batch 128, where the mixers dominate.
 
 A train run is EPOCHS epochs over one pseudolabeled pool of BATCHES_PER_EPOCH
-full batches, so its per-step time includes each epoch's shuffle. The loss
-call takes one batch as a single pool. ``--toy`` runs one tiny shape instead,
-in well under a second. All inputs come from a fixed seed; the timings are
+full batches, STEPS = 160 optimizer steps in all: its per-step time includes
+each epoch's shuffle and the run's set-up, spread over enough steps to
+resolve a change of a few µs per step. The loss call takes one batch as a
+single pool. ``--toy`` runs one tiny shape instead, in well under a second. All inputs come from a fixed seed; the timings are
 of whatever machine runs the script.
 
 The table goes to stdout. One line on stderr names the BLAS setting the
@@ -44,7 +45,8 @@ SHAPES = {"calibration": (10, 32, 16, 64), "full scale": (100, 512, 16, 128)}
 TOY_SHAPES = {"toy": (4, 8, 2, 8)}
 REPEATS = 7
 EPOCHS = 2
-BATCHES_PER_EPOCH = 4
+BATCHES_PER_EPOCH = 80
+STEPS = EPOCHS * BATCHES_PER_EPOCH
 LOSS_CALLS = 20
 
 
@@ -62,7 +64,6 @@ def time_shape(C: int, d: int, M: int, batch: int, repeats: int, loss_calls: int
     data = EmbeddingSet(_unit_rows(rng, n, d), classes, np.arange(n, dtype=np.uint64))
     pseudo = PseudolabelSet(data.ids, classes, np.zeros(n), k_used=n)
     schedule = TrainSchedule(epochs=EPOCHS, warmup_epochs=1, batch_size=batch)
-    steps = EPOCHS * BATCHES_PER_EPOCH
     feats, labels = data.features[:batch], classes[:batch]
     out = {}
     for modality in MODALITIES:
@@ -73,7 +74,7 @@ def time_shape(C: int, d: int, M: int, batch: int, repeats: int, loss_calls: int
         loss_s = min(
             timeit.repeat(lambda: batch_loss_and_grad(model, feats, labels, space), number=loss_calls, repeat=repeats)
         )
-        out[modality] = (1e6 * step_s / steps, 1e6 * loss_s / loss_calls)
+        out[modality] = (1e6 * step_s / STEPS, 1e6 * loss_s / loss_calls)
     return out
 
 
